@@ -358,11 +358,22 @@ def eval_cmd(
 ) -> None:
     """Compare a detector report and a scan result against a truth file."""
     report = dataio.read_report(detect_path)
-    scan_result = dataio.read_report(scan_path)
     if not isinstance(report, dataio.HotspotReport):
         raise InputError("--detect must point at a hotspot report", module="cli")
-    if not isinstance(scan_result, dataio.ScanResult):
-        raise InputError("--scan must point at a scan result", module="cli")
+    scan_doc = json.loads(Path(scan_path).read_text(encoding="utf-8"))
+    scan_result = dataio.scan_from_dict(scan_doc)
+    if "alpha" in scan_doc:
+        # the ranked list is cut at --top; the clusters were chosen from
+        # every cylinder at the document's alpha
+        if scan_doc["alpha"] != alpha:
+            raise InputError(
+                f"--alpha {alpha} differs from the scan's alpha {scan_doc['alpha']}",
+                module="cli",
+            )
+        if scan_doc["significant"]:
+            scan_result = dataio.scan_from_dict(
+                {**scan_doc, "cylinders": scan_doc["significant"]}
+            )
     truth_doc = json.loads(Path(truth_path).read_text(encoding="utf-8"))
     try:
         reference = tuple(truth_doc["regions"])

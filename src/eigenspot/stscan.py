@@ -20,6 +20,7 @@ the maximum cylinder score, and the p-value of a cylinder is
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,7 @@ from .errors import InputError
 from .eigenmatch import NeighborMatrix
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ScanCylinder:
     """One spatial disk crossed with one inclusive time window."""
 
@@ -185,12 +186,8 @@ def _disks_from_adjacency(nb: NeighborMatrix) -> list[list[int]]:
         frontier = [c]
         while frontier:
             nxt = sorted(
-                j
-                for i in frontier
-                for j in np.flatnonzero(nb.adjacency[i])
-                if j not in seen
+                {j for i in frontier for j in np.flatnonzero(nb.adjacency[i]) if j not in seen}
             )
-            nxt = list(dict.fromkeys(nxt))
             if not nxt:
                 break
             seen.update(nxt)
@@ -239,13 +236,7 @@ def enumerate_cylinders(
         n = neighbors.n
         ring_orders = _disks_from_adjacency(neighbors)
         orders = [order for order, _ in ring_orders]
-        disk_sizes = []
-        for order, rings in ring_orders:
-            sizes, acc = [], 0
-            for r in rings:
-                acc += r
-                sizes.append(acc)
-            disk_sizes.append(sizes)
+        disk_sizes = [list(itertools.accumulate(rings)) for _, rings in ring_orders]
 
     cap = None
     if region_baseline is not None:
@@ -274,9 +265,80 @@ def enumerate_cylinders(
     return out
 
 
-def _cylinder_sums(matrix: np.ndarray, cyl: ScanCylinder) -> float:
-    t0, t1 = cyl.window
-    return float(matrix[list(cyl.members)][:, t0 : t1 + 1].sum())
+class _CylinderIndex:
+    """A candidate family as flat arrays, one entry per cylinder."""
+
+    def __init__(self, cylinders: Sequence[ScanCylinder]):
+        n = len(cylinders)
+        self.sizes = np.fromiter((len(c.members) for c in cylinders), np.intp, n)
+        self.centers = np.fromiter((c.center for c in cylinders), np.intp, n)
+        self.t0 = np.fromiter((c.window[0] for c in cylinders), np.intp, n)
+        self.t1 = np.fromiter((c.window[1] for c in cylinders), np.intp, n)
+        self.members = np.fromiter(
+            itertools.chain.from_iterable(c.members for c in cylinders), np.intp
+        )
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        span = int(self.t1.max()) + 1
+        windows, window_of = np.unique(self.t0 * span + self.t1, return_inverse=True)
+        self.window_t0, self.window_t1 = np.divmod(windows, span)
+        self.member_windows = np.repeat(window_of, self.sizes)
+
+    def cell_sums(self, matrix: np.ndarray) -> np.ndarray:
+        """Per-cylinder sums that add cells as ``matrix[members][:, t0:t1+1].sum()`` does.
+
+        numpy adds a block's cells pairwise in row-major order; a block that
+        is neither one step nor the whole matrix wide goes through numpy's
+        buffer in runs of whole rows that fit ``np.getbufsize()`` cells.
+        Following that order keeps float sums, and so tie order, equal to a
+        per-cylinder sum.
+        """
+        out = np.empty(len(self.sizes))
+        widths = self.t1 - self.t0 + 1
+        key = self.sizes * (matrix.shape[1] + 1) + widths
+        order = np.argsort(key, kind="stable")
+        for idx in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            k, w = int(self.sizes[idx[0]]), int(widths[idx[0]])
+            rows = self.members[self.offsets[idx, None] + np.arange(k)]
+            cells = matrix[rows[:, :, None], self.t0[idx, None, None] + np.arange(w)]
+            step = k if w in (1, matrix.shape[1]) else max(1, np.getbufsize() // w)
+            out[idx] = cells[:, :step].sum(axis=(1, 2))
+            for s in range(step, k, step):
+                out[idx] += cells[:, s : s + step].sum(axis=(1, 2))
+        return out
+
+    def window_sums(self, matrix: np.ndarray) -> np.ndarray:
+        """Per-cylinder sums from per-window prefix sums; exact on integer cells."""
+        cum = np.zeros((matrix.shape[1] + 1, matrix.shape[0]))
+        np.cumsum(matrix.T, axis=0, out=cum[1:])
+        per_window = cum[self.window_t1 + 1] - cum[self.window_t0]
+        return np.add.reduceat(per_window[self.member_windows, self.members], self.offsets)
+
+
+def _scores(
+    counts: np.ndarray,
+    baselines: np.ndarray,
+    c_total: float,
+    b_total: float,
+    elevated_only: bool,
+) -> np.ndarray:
+    """:func:`score` for a whole family of cylinders at once."""
+    if np.any((baselines == 0) & (counts > 0)):
+        raise InputError(
+            "zero baseline with positive count gives an infinite rate", module="stscan"
+        )
+    included = (counts * b_total > baselines * c_total) | (not elevated_only)
+    rest = c_total - counts
+    rest_base = b_total - baselines
+    if np.any(included & (rest > 0) & (rest_base <= 0)):
+        raise InputError(
+            "cylinder covers the whole baseline but not all cases; "
+            "the score is unbounded",
+            module="stscan",
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = np.where(counts > 0, counts * np.log(counts / baselines), 0.0)
+        outside = np.where(rest > 0, rest * np.log(rest / rest_base), 0.0)
+    return np.where(included, inside + outside, 0.0)
 
 
 def scan(
@@ -304,91 +366,29 @@ def scan(
         raise InputError("no candidate cylinders supplied", module="stscan")
     c_total = float(cases_m.sum())
     b_total = float(base_m.sum())
+    # NaN fails the comparison and an infinite cell makes its total infinite
+    if not (np.all(cases_m >= 0) and np.all(base_m >= 0) and math.isfinite(c_total + b_total)):
+        raise InputError("cases and baseline cells must be finite and non-negative", module="stscan")
     if b_total <= 0:
         raise InputError("total baseline must be positive", module="stscan")
 
-    scored = []
-    for cyl in candidates:
-        c = _cylinder_sums(cases_m, cyl)
-        b = _cylinder_sums(base_m, cyl)
-        s = score(c, b, c_total, b_total, elevated_only=elevated_only)
-        scored.append(dataclasses.replace(cyl, count=c, baseline=b, score=s))
-    scored.sort(key=lambda x: (-x.score, len(x.members), x.center, x.window))
-
+    index = _CylinderIndex(candidates)
+    counts = index.cell_sums(cases_m)
+    baselines = index.cell_sums(base_m)
+    scores = _scores(counts, baselines, c_total, b_total, elevated_only)
+    ranked = np.lexsort((index.t1, index.t0, index.centers, index.sizes, -scores))
+    rows = zip(counts[ranked].tolist(), baselines[ranked].tolist(), scores[ranked].tolist())
     return ScanResult(
-        cylinders=tuple(scored),
+        cylinders=tuple(
+            ScanCylinder(cyl.center, cyl.members, cyl.window, c, b, s)
+            for cyl, (c, b, s) in zip((candidates[i] for i in ranked.tolist()), rows)
+        ),
         c_total=c_total,
         b_total=b_total,
         elevated_only=elevated_only,
         regions=tuple(regions) if regions is not None else None,
         times=tuple(times) if times is not None else None,
     )
-
-
-def _vector_scores(
-    counts: np.ndarray,
-    baselines: np.ndarray,
-    c_total: float,
-    b_total: float,
-    elevated_only: bool,
-) -> np.ndarray:
-    """Vectorized log-score used for Monte Carlo replicas."""
-    included = (
-        counts * b_total > baselines * c_total
-        if elevated_only
-        else np.ones_like(counts, dtype=bool)
-    )
-    rest = c_total - counts
-    rest_base = b_total - baselines
-    bad = included & (rest > 0) & (rest_base <= 0)
-    if np.any(bad):
-        raise InputError(
-            "a replica cylinder covers the whole baseline but not all cases",
-            module="stscan",
-        )
-    inside = np.where(
-        counts > 0,
-        counts * np.log(np.where(counts > 0, counts, 1.0) / np.where(baselines > 0, baselines, 1.0)),
-        0.0,
-    )
-    outside = np.where(
-        rest > 0,
-        rest
-        * np.log(np.where(rest > 0, rest, 1.0) / np.where(rest_base > 0, rest_base, 1.0)),
-        0.0,
-    )
-    return np.where(included, inside + outside, 0.0)
-
-
-class _CandidateIndex:
-    """Flattened membership arrays for fast replica rescoring."""
-
-    def __init__(self, cylinders: Sequence[ScanCylinder], n_regions: int, n_times: int):
-        windows = sorted({c.window for c in cylinders})
-        w_index = {w: i for i, w in enumerate(windows)}
-        member_flat: list[int] = []
-        window_flat: list[int] = []
-        offsets: list[int] = []
-        for cyl in cylinders:
-            offsets.append(len(member_flat))
-            member_flat.extend(cyl.members)
-            window_flat.extend([w_index[cyl.window]] * len(cyl.members))
-        self.windows = windows
-        self.member_flat = np.asarray(member_flat, dtype=np.intp)
-        self.window_flat = np.asarray(window_flat, dtype=np.intp)
-        self.offsets = np.asarray(offsets, dtype=np.intp)
-        self.baselines = np.asarray([c.baseline for c in cylinders], dtype=float)
-        self.n_regions = n_regions
-        self.n_times = n_times
-
-    def counts(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-cylinder sums of a space-by-time matrix."""
-        cum = np.cumsum(matrix, axis=1)
-        ws = np.empty((len(self.windows), self.n_regions))
-        for i, (t0, t1) in enumerate(self.windows):
-            ws[i] = cum[:, t1] - (cum[:, t0 - 1] if t0 > 0 else 0.0)
-        vals = ws[self.window_flat, self.member_flat]
-        return np.add.reduceat(vals, self.offsets)
 
 
 def monte_carlo_p(
@@ -411,9 +411,8 @@ def monte_carlo_p(
     base_m = np.asarray(baseline, dtype=float)
     if base_m.ndim != 2:
         raise InputError("baseline must be a space-by-time matrix", module="stscan")
-    max_region = max(m for c in result.cylinders for m in c.members)
-    max_time = max(c.window[1] for c in result.cylinders)
-    if max_region >= base_m.shape[0] or max_time >= base_m.shape[1]:
+    index = _CylinderIndex(result.cylinders)
+    if index.members.max() >= base_m.shape[0] or index.t1.max() >= base_m.shape[1]:
         raise InputError(
             f"baseline shape {base_m.shape} cannot cover the scanned cylinders",
             module="stscan",
@@ -427,30 +426,29 @@ def monte_carlo_p(
             "Monte Carlo randomization needs an integer case total", module="stscan"
         )
 
-    n_regions, n_times = base_m.shape
-    index = _CandidateIndex(result.cylinders, n_regions, n_times)
+    n = len(result.cylinders)
+    baselines = np.fromiter((c.baseline for c in result.cylinders), float, n)
     probs = (base_m / b_total).ravel()
-
     streams = np.random.SeedSequence(seed).spawn(replications)
     maxima = np.empty(replications)
     for i, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
-        replica = rng.multinomial(total, probs).reshape(n_regions, n_times).astype(float)
-        counts = index.counts(replica)
-        scores = _vector_scores(
-            counts, index.baselines, result.c_total, result.b_total, result.elevated_only
-        )
-        maxima[i] = scores.max()
+        replica = rng.multinomial(total, probs).reshape(base_m.shape).astype(float)
+        counts = index.window_sums(replica)
+        maxima[i] = _scores(
+            counts, baselines, result.c_total, result.b_total, result.elevated_only
+        ).max()
 
     maxima.sort()
-    updated = []
-    for cyl in result.cylinders:
-        ge = replications - int(np.searchsorted(maxima, cyl.score, side="left"))
-        p = (1 + ge) / (replications + 1)
-        updated.append(dataclasses.replace(cyl, p_value=p))
+    observed = np.fromiter((c.score for c in result.cylinders), float, n)
+    ge = replications - np.searchsorted(maxima, observed, side="left")
+    p_values = ((1 + ge) / (replications + 1)).tolist()
     return dataclasses.replace(
         result,
-        cylinders=tuple(updated),
+        cylinders=tuple(
+            ScanCylinder(c.center, c.members, c.window, c.count, c.baseline, c.score, p)
+            for c, p in zip(result.cylinders, p_values)
+        ),
         replications=replications,
         seed=seed,
     )

@@ -328,6 +328,54 @@ def test_eval_empty_detection_yields_zero_row(synth_dir, tmp_path):
     assert (centers["precision"], centers["recall"], centers["f1"]) == (0.0, 0.0, 0.0)
 
 
+def test_eval_counts_significant_clusters_ranked_below_top(synth_dir, tmp_path):
+    # a second hot spot in r15 ranks below the r05/r06 block; with --top 1
+    # it is missing from the ranked list but not from the significant one
+    lines = (synth_dir / "cases.csv").read_text().splitlines()
+    hot = []
+    for line in lines[1:]:
+        region, time, count = line.split(",")
+        if region == "r15" and time in ("t00", "t01"):
+            count = str(int(float(count)) * 3)
+        hot.append(f"{region},{time},{count}")
+    cases = tmp_path / "cases.csv"
+    cases.write_text("\n".join([lines[0], *hot]) + "\n")
+    report, scan_out = tmp_path / "report.json", tmp_path / "scan.json"
+    assert run_cli(detect_args(synth_dir, ["--out", str(report)])).returncode == 0
+    res = run_cli(
+        [
+            "scan",
+            "--cases", str(cases),
+            "--population", str(synth_dir / "population.csv"),
+            "--schema", str(synth_dir / "schema.json"),
+            "--centroids", str(synth_dir / "centroids.csv"),
+            "--replications", "99",
+            "--seed", "1",
+            "--top", "1",
+            "--out", str(scan_out),
+        ]
+    )
+    assert res.returncode == 0, res.stderr
+    scan_doc = json.loads(scan_out.read_text())
+    assert len(scan_doc["cylinders"]) == 1 and len(scan_doc["significant"]) == 2
+
+    eval_args = [
+        "eval",
+        "--detect", str(report),
+        "--scan", str(scan_out),
+        "--truth", str(synth_dir / "truth.json"),
+    ]
+    res = run_cli(eval_args)
+    assert res.returncode == 0, res.stderr
+    row = next(r for r in json.loads(res.stdout)["rows"] if r["method"] == "st-scan")
+    assert row["detected"] == sorted({m for c in scan_doc["significant"] for m in c["members"]})
+    assert "r15" in row["detected"]
+
+    res = run_cli(eval_args + ["--alpha", "0.01"])
+    assert res.returncode == 2
+    assert json.loads(res.stderr)["error"]["type"] == "InputError"
+
+
 @pytest.fixture()
 def attribute_data(tmp_path):
     """Tiny 3-mode dataset: region x year x bundled (age, sex)."""

@@ -255,6 +255,57 @@ def test_scan_brute_force_equivalence_smoke():
     assert res.top.score == best[2]
 
 
+@pytest.mark.parametrize("bufsize", [None, 16])
+def test_scan_sums_follow_cell_order(bufsize):
+    # non-integer baselines, blocks of up to 24 x 9 cells (past numpy's
+    # 128-cell pairwise blocking) and windows of 8 or more steps; a small
+    # buffer makes numpy split the narrower blocks into runs of rows
+    rng = np.random.default_rng(41)
+    coords = rng.random((24, 2))
+    cases = rng.poisson(6.0, size=(24, 9)).astype(float)
+    baseline = expected_baseline(cases, rng.integers(50, 150, size=(24, 9)))
+    cands = enumerate_cylinders(times=9, coords=coords)
+    old = np.setbufsize(bufsize) if bufsize else None
+    try:
+        res = scan(cases, baseline, cands, elevated_only=False)
+        direct = [
+            (
+                float(cases[list(c.members)][:, c.window[0] : c.window[1] + 1].sum()),
+                float(baseline[list(c.members)][:, c.window[0] : c.window[1] + 1].sum()),
+            )
+            for c in res.cylinders
+        ]
+    finally:
+        if old is not None:
+            np.setbufsize(old)
+    assert max(len(c.members) * (c.window[1] - c.window[0] + 1) for c in cands) > 128
+    assert [(c.count, c.baseline) for c in res.cylinders] == direct
+    # a score is the difference of two terms of up to about c_total, so a
+    # last-digit difference between np.log and math.log shows at that scale
+    for cyl in res.cylinders:
+        expected = score(cyl.count, cyl.baseline, res.c_total, res.b_total, elevated_only=False)
+        assert cyl.score == pytest.approx(expected, rel=1e-12, abs=1e-12 * res.c_total)
+
+
+def test_scan_exact_ties_keep_documented_order():
+    # times 0 and 2 and region 1 carry no baseline and no cases, so adding
+    # them to region 0's hot cell leaves (c, b) = (8, 2.5) exactly; ties go
+    # to fewer members, then the lower center, then the earlier window
+    coords = np.array([[0.0, 0.0], [0.5, 0.0], [10.0, 0.0], [11.0, 0.0]])
+    baseline = np.zeros((4, 3))
+    baseline[:, 1] = [2.5, 0.0, 7.75, 9.75]
+    cases = np.zeros((4, 3))
+    cases[:, 1] = [8.0, 0.0, 6.0, 6.0]
+    res = scan(cases, baseline, enumerate_cylinders(times=3, coords=coords))
+    tied = res.cylinders[:12]
+    assert all((c.count, c.baseline, c.score) == (8.0, 2.5, res.top.score) for c in tied)
+    assert res.cylinders[12].score < res.top.score
+    windows = [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert [(c.members, c.window) for c in tied] == [
+        (members, w) for members in [(0,), (0, 1), (1, 0)] for w in windows
+    ]
+
+
 def test_scan_tie_ordering_is_total():
     coords = np.array([[0.0, 0.0], [3.0, 0.0]])
     m = np.full((2, 2), 5.0)
@@ -273,6 +324,20 @@ def test_scan_validation():
         scan(np.ones((1, 2)), np.zeros((1, 2)), cands)
     with pytest.raises(InputError):
         scan(np.ones((1, 2)), np.ones((1, 2)), [])
+    # cell errors the per-cylinder score used to raise
+    for bad_cases in ([[-1.0, 3.0]], [[np.nan, 3.0]], [[np.inf, 3.0]]):
+        with pytest.raises(InputError):
+            scan(np.array(bad_cases), np.ones((1, 2)), cands)
+    with pytest.raises(InputError):
+        scan(np.ones((1, 2)), np.array([[-1.0, 3.0]]), cands)
+    for elevated_only in (True, False):
+        with pytest.raises(InputError, match="zero baseline"):
+            scan(np.ones((1, 2)), np.array([[0.0, 2.0]]), cands, elevated_only=elevated_only)
+    # a cylinder over the whole baseline that misses cases elsewhere
+    two = enumerate_cylinders(times=1, coords=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    whole = [c for c in two if c.center == 0 and len(c.members) == 1]
+    with pytest.raises(InputError, match="unbounded"):
+        scan(np.array([[1.0], [1.0]]), np.array([[2.0], [0.0]]), whole, elevated_only=False)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +382,24 @@ def test_monte_carlo_p_bounds_and_determinism():
     )  # different seed, different draw
 
 
-def test_monte_carlo_replica_path_agrees_with_scan_scoring():
-    # rescoring the observed matrix through the replica machinery must
-    # reproduce the per-cylinder counts and (up to vectorized log) scores
-    from eigenspot.stscan import _CandidateIndex, _vector_scores
-
-    coords, cases, pop = grid_instance(21, n=7, times=4)
+def test_monte_carlo_replicas_match_a_full_rescan():
+    # replica counts come from window prefix sums; on the integer replica
+    # draws they must equal the cell-order sums scan() takes, so every
+    # replica maximum equals the top score of scanning that replica
+    coords, cases, pop = grid_instance(21, n=7, times=5)
     baseline = expected_baseline(cases, pop)
-    cands = enumerate_cylinders(times=4, coords=coords)
+    cands = enumerate_cylinders(times=5, coords=coords)
     res = scan(cases, baseline, cands)
-    index = _CandidateIndex(res.cylinders, 7, 4)
-    counts = index.counts(cases)
-    assert np.array_equal(counts, np.array([c.count for c in res.cylinders]))
-    scores = _vector_scores(
-        counts, index.baselines, res.c_total, res.b_total, True
-    )
-    assert np.allclose(scores, [c.score for c in res.cylinders], rtol=1e-12, atol=0)
+    out = monte_carlo_p(res, baseline, replications=19, seed=4)
+
+    probs = (baseline / baseline.sum()).ravel()
+    maxima = []
+    for ss in np.random.SeedSequence(4).spawn(19):
+        draw = np.random.default_rng(ss).multinomial(int(cases.sum()), probs)
+        maxima.append(scan(draw.reshape(cases.shape).astype(float), baseline, cands).top.score)
+    for cyl in out.cylinders:
+        ge = sum(m >= cyl.score for m in maxima)
+        assert cyl.p_value == (1 + ge) / 20
 
 
 def test_monte_carlo_validation():
