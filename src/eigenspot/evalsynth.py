@@ -23,7 +23,7 @@ from typing import Any, Iterable, Iterator, Literal, Sequence
 import numpy as np
 
 from .errors import InputError
-from .dataio import dumps_stable, _open_text
+from .dataio import _open_text
 from .eigenmatch import HotspotReport, NeighborMatrix
 from .stscan import ScanResult
 from .tensors import CountTensor, ModeLabel
@@ -336,22 +336,14 @@ def comparison_to_dict(table: ComparisonTable) -> dict[str, Any]:
     }
 
 
-def write_comparison(
-    table: ComparisonTable,
-    json_destination: Any = None,
-    csv_destination: Any = None,
-) -> None:
-    """Emit the comparison table as JSON and/or CSV."""
-    if json_destination is not None:
-        with _open_text(json_destination, "w") as fh:
-            fh.write(dumps_stable(comparison_to_dict(table)))
-    if csv_destination is not None:
-        lines = ["method,level,precision,recall,f1"]
-        for row in table.rows:
-            lines.append(
-                f"{row.method},{row.level},{row.metrics.precision:.2f},"
-                f"{row.metrics.recall:.2f},{row.metrics.f1:.2f}"
-            )
-        lines.append(f"pruning_fraction,,{table.pruning_fraction:.6f},,")
-        with _open_text(csv_destination, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+def write_comparison(table: ComparisonTable, csv_destination: Any) -> None:
+    """Emit the comparison table as CSV (JSON goes through :func:`comparison_to_dict`)."""
+    lines = ["method,level,precision,recall,f1"]
+    for row in table.rows:
+        lines.append(
+            f"{row.method},{row.level},{row.metrics.precision:.2f},"
+            f"{row.metrics.recall:.2f},{row.metrics.f1:.2f}"
+        )
+    lines.append(f"pruning_fraction,,{table.pruning_fraction:.6f},,")
+    with _open_text(csv_destination, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

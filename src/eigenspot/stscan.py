@@ -19,11 +19,12 @@ the maximum cylinder score, and the p-value of a cylinder is
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,10 +56,84 @@ class ScanCylinder:
 
 
 @dataclass(frozen=True, eq=False)
-class ScanResult:
-    """Scored cylinders in descending order plus run metadata."""
+class CylinderFamily(Sequence[ScanCylinder]):
+    """Every spatial disk crossed with every time window, held as arrays.
 
-    cylinders: tuple[ScanCylinder, ...]
+    Disk ``d`` is ``members[offsets[d]:offsets[d] + sizes[d]]``, center
+    first. Cylinder ``i`` is disk ``i // W`` over window ``i % W``, and the
+    per-cylinder arrays that :func:`scan` and :func:`monte_carlo_p` fill in
+    follow that index. The sequence runs in ``order`` (the ranking, once
+    scanned), builds :class:`ScanCylinder` rows on access and slices to views.
+    """
+
+    sizes: np.ndarray
+    members: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    counts: np.ndarray | None = None
+    baselines: np.ndarray | None = None
+    scores: np.ndarray | None = None
+    p_values: np.ndarray | None = None
+    order: np.ndarray | None = None
+    offsets: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "offsets", np.cumsum(self.sizes) - self.sizes)
+        if self.order is None:
+            object.__setattr__(self, "order", np.arange(self.sizes.size * self.t0.size))
+
+    def __len__(self) -> int:
+        return self.order.size
+
+    def __getitem__(self, i):
+        view = dataclasses.replace(self, order=self.order[i if isinstance(i, slice) else [i]])
+        return view if isinstance(i, slice) else next(iter(view))
+
+    def __iter__(self) -> Iterator[ScanCylinder]:
+        disk, window = np.divmod(self.order, self.t0.size)
+        start = self.offsets[disk]
+        bounds = zip(start.tolist(), (start + self.sizes[disk]).tolist())
+        spans = zip(self.t0[window].tolist(), self.t1[window].tolist())
+        arrays = (self.counts, self.baselines, self.scores, self.p_values)
+        columns = [
+            itertools.repeat(default) if a is None else a[self.order].tolist()
+            for a, default in zip(arrays, (0.0, 0.0, 0.0, None))
+        ]
+        for (s, e), span, *values in zip(bounds, spans, *columns):
+            members = tuple(self.members[s:e].tolist())
+            yield ScanCylinder(members[0], members, span, *values)
+
+    def cell_sums(self, matrix: np.ndarray) -> np.ndarray:
+        """Per-cylinder sums that add cells as ``matrix[members][:, t0:t1+1].sum()`` does.
+
+        numpy adds a block's cells pairwise in row-major order; a block that
+        is neither one step nor the whole matrix wide goes through numpy's
+        buffer in runs of whole rows that fit ``np.getbufsize()`` cells.
+        Following that order keeps float sums, and so tie order, equal to a
+        per-cylinder sum.
+        """
+        out = np.empty((self.sizes.size, self.t0.size))
+        widths = self.t1 - self.t0 + 1
+        for k in np.unique(self.sizes).tolist():
+            disks = np.flatnonzero(self.sizes == k)
+            rows = self.members[self.offsets[disks, None] + np.arange(k)]
+            for w in np.unique(widths).tolist():
+                wins = np.flatnonzero(widths == w)
+                steps = (self.t0[wins, None] + np.arange(w))[None, :, None, :]
+                cells = matrix[rows[:, None, :, None], steps].reshape(-1, k, w)
+                step = k if w in (1, matrix.shape[1]) else max(1, np.getbufsize() // w)
+                sums = cells[:, :step].sum(axis=(1, 2))
+                for s in range(step, k, step):
+                    sums += cells[:, s : s + step].sum(axis=(1, 2))
+                out[np.ix_(disks, wins)] = sums.reshape(disks.size, wins.size)
+        return out.ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class ScanResult:
+    """Ranked cylinders (the family from :func:`scan`, or rows read back) plus run metadata."""
+
+    cylinders: Sequence[ScanCylinder]
     c_total: float
     b_total: float
     elevated_only: bool = True
@@ -71,11 +146,12 @@ class ScanResult:
     def top(self) -> ScanCylinder:
         return self.cylinders[0]
 
-    def significant(self, alpha: float = 0.05) -> tuple[ScanCylinder, ...]:
-        """Cylinders with a p-value at or below alpha (empty before the MC step)."""
-        return tuple(
-            c for c in self.cylinders if c.p_value is not None and c.p_value <= alpha
+    def significant(self, alpha: float = 0.05) -> Sequence[ScanCylinder]:
+        """Cylinders with p <= alpha: a prefix of the ranking, as p never falls along it."""
+        end = bisect.bisect_right(
+            self.cylinders, alpha, key=lambda c: math.inf if c.p_value is None else c.p_value
         )
+        return self.cylinders[:end]
 
     def significant_clusters(self, alpha: float = 0.05) -> tuple[ScanCylinder, ...]:
         """Non-overlapping significant cylinders, best first.
@@ -86,7 +162,12 @@ class ScanResult:
         """
         kept: list[ScanCylinder] = []
         covered: set[int] = set()
-        for cyl in self.significant(alpha):
+        significant = self.significant(alpha)
+        if isinstance(significant, CylinderFamily):
+            # a disk's later cylinders overlap whatever its first one left covered
+            first = np.unique(significant.order // significant.t0.size, return_index=True)[1]
+            significant = dataclasses.replace(significant, order=significant.order[np.sort(first)])
+        for cyl in significant:
             if covered.isdisjoint(cyl.members):
                 kept.append(cyl)
                 covered.update(cyl.members)
@@ -161,28 +242,27 @@ def expected_baseline(cases: np.ndarray, population: np.ndarray) -> np.ndarray:
     return pop_m * (float(cases_m.sum()) / pop_total)
 
 
-def _disks_from_coords(coords: np.ndarray) -> list[list[int]]:
-    """Per center: region indices by growing squared centroid distance.
+def _disks_from_coords(coords: np.ndarray) -> list[tuple[list[int], range]]:
+    """Per center: region indices by growing squared centroid distance, and the disk sizes.
 
     Distance ties keep index order; the center itself always comes first.
     """
     n = coords.shape[0]
-    orders = []
+    disks = []
     for c in range(n):
         d2 = (coords[:, 0] - coords[c, 0]) ** 2 + (coords[:, 1] - coords[c, 1]) ** 2
         d2[c] = -1.0  # pin the center to the front
-        orders.append(list(np.argsort(d2, kind="stable")))
-    return orders
+        disks.append((list(np.argsort(d2, kind="stable")), range(1, n + 1)))
+    return disks
 
 
-def _disks_from_adjacency(nb: NeighborMatrix) -> list[list[int]]:
-    """Per center: breadth-first rings; each disk adds one whole ring."""
-    n = nb.n
-    orders = []
-    for c in range(n):
+def _disks_from_adjacency(nb: NeighborMatrix) -> list[tuple[list[int], list[int]]]:
+    """Per center: breadth-first rings, and the disk sizes; each disk adds one whole ring."""
+    disks = []
+    for c in range(nb.n):
         seen = {c}
         order = [c]
-        ring_sizes = [1]
+        sizes = [1]
         frontier = [c]
         while frontier:
             nxt = sorted(
@@ -192,10 +272,10 @@ def _disks_from_adjacency(nb: NeighborMatrix) -> list[list[int]]:
                 break
             seen.update(nxt)
             order.extend(nxt)
-            ring_sizes.append(len(nxt))
+            sizes.append(len(order))
             frontier = nxt
-        orders.append((order, ring_sizes))
-    return orders
+        disks.append((order, sizes))
+    return disks
 
 
 def enumerate_cylinders(
@@ -204,7 +284,7 @@ def enumerate_cylinders(
     neighbors: NeighborMatrix | None = None,
     max_fraction: float = 0.5,
     region_baseline: np.ndarray | None = None,
-) -> list[ScanCylinder]:
+) -> CylinderFamily:
     """All candidate cylinders for a region geometry and a time count.
 
     Spatial disks are nested around each center: with centroid coordinates
@@ -229,89 +309,30 @@ def enumerate_cylinders(
         pts = np.asarray(coords, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InputError("coordinates must be an (n, 2) array", module="stscan")
-        n = pts.shape[0]
-        disk_sizes = [list(range(1, n + 1))] * n
-        orders = _disks_from_coords(pts)
+        disks = _disks_from_coords(pts)
     else:
-        n = neighbors.n
-        ring_orders = _disks_from_adjacency(neighbors)
-        orders = [order for order, _ in ring_orders]
-        disk_sizes = [list(itertools.accumulate(rings)) for _, rings in ring_orders]
+        disks = _disks_from_adjacency(neighbors)
+    n = len(disks)
 
     cap = None
     if region_baseline is not None:
         rb = np.asarray(region_baseline, dtype=float)
-        if rb.shape != (n,):
+        if rb.shape != (n,) or np.any(rb < 0) or rb.sum() <= 0:
             raise InputError(
-                f"region baseline must have length {n}", module="stscan"
-            )
-        if np.any(rb < 0) or rb.sum() <= 0:
-            raise InputError(
-                "region baseline must be non-negative with a positive sum",
+                f"region baseline must be {n} non-negative values with a positive sum",
                 module="stscan",
             )
         cap = max_fraction * float(rb.sum())
 
-    windows = [(t0, t1) for t0 in range(times) for t1 in range(t0, times)]
-    out: list[ScanCylinder] = []
-    for c in range(n):
-        order = orders[c]
-        for k in disk_sizes[c]:
-            members = tuple(int(i) for i in order[:k])
-            if k > 1 and cap is not None and float(rb[list(members)].sum()) > cap:
+    sizes, members = [], []
+    for order, disk_sizes in disks:
+        for k in disk_sizes:
+            if k > 1 and cap is not None and float(rb[order[:k]].sum()) > cap:
                 break  # disks are nested, larger ones only grow
-            for window in windows:
-                out.append(ScanCylinder(center=c, members=members, window=window))
-    return out
-
-
-class _CylinderIndex:
-    """A candidate family as flat arrays, one entry per cylinder."""
-
-    def __init__(self, cylinders: Sequence[ScanCylinder]):
-        n = len(cylinders)
-        self.sizes = np.fromiter((len(c.members) for c in cylinders), np.intp, n)
-        self.centers = np.fromiter((c.center for c in cylinders), np.intp, n)
-        self.t0 = np.fromiter((c.window[0] for c in cylinders), np.intp, n)
-        self.t1 = np.fromiter((c.window[1] for c in cylinders), np.intp, n)
-        self.members = np.fromiter(
-            itertools.chain.from_iterable(c.members for c in cylinders), np.intp
-        )
-        self.offsets = np.cumsum(self.sizes) - self.sizes
-        span = int(self.t1.max()) + 1
-        windows, window_of = np.unique(self.t0 * span + self.t1, return_inverse=True)
-        self.window_t0, self.window_t1 = np.divmod(windows, span)
-        self.member_windows = np.repeat(window_of, self.sizes)
-
-    def cell_sums(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-cylinder sums that add cells as ``matrix[members][:, t0:t1+1].sum()`` does.
-
-        numpy adds a block's cells pairwise in row-major order; a block that
-        is neither one step nor the whole matrix wide goes through numpy's
-        buffer in runs of whole rows that fit ``np.getbufsize()`` cells.
-        Following that order keeps float sums, and so tie order, equal to a
-        per-cylinder sum.
-        """
-        out = np.empty(len(self.sizes))
-        widths = self.t1 - self.t0 + 1
-        key = self.sizes * (matrix.shape[1] + 1) + widths
-        order = np.argsort(key, kind="stable")
-        for idx in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-            k, w = int(self.sizes[idx[0]]), int(widths[idx[0]])
-            rows = self.members[self.offsets[idx, None] + np.arange(k)]
-            cells = matrix[rows[:, :, None], self.t0[idx, None, None] + np.arange(w)]
-            step = k if w in (1, matrix.shape[1]) else max(1, np.getbufsize() // w)
-            out[idx] = cells[:, :step].sum(axis=(1, 2))
-            for s in range(step, k, step):
-                out[idx] += cells[:, s : s + step].sum(axis=(1, 2))
-        return out
-
-    def window_sums(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-cylinder sums from per-window prefix sums; exact on integer cells."""
-        cum = np.zeros((matrix.shape[1] + 1, matrix.shape[0]))
-        np.cumsum(matrix.T, axis=0, out=cum[1:])
-        per_window = cum[self.window_t1 + 1] - cum[self.window_t0]
-        return np.add.reduceat(per_window[self.member_windows, self.members], self.offsets)
+            sizes.append(k)
+            members.extend(order[:k])
+    t0, t1 = np.triu_indices(times)
+    return CylinderFamily(np.array(sizes, np.intp), np.array(members, np.intp), t0, t1)
 
 
 def _scores(
@@ -344,44 +365,45 @@ def _scores(
 def scan(
     cases: np.ndarray,
     baseline: np.ndarray,
-    candidates: Sequence[ScanCylinder],
+    candidates: CylinderFamily,
     elevated_only: bool = True,
     regions: Sequence[str] | None = None,
     times: Sequence[str] | None = None,
 ) -> ScanResult:
-    """Score every candidate cylinder and rank them.
+    """Score every cylinder of a family and rank them.
 
-    Ties sort the smaller member set first, then the lower center index,
-    then the earlier window, which makes the ordering total and the output
-    deterministic.
+    Every disk crossed with every window is scored, whatever ranking the
+    family carries. Ties sort the smaller member set first, then the lower
+    center index, then the earlier window, which makes the ordering total
+    and the output deterministic.
     """
     cases_m = np.asarray(cases, dtype=float)
     base_m = np.asarray(baseline, dtype=float)
     if cases_m.shape != base_m.shape or cases_m.ndim != 2:
         raise InputError(
-            "cases and baseline must be equal-shape space-by-time matrices",
-            module="stscan",
+            "cases and baseline must be equal-shape space-by-time matrices", module="stscan"
         )
-    if not candidates:
-        raise InputError("no candidate cylinders supplied", module="stscan")
+    if not isinstance(candidates, CylinderFamily) or not len(candidates):
+        raise InputError("candidates must be a non-empty CylinderFamily", module="stscan")
     c_total = float(cases_m.sum())
     b_total = float(base_m.sum())
     # NaN fails the comparison and an infinite cell makes its total infinite
-    if not (np.all(cases_m >= 0) and np.all(base_m >= 0) and math.isfinite(c_total + b_total)):
-        raise InputError("cases and baseline cells must be finite and non-negative", module="stscan")
-    if b_total <= 0:
-        raise InputError("total baseline must be positive", module="stscan")
+    finite = math.isfinite(c_total + b_total)
+    if not (finite and b_total > 0 and np.all(cases_m >= 0) and np.all(base_m >= 0)):
+        raise InputError(
+            "cells must be finite and non-negative with a positive baseline total", module="stscan"
+        )
 
-    index = _CylinderIndex(candidates)
-    counts = index.cell_sums(cases_m)
-    baselines = index.cell_sums(base_m)
+    fam = candidates
+    counts = fam.cell_sums(cases_m)
+    baselines = fam.cell_sums(base_m)
     scores = _scores(counts, baselines, c_total, b_total, elevated_only)
-    ranked = np.lexsort((index.t1, index.t0, index.centers, index.sizes, -scores))
-    rows = zip(counts[ranked].tolist(), baselines[ranked].tolist(), scores[ranked].tolist())
+    disk, window = np.divmod(np.arange(scores.size), fam.t0.size)
+    keys = (fam.t1[window], fam.t0[window], fam.members[fam.offsets][disk], fam.sizes[disk])
+    order = np.lexsort((*keys, -scores))
     return ScanResult(
-        cylinders=tuple(
-            ScanCylinder(cyl.center, cyl.members, cyl.window, c, b, s)
-            for cyl, (c, b, s) in zip((candidates[i] for i in ranked.tolist()), rows)
+        cylinders=dataclasses.replace(
+            fam, counts=counts, baselines=baselines, scores=scores, p_values=None, order=order
         ),
         c_total=c_total,
         b_total=b_total,
@@ -392,12 +414,9 @@ def scan(
 
 
 def monte_carlo_p(
-    result: ScanResult,
-    baseline: np.ndarray,
-    replications: int,
-    seed: int,
+    result: ScanResult, baseline: np.ndarray, replications: int, seed: int
 ) -> ScanResult:
-    """Attach Monte Carlo p-values to a scan result.
+    """Attach Monte Carlo p-values to a result from :func:`scan`.
 
     Replica case matrices are multinomial redistributions of the observed
     total over all cells with probabilities proportional to the baseline,
@@ -406,49 +425,45 @@ def monte_carlo_p(
     are spawned per replica index from the seed, so the outcome does not
     depend on evaluation order.
     """
+    fam = result.cylinders
+    if not isinstance(fam, CylinderFamily) or fam.scores is None:
+        raise InputError("Monte Carlo p-values need a result from scan()", module="stscan")
     if replications < 1:
         raise InputError("need at least one replication", module="stscan")
     base_m = np.asarray(baseline, dtype=float)
-    if base_m.ndim != 2:
-        raise InputError("baseline must be a space-by-time matrix", module="stscan")
-    index = _CylinderIndex(result.cylinders)
-    if index.members.max() >= base_m.shape[0] or index.t1.max() >= base_m.shape[1]:
+    if base_m.ndim != 2 or fam.members.max() >= base_m.shape[0] or fam.t1.max() >= base_m.shape[1]:
         raise InputError(
-            f"baseline shape {base_m.shape} cannot cover the scanned cylinders",
-            module="stscan",
+            f"baseline shape {base_m.shape} does not cover the scanned cylinders", module="stscan"
         )
     b_total = float(base_m.sum())
-    if b_total <= 0:
-        raise InputError("total baseline must be positive", module="stscan")
+    if not (np.all(base_m >= 0) and 0 < b_total < math.inf):
+        raise InputError(
+            "baseline cells must be finite and non-negative with a positive total", module="stscan"
+        )
     total = int(round(result.c_total))
     if abs(result.c_total - total) > 1e-9:
         raise InputError(
             "Monte Carlo randomization needs an integer case total", module="stscan"
         )
 
-    n = len(result.cylinders)
-    baselines = np.fromiter((c.baseline for c in result.cylinders), float, n)
     probs = (base_m / b_total).ravel()
+    totals = (result.c_total, result.b_total, result.elevated_only)
     streams = np.random.SeedSequence(seed).spawn(replications)
     maxima = np.empty(replications)
+    # replica sums from per-window prefix sums, one add per disk: exact on integer draws
+    cum = np.zeros((base_m.shape[1] + 1, base_m.shape[0]))
     for i, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
-        replica = rng.multinomial(total, probs).reshape(base_m.shape).astype(float)
-        counts = index.window_sums(replica)
-        maxima[i] = _scores(
-            counts, baselines, result.c_total, result.b_total, result.elevated_only
-        ).max()
+        np.cumsum(rng.multinomial(total, probs).reshape(base_m.shape).T, axis=0, out=cum[1:])
+        per_window = cum[fam.t1 + 1] - cum[fam.t0]
+        counts = np.add.reduceat(per_window[:, fam.members], fam.offsets, axis=1).T.ravel()
+        maxima[i] = _scores(counts, fam.baselines, *totals).max()
 
     maxima.sort()
-    observed = np.fromiter((c.score for c in result.cylinders), float, n)
-    ge = replications - np.searchsorted(maxima, observed, side="left")
-    p_values = ((1 + ge) / (replications + 1)).tolist()
+    ge = replications - np.searchsorted(maxima, fam.scores, side="left")
     return dataclasses.replace(
         result,
-        cylinders=tuple(
-            ScanCylinder(c.center, c.members, c.window, c.count, c.baseline, c.score, p)
-            for c, p in zip(result.cylinders, p_values)
-        ),
+        cylinders=dataclasses.replace(fam, p_values=(1 + ge) / (replications + 1)),
         replications=replications,
         seed=seed,
     )

@@ -171,24 +171,19 @@ def canonicalize_sign(v: np.ndarray) -> np.ndarray:
     return -arr if arr[idx] < 0 else arr.copy()
 
 
-def top_eigenpairs(
-    sym: np.ndarray,
-    r: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
+def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of a symmetric PSD matrix by power iteration.
 
     Each eigenpair is accepted once the residual ||A v - lambda v|| drops
-    below ``tol`` times the Frobenius norm of the input matrix; the matrix
-    is then deflated by ``lambda v v^T`` and the next pair is sought.
+    below ``DEFAULT_TOL`` times the Frobenius norm of the input matrix; the
+    matrix is then deflated by ``lambda v v^T`` and the next pair is sought.
     Iterates are re-orthogonalized against converged vectors every step to
     stop floating-point drift back toward dominant directions.
 
     Returns ``(values, vectors)`` with values sorted descending and
     vectors stacked row-wise, each unit norm and sign-canonicalized.
     Raises :class:`ConvergenceError` with the achieved residual if any
-    pair fails to converge within ``max_iter`` iterations.
+    pair fails to converge within ``DEFAULT_MAX_ITER`` iterations.
     """
     a = np.array(sym, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -196,10 +191,8 @@ def top_eigenpairs(
     n = a.shape[0]
     if not 1 <= r <= n:
         raise InputError(f"rank {r} out of range for {n}x{n} matrix", module="tensors")
-    if tol <= 0:
-        raise InputError("tol must be positive", module="tensors")
     a = (a + a.T) / 2.0  # enforce exact symmetry
-    threshold = tol * float(np.linalg.norm(a, "fro"))
+    threshold = DEFAULT_TOL * float(np.linalg.norm(a, "fro"))
 
     rng = np.random.default_rng(_START_SEED)
     deflated = a.copy()
@@ -222,7 +215,7 @@ def top_eigenpairs(
         lam = 0.0
         resid = np.inf
         converged = False
-        for _ in range(max_iter):
+        for _ in range(DEFAULT_MAX_ITER):
             w = deflated @ v
             for u in basis:
                 w -= (u @ w) * u
@@ -241,10 +234,10 @@ def top_eigenpairs(
             v = w / nw
         if not converged:
             raise ConvergenceError(
-                f"power iteration did not converge within {max_iter} iterations "
+                f"power iteration did not converge within {DEFAULT_MAX_ITER} iterations "
                 f"(residual {resid:.3e}, threshold {threshold:.3e})",
                 residual=resid,
-                iterations=max_iter,
+                iterations=DEFAULT_MAX_ITER,
             )
         v = canonicalize_sign(v)
         values.append(lam)
@@ -257,12 +250,7 @@ def top_eigenpairs(
     return vals, vecs
 
 
-def gram_eigen(
-    m: np.ndarray,
-    r: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
+def gram_eigen(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of the Gram matrix M.Mt of an unfolding.
 
     The Gram product is formed with a plain index-order contraction so
@@ -276,7 +264,7 @@ def gram_eigen(
             f"rank {r} exceeds row count {mat.shape[0]}", module="tensors"
         )
     gram = np.einsum("ij,kj->ik", mat, mat)
-    return top_eigenpairs(gram, r, tol=tol, max_iter=max_iter)
+    return top_eigenpairs(gram, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,12 +298,7 @@ def default_ranks(t: CountTensor) -> tuple[int, ...]:
     )
 
 
-def decompose(
-    t: CountTensor,
-    ranks: Sequence[int] | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EigenModel:
+def decompose(t: CountTensor, ranks: Sequence[int] | None = None) -> EigenModel:
     """Per-mode unfolding -> Gram -> eigenpairs, with fit ratios.
 
     The fit for a mode is the retained eigenvalue mass divided by the
@@ -349,7 +332,7 @@ def decompose(
                 f"mode {i} ({mode_label.name!r}) has an all-zero unfolding",
                 mode=i,
             )
-        vals, vecs = gram_eigen(mat, use_ranks[i], tol=tol, max_iter=max_iter)
+        vals, vecs = gram_eigen(mat, use_ranks[i])
         vals = np.maximum(vals, 0.0)
         all_values.append(vals)
         all_vectors.append(vecs)

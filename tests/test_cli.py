@@ -493,6 +493,38 @@ def test_numerical_failure_exits_3(synth_dir, tmp_path):
     assert err["error"]["type"] == "DegenerateModeError"
 
 
+def test_convergence_failure_exits_3(synth_dir, tmp_path):
+    # two disjoint blocks of cases whose masses differ by 1e-4 leave the
+    # leading eigenvalues nearly tied, and power iteration runs out of steps
+    header = "region,time,count\n"
+    cells = [(r, t) for r in range(4) for t in range(4)]
+    blocks = {(0, 0): 10000, (1, 1): 10001}  # (r // 2, t // 2) -> count per cell
+    cases = tmp_path / "cases.csv"
+    cases.write_text(
+        header
+        + "".join(f"r{r:02d},t{t:02d},{blocks.get((r // 2, t // 2), 0)}\n" for r, t in cells)
+    )
+    population = tmp_path / "population.csv"
+    population.write_text(header + "".join(f"r{r:02d},t{t:02d},1000\n" for r, t in cells))
+    adjacency = tmp_path / "adjacency.csv"
+    adjacency.write_text("r00,r01\nr00,r02\nr01,r03\nr02,r03\n")
+    res = run_cli(
+        [
+            "detect",
+            "--cases", str(cases),
+            "--population", str(population),
+            "--adjacency", str(adjacency),
+            "--schema", str(synth_dir / "schema.json"),
+        ]
+    )
+    assert res.returncode == 3
+    err_lines = res.stderr.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"]["module"] == "tensors"
+    assert err["error"]["type"] == "ConvergenceError"
+
+
 def test_bad_ranks_flag(synth_dir):
     res = run_cli(detect_args(synth_dir, ["--ranks", "2,two"]))
     assert res.returncode == 2

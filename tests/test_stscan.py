@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenspot import (
+    CylinderFamily,
     InputError,
     NeighborMatrix,
     ScanCylinder,
@@ -333,11 +335,14 @@ def test_scan_validation():
     for elevated_only in (True, False):
         with pytest.raises(InputError, match="zero baseline"):
             scan(np.ones((1, 2)), np.array([[0.0, 2.0]]), cands, elevated_only=elevated_only)
-    # a cylinder over the whole baseline that misses cases elsewhere
-    two = enumerate_cylinders(times=1, coords=np.array([[0.0, 0.0], [1.0, 0.0]]))
-    whole = [c for c in two if c.center == 0 and len(c.members) == 1]
+    # a family of only region 0's singleton disk: that cylinder covers the
+    # whole baseline and misses region 1's case
+    whole = CylinderFamily(np.array([1]), np.array([0]), np.array([0]), np.array([0]))
     with pytest.raises(InputError, match="unbounded"):
         scan(np.array([[1.0], [1.0]]), np.array([[2.0], [0.0]]), whole, elevated_only=False)
+    # candidates come as a family, not as a list of rows
+    with pytest.raises(InputError, match="CylinderFamily"):
+        scan(np.ones((1, 2)), np.ones((1, 2)), list(cands))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +419,39 @@ def test_monte_carlo_validation():
     frac = scan(np.full((1, 2), 0.6), m, cands)
     with pytest.raises(InputError):
         monte_carlo_p(frac, m, replications=9, seed=1)
+    # negative or NaN baseline cells would reach the multinomial draw
+    for bad in ([[-1.0, 3.0]], [[np.nan, 3.0]]):
+        with pytest.raises(InputError, match="non-negative"):
+            monte_carlo_p(res, np.array(bad), replications=9, seed=1)
+    # the result must carry the scanned family, not rows read back
+    rows = dataclasses.replace(res, cylinders=tuple(res.cylinders))
+    with pytest.raises(InputError, match="scan"):
+        monte_carlo_p(rows, m, replications=9, seed=1)
+
+
+def test_family_rows_slices_and_significant_prefix():
+    coords, cases, pop = grid_instance(31, n=8, times=4, rate=0.3)
+    cases[2, :] += 40.0
+    baseline = expected_baseline(cases, pop)
+    cands = enumerate_cylinders(times=4, coords=coords)
+    # cylinder i is disk i // W over window i % W, W = 10 windows here
+    rows = list(cands)
+    assert len(rows) == len(cands) == cands.sizes.size * 10
+    assert [c.window for c in rows[:10]] == [(t0, t1) for t0 in range(4) for t1 in range(t0, 4)]
+    assert rows[10].center == 0 and len(rows[10].members) == 2 and rows[10].window == (0, 0)
+
+    res = monte_carlo_p(scan(cases, baseline, cands), baseline, replications=99, seed=5)
+    assert cands.scores is None  # scanning leaves the candidate family as it was
+    ranked = list(res.cylinders)
+    head = res.cylinders[:5]
+    assert isinstance(head, CylinderFamily) and len(head) == 5
+    assert [c.score for c in head] == [c.score for c in ranked[:5]]
+    assert res.cylinders[-1].score == ranked[-1].score
+    # p-values never fall along the ranking, so the significant set is a prefix
+    sig = res.significant(0.05)
+    assert isinstance(sig, CylinderFamily) and 0 < len(sig) < len(ranked)
+    prefix = [(c.center, c.members, c.window) for c in sig]
+    assert prefix == [(c.center, c.members, c.window) for c in ranked if c.p_value <= 0.05]
 
 
 def test_significant_clusters_are_disjoint():
