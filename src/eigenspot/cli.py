@@ -108,7 +108,7 @@ def build(input_path: str, schema_path: str, out_path: str | None) -> None:
     schema = dataio.load_schema(schema_path)
     parsed = dataio.parse_records(input_path, schema)
     _warn_unknown(parsed.unknown)
-    tensor = dataio.build_tensor(parsed.records, schema)
+    tensor = dataio.build_tensor(parsed, schema)
     _write_text(out_path, dataio.dumps_stable(dataio.tensor_to_dict(tensor)))
 
 

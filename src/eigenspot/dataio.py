@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -128,22 +129,20 @@ def load_schema(source: Any) -> RecordSchema:
 
 @dataclass(frozen=True)
 class ParsedRecords:
-    """Typed rows plus the unknown-category report from one file."""
+    """One file's kept rows as value columns and a count array, both in row
+    order; ``rows`` also counts the rows excluded for an unknown category."""
 
-    records: tuple[tuple[tuple[str, ...], float], ...]
+    columns: dict[str, tuple[str, ...]]
+    counts: np.ndarray
     unknown: dict[str, tuple[str, ...]]
-    total: float
     rows: int
 
 
 @contextmanager
 def _open_text(source: Any, mode: str = "r") -> Iterator[TextIO]:
     if isinstance(source, (str, Path)):
-        fh = open(source, mode, encoding="utf-8-sig" if "r" in mode else "utf-8", newline="")
-        try:
+        with open(source, mode, encoding="utf-8-sig" if "r" in mode else "utf-8", newline="") as fh:
             yield fh
-        finally:
-            fh.close()
     elif isinstance(source, io.TextIOBase) or hasattr(source, "read") or hasattr(source, "write"):
         yield source
     else:
@@ -153,9 +152,9 @@ def _open_text(source: Any, mode: str = "r") -> Iterator[TextIO]:
 def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
     """Parse a comma-separated file under a schema.
 
-    Each record is the tuple of mapped column values plus a count (1.0
+    Each kept row contributes its mapped column values plus a count (1.0
     when the schema names no count column). Rows whose value falls outside
-    an explicit category list are excluded from the records but collected
+    an explicit category list are excluded from the columns but collected
     in the unknown-category report rather than silently dropped.
     """
     with _open_text(source) as fh:
@@ -186,12 +185,12 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
         explicit = schema.categories or {}
         allowed = {c: set(explicit[c]) for c in cols if c in explicit}
 
-        records = []
+        kept: list[tuple[str, ...]] = []
+        counts: list[float] = []
         unknown: dict[str, set[str]] = {}
-        total = 0.0
         rows = 0
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             rows += 1
             try:
@@ -210,7 +209,7 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
                     ) from None
             else:
                 count = 1.0
-            if count < 0 or not np.isfinite(count):
+            if count < 0 or not math.isfinite(count):
                 raise InputError(
                     f"count must be finite and non-negative at row {lineno}",
                     module="dataio",
@@ -222,13 +221,13 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
                     bad = True
             if bad:
                 continue
-            records.append((values, count))
-            total += count
+            kept.append(values)
+            counts.append(count)
 
     return ParsedRecords(
-        records=tuple(records),
+        columns=dict(zip(cols, tuple(zip(*kept)) or ((),) * len(cols))),
+        counts=np.array(counts, dtype=float),
         unknown={c: tuple(sorted(v)) for c, v in sorted(unknown.items())},
-        total=total,
         rows=rows,
     )
 
@@ -237,48 +236,36 @@ BUNDLE_JOIN = "|"
 
 
 def _column_categories(
-    records: Sequence[tuple[tuple[str, ...], float]],
+    parsed_files: Sequence[ParsedRecords],
     schema: RecordSchema,
 ) -> dict[str, tuple[str, ...]]:
-    """Explicit category lists where given, first-appearance order otherwise."""
-    cols = schema.flat_columns()
+    """Explicit category lists where given, else first appearance over the files in turn."""
     explicit = schema.categories or {}
     out: dict[str, tuple[str, ...]] = {}
-    for pos, col in enumerate(cols):
+    for col in schema.flat_columns():
         if col in explicit:
             out[col] = tuple(explicit[col])
-        else:
-            seen_list: list[str] = []
-            seen_set: set[str] = set()
-            for values, _ in records:
-                v = values[pos]
-                if v not in seen_set:
-                    seen_set.add(v)
-                    seen_list.append(v)
-            if not seen_list:
-                raise InputError(
-                    f"cannot infer categories for column {col!r} from empty input; "
-                    "supply an explicit list",
-                    module="dataio",
-                )
-            out[col] = tuple(seen_list)
+            continue
+        out[col] = tuple(dict.fromkeys(itertools.chain(*(p.columns[col] for p in parsed_files))))
+        if not out[col]:
+            raise InputError(
+                f"cannot infer categories for column {col!r} from empty input; "
+                "supply an explicit list",
+                module="dataio",
+            )
     return out
 
 
-def build_tensor(
-    records: Sequence[tuple[tuple[str, ...], float]],
-    schema: RecordSchema,
-) -> CountTensor:
-    """Accumulate parsed records into a dense count tensor.
+def build_tensor(parsed: ParsedRecords, schema: RecordSchema) -> CountTensor:
+    """Accumulate one file's parsed rows into a dense count tensor.
 
     Bundled modes enumerate the full Cartesian product of their component
     category lists (absent combinations stay zero), so the mode dim is the
-    product of the component counts.
+    product of the component counts. Each cell adds its rows' counts in
+    row order, starting from zero.
     """
     cols = schema.flat_columns()
-    col_cats = _column_categories(records, schema)
-    col_pos = {c: i for i, c in enumerate(cols)}
-    col_index = {c: {v: i for i, v in enumerate(col_cats[c])} for c in cols}
+    col_cats = _column_categories((parsed,), schema)
 
     labels = []
     for mode in schema.modes:
@@ -291,25 +278,21 @@ def build_tensor(
             )
         labels.append(ModeLabel(kind=mode.kind, categories=cats, name=mode.name))
 
+    codes = []
+    for c in cols:
+        index = {v: i for i, v in enumerate(col_cats[c])}
+        try:
+            codes.append(np.fromiter(map(index.__getitem__, parsed.columns[c]), dtype=np.intp))
+        except KeyError as exc:
+            raise InputError(
+                f"category {exc.args[0]!r} not in the explicit list for column {c!r}",
+                module="dataio",
+            ) from None
+    # last column varies fastest, as in the bundle labels and the mode order
+    flat = np.ravel_multi_index(codes, [len(col_cats[c]) for c in cols])
     dims = tuple(l.dim for l in labels)
-    values = np.zeros(dims)
-    for rec_values, count in records:
-        idx = []
-        for mode in schema.modes:
-            flat = 0
-            for c in mode.columns:
-                v = rec_values[col_pos[c]]
-                try:
-                    flat = flat * len(col_cats[c]) + col_index[c][v]
-                except KeyError:
-                    raise InputError(
-                        f"category {v!r} not in the explicit list for column {c!r}",
-                        module="dataio",
-                    ) from None
-            idx.append(flat)
-        values[tuple(idx)] += count
-
-    return CountTensor(tuple(labels), values)
+    values = np.bincount(flat, weights=parsed.counts, minlength=math.prod(dims))
+    return CountTensor(tuple(labels), values.reshape(dims))
 
 
 def parse_adjacency(
@@ -403,8 +386,7 @@ def parse_centroids(
 def _format_float(x: float) -> str:
     if not np.isfinite(x):
         raise InputError("cannot serialize a non-finite number", module="dataio")
-    text = format(float(x), ".12g")
-    return text
+    return format(float(x), ".12g")
 
 
 def _emit(value: Any, out: list[str]) -> None:
@@ -485,14 +467,8 @@ def report_to_dict(report: HotspotReport) -> dict[str, Any]:
             "likely_cluster": list(report.spatial.likely_cluster),
         },
         "clusters": {
-            "first": [
-                {"center": c, "members": list(m)}
-                for c, m in report.clusters_first.clusters.items()
-            ],
-            "second": [
-                {"center": c, "members": list(m)}
-                for c, m in report.clusters_second.clusters.items()
-            ],
+            kind: [{"center": c, "members": list(m)} for c, m in cs.clusters.items()]
+            for kind, cs in (("first", report.clusters_first), ("second", report.clusters_second))
         },
         "time": {
             "categories": list(report.dt.categories),
@@ -536,14 +512,9 @@ def report_from_dict(doc: Mapping[str, Any]) -> HotspotReport:
         std_st=float(space["std_st"]),
         likely_cluster=tuple(space["likely_cluster"]),
     )
-    clusters = doc["clusters"]
-    first = ClusterSet(
-        clusters={c["center"]: tuple(c["members"]) for c in clusters["first"]},
-        kind="first",
-    )
-    second = ClusterSet(
-        clusters={c["center"]: tuple(c["members"]) for c in clusters["second"]},
-        kind="second",
+    first, second = (
+        ClusterSet({c["center"]: tuple(c["members"]) for c in doc["clusters"][kind]}, kind)
+        for kind in ("first", "second")
     )
     temporal = TemporalResult(
         tc=tuple(time["tc"]),
@@ -574,9 +545,7 @@ def _cylinder_to_dict(
 ) -> dict[str, Any]:
     center: Any = regions[cyl.center] if regions else cyl.center
     members: list[Any] = [regions[m] for m in cyl.members] if regions else list(cyl.members)
-    window: list[Any] = (
-        [times[cyl.window[0]], times[cyl.window[1]]] if times else list(cyl.window)
-    )
+    window: list[Any] = [times[t] for t in cyl.window] if times else list(cyl.window)
     return {
         "center": center,
         "members": members,
@@ -810,20 +779,19 @@ def ingest_pair(
     """Build cases and population tensors over one shared category space.
 
     Category lists are taken from the schema when explicit; otherwise they
-    are established by first appearance over the population records, then
-    the case records, and applied to both builds so the tensors always
-    share mode labels. Returns (cases, population, unknown-report).
+    are established by first appearance over the population rows, then
+    the case rows, and applied to both builds so the tensors always share
+    mode labels. Returns (cases, population, unknown-report), the report
+    merging both files' excluded values per column, sorted.
     """
     parsed_pop = parse_records(population_source, schema)
     parsed_cases = parse_records(cases_source, schema)
-    combined = parsed_pop.records + parsed_cases.records
-    cats = _column_categories(combined, schema)
+    cats = _column_categories((parsed_pop, parsed_cases), schema)
     full_schema = replace(schema, categories=cats)
-    population = build_tensor(parsed_pop.records, full_schema)
-    cases = build_tensor(parsed_cases.records, full_schema)
+    population = build_tensor(parsed_pop, full_schema)
+    cases = build_tensor(parsed_cases, full_schema)
     unknown: dict[str, tuple[str, ...]] = {}
     for src in (parsed_pop, parsed_cases):
         for col, vals in src.unknown.items():
-            merged = set(unknown.get(col, ())) | set(vals)
-            unknown[col] = tuple(sorted(merged))
+            unknown[col] = tuple(sorted({*unknown.get(col, ()), *vals}))
     return cases, population, unknown

@@ -290,21 +290,21 @@ def partition_spatial(
     )
 
 
-def _region_index(diff: DiffVector, nb: NeighborMatrix) -> dict[str, int]:
-    if nb.n != len(diff.categories):
+def _region_index(regions: tuple[str, ...], nb: NeighborMatrix) -> dict[str, int]:
+    """Index of each space-mode region, once the adjacency matches them in count and order."""
+    if nb.n != len(regions):
         raise InputError(
-            f"adjacency has {nb.n} regions, difference vector has "
-            f"{len(diff.categories)}",
+            f"adjacency has {nb.n} regions but the space mode has {len(regions)}",
             module="eigenmatch",
         )
-    if nb.regions is not None and nb.regions != diff.categories:
-        extra = set(nb.regions) ^ set(diff.categories)
+    if nb.regions is not None and nb.regions != regions:
+        extra = set(nb.regions) ^ set(regions)
         detail = f"; mismatched: {sorted(extra)}" if extra else " (order differs)"
         raise InputError(
-            f"adjacency region order does not match the space mode{detail}",
+            f"adjacency regions do not match the space mode{detail}",
             module="eigenmatch",
         )
-    return {c: i for i, c in enumerate(diff.categories)}
+    return {c: i for i, c in enumerate(regions)}
 
 
 def grow_first_priority(part: SpatialPartition, nb: NeighborMatrix) -> ClusterSet:
@@ -314,7 +314,7 @@ def grow_first_priority(part: SpatialPartition, nb: NeighborMatrix) -> ClusterSe
     difference. A region adjacent to several centers appears in each of
     their clusters.
     """
-    idx = _region_index(part.ds, nb)
+    idx = _region_index(part.ds.categories, nb)
     clusters: dict[str, tuple[str, ...]] = {}
     for center in part.sc:
         members = [center]
@@ -334,7 +334,7 @@ def grow_second_priority(
     """
     if first.kind != "first":
         raise InputError("expected a first-priority cluster set", module="eigenmatch")
-    idx = _region_index(part.ds, nb)
+    idx = _region_index(part.ds.categories, nb)
     clusters: dict[str, tuple[str, ...]] = {}
     for center, base in first.clusters.items():
         added = [
@@ -424,19 +424,7 @@ def run_sst_hotspot(
     time_ax = population.time_axis
     space_cats = population.modes[space_ax].categories
     time_cats = population.modes[time_ax].categories
-    if neighbors.n != len(space_cats):
-        raise InputError(
-            f"adjacency has {neighbors.n} regions but the space mode has "
-            f"{len(space_cats)}",
-            module="eigenmatch",
-        )
-    if neighbors.regions is not None and neighbors.regions != space_cats:
-        extra = set(neighbors.regions) ^ set(space_cats)
-        detail = f"; mismatched: {sorted(extra)}" if extra else " (order differs)"
-        raise InputError(
-            f"adjacency regions do not match the space mode{detail}",
-            module="eigenmatch",
-        )
+    _region_index(space_cats, neighbors)
 
     model_p = decompose(population, ranks)
     model_c = decompose(cases, ranks)

@@ -362,6 +362,15 @@ def _scores(
     return np.where(included, inside + outside, 0.0)
 
 
+def _check_covers(fam: CylinderFamily, matrix: np.ndarray, what: str) -> None:
+    """Reject a family whose disks or windows reach outside a space-by-time matrix."""
+    rows, steps = matrix.shape if matrix.ndim == 2 else (0, 0)
+    if fam.members.min() < 0 or fam.members.max() >= rows or fam.t0.min() < 0 or fam.t1.max() >= steps:
+        raise InputError(
+            f"{what} shape {matrix.shape} does not cover the scanned cylinders", module="stscan"
+        )
+
+
 def scan(
     cases: np.ndarray,
     baseline: np.ndarray,
@@ -385,6 +394,7 @@ def scan(
         )
     if not isinstance(candidates, CylinderFamily) or not len(candidates):
         raise InputError("candidates must be a non-empty CylinderFamily", module="stscan")
+    _check_covers(candidates, cases_m, "matrix")
     c_total = float(cases_m.sum())
     b_total = float(base_m.sum())
     # NaN fails the comparison and an infinite cell makes its total infinite
@@ -431,10 +441,7 @@ def monte_carlo_p(
     if replications < 1:
         raise InputError("need at least one replication", module="stscan")
     base_m = np.asarray(baseline, dtype=float)
-    if base_m.ndim != 2 or fam.members.max() >= base_m.shape[0] or fam.t1.max() >= base_m.shape[1]:
-        raise InputError(
-            f"baseline shape {base_m.shape} does not cover the scanned cylinders", module="stscan"
-        )
+    _check_covers(fam, base_m, "baseline")
     b_total = float(base_m.sum())
     if not (np.all(base_m >= 0) and 0 < b_total < math.inf):
         raise InputError(

@@ -133,6 +133,24 @@ def test_detect_unknown_adjacency_region_exits_2(synth_dir, tmp_path):
     assert "r99" in err["error"]["message"]
 
 
+def test_detect_unknown_category_warns_once_and_exits_0(synth_dir, tmp_path):
+    schema = json.loads((synth_dir / "schema.json").read_text())
+    schema["categories"] = {"region": [f"r{i:02d}" for i in range(16)]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    cases = tmp_path / "cases.csv"
+    cases.write_text((synth_dir / "cases.csv").read_text() + "r99,t02,7\n")
+    args = detect_args(synth_dir)
+    args[args.index("--schema") + 1] = str(tmp_path / "schema.json")
+    clean = run_cli(args)
+    args[args.index("--cases") + 1] = str(cases)
+    res = run_cli(args)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines() == ['{"warning": {"unknown_categories": {"region": ["r99"]}}}']
+    # the excluded row leaves the report as it is without that row
+    assert clean.returncode == 0 and clean.stderr == ""
+    assert res.stdout == clean.stdout
+
+
 def test_detect_geojson_needs_geometry(synth_dir, tmp_path):
     res = run_cli(detect_args(synth_dir, ["--geojson", str(tmp_path / "x.geojson")]))
     assert res.returncode == 2

@@ -24,6 +24,7 @@ from eigenspot import (
     write_report,
 )
 from eigenspot.dataio import (
+    ParsedRecords,
     report_from_dict,
     report_to_dict,
     scan_from_dict,
@@ -41,6 +42,8 @@ SCHEMA_2D = RecordSchema(
     ),
     count_column="count",
 )
+
+HEADER_ONLY = "region,year,count\n"
 
 SCHEMA_3D = RecordSchema(
     modes=(
@@ -120,15 +123,16 @@ def test_parse_records_with_counts():
     text = "region,year,count\nA,1990,2\nB,1990,1\nA,1991,4\n"
     parsed = parse_records(io.StringIO(text), SCHEMA_2D)
     assert parsed.rows == 3
-    assert parsed.total == 7.0
-    assert parsed.records[0] == (("A", "1990"), 2.0)
+    assert parsed.counts.sum() == 7.0
+    assert parsed.columns == {"region": ("A", "B", "A"), "year": ("1990", "1990", "1991")}
+    assert parsed.counts.dtype == np.float64 and parsed.counts[0] == 2.0
 
 
 def test_parse_records_default_count_is_one():
     schema = RecordSchema(modes=SCHEMA_2D.modes)  # no count column
     text = "region,year\nA,1990\nA,1990\n"
     parsed = parse_records(io.StringIO(text), schema)
-    assert parsed.total == 2.0
+    assert parsed.counts.sum() == 2.0
 
 
 def test_parse_records_missing_column():
@@ -165,8 +169,9 @@ def test_parse_records_unknown_categories_reported_not_dropped_silently():
     text = "region,year,count\nA,1990,1\nZ,1990,5\nB,1991,2\n"
     parsed = parse_records(io.StringIO(text), schema)
     assert parsed.unknown == {"region": ("Z",)}
-    assert parsed.total == 3.0
-    assert len(parsed.records) == 2
+    assert parsed.counts.sum() == 3.0
+    assert len(parsed.counts) == 2 and parsed.columns["region"] == ("A", "B")
+    assert parsed.rows == 3
 
 
 def test_parse_records_empty_input():
@@ -186,7 +191,7 @@ def test_build_tensor_bundled_mode_is_cartesian_product():
         "B,1991,young,f,3\n"
     )
     parsed = parse_records(io.StringIO(text), SCHEMA_3D)
-    t = build_tensor(parsed.records, SCHEMA_3D)
+    t = build_tensor(parsed, SCHEMA_3D)
     assert t.dims == (2, 2, 4)  # 2 ages x 2 sexes
     assert t.total == 6.0
     demo = t.modes[2]
@@ -202,14 +207,14 @@ def test_build_tensor_total_conservation_exact(rng):
         total += c
         rows.append(f"r{int(rng.integers(0, 7))},y{int(rng.integers(0, 5))},{c}")
     parsed = parse_records(io.StringIO("\n".join(rows)), SCHEMA_2D)
-    t = build_tensor(parsed.records, SCHEMA_2D)
+    t = build_tensor(parsed, SCHEMA_2D)
     assert t.total == float(total)
 
 
 def test_build_tensor_first_appearance_order():
     text = "region,year,count\nB,2000,1\nA,1999,1\nB,1999,1\n"
     parsed = parse_records(io.StringIO(text), SCHEMA_2D)
-    t = build_tensor(parsed.records, SCHEMA_2D)
+    t = build_tensor(parsed, SCHEMA_2D)
     assert t.modes[0].categories == ("B", "A")
     assert t.modes[1].categories == ("2000", "1999")
 
@@ -220,14 +225,14 @@ def test_build_tensor_explicit_categories_and_zero_records():
         count_column="count",
         categories={"region": ("A", "B"), "year": ("1990", "1991")},
     )
-    t = build_tensor((), schema)
+    t = build_tensor(parse_records(io.StringIO(HEADER_ONLY), schema), schema)
     assert t.dims == (2, 2)
     assert t.total == 0.0
 
 
 def test_build_tensor_zero_records_without_categories_fails():
     with pytest.raises(InputError):
-        build_tensor((), SCHEMA_2D)
+        build_tensor(parse_records(io.StringIO(HEADER_ONLY), SCHEMA_2D), SCHEMA_2D)
 
 
 def test_build_tensor_rejects_record_outside_explicit_list():
@@ -236,8 +241,15 @@ def test_build_tensor_rejects_record_outside_explicit_list():
         count_column="count",
         categories={"region": ("A",), "year": ("1990",)},
     )
-    with pytest.raises(InputError):
-        build_tensor(((("Z", "1990"), 1.0),), schema)
+    # parse_records would exclude the row, so hand build_tensor the columns
+    parsed = ParsedRecords(
+        columns={"region": ("Z",), "year": ("1990",)},
+        counts=np.array([1.0]),
+        unknown={},
+        rows=1,
+    )
+    with pytest.raises(InputError, match="'Z'.*'region'"):
+        build_tensor(parsed, schema)
 
 
 def test_build_five_mode_tensor_and_decompose():
@@ -262,7 +274,7 @@ def test_build_five_mode_tensor_and_decompose():
             f"s{rng.integers(0, 2)},q{rng.integers(0, 2)},{c}"
         )
     parsed = parse_records(io.StringIO("\n".join(rows)), schema)
-    t = build_tensor(parsed.records, schema)
+    t = build_tensor(parsed, schema)
     assert t.order == 5
     assert t.total == float(total)
     from eigenspot import decompose
@@ -311,18 +323,21 @@ def test_bundled_mode_dim_is_product_at_registry_cardinalities():
         categories=explicit,
     )
     rng = np.random.default_rng(17)
-    records = tuple(
+    rows = [
         (
-            (
-                regions[rng.integers(32)],
-                years[rng.integers(19)],
-                ages[rng.integers(19)],
-                sexes[rng.integers(2)],
-                races[rng.integers(3)],
-            ),
-            1.0,
+            regions[rng.integers(32)],
+            years[rng.integers(19)],
+            ages[rng.integers(19)],
+            sexes[rng.integers(2)],
+            races[rng.integers(3)],
         )
         for _ in range(1175)
+    ]
+    records = ParsedRecords(
+        columns=dict(zip(("region", "year", "age", "sex", "race"), zip(*rows))),
+        counts=np.ones(1175),
+        unknown={},
+        rows=1175,
     )
     t3 = build_tensor(records, schema3)
     assert t3.dims == (32, 19, 114)
@@ -350,6 +365,60 @@ def test_ingest_pair_shares_category_space():
     assert c.modes[0].categories == p.modes[0].categories == ("A", "B")
     assert c.total == 3.0
     assert unknown == {}
+
+
+def test_ingest_pair_orders_case_only_categories_after_population():
+    pop = "region,year,count\nB,1991,5\nA,1990,5\n"
+    cases = "region,year,count\nC,1990,1\nA,1992,2\nB,1991,1\n"
+    c, p, _ = ingest_pair(io.StringIO(cases), io.StringIO(pop), SCHEMA_2D)
+    assert c.modes[0].categories == p.modes[0].categories == ("B", "A", "C")
+    assert c.modes[1].categories == p.modes[1].categories == ("1991", "1990", "1992")
+    assert c.values[2, 1] == 1.0 and c.values[1, 2] == 2.0
+    assert p.values[2].sum() == 0.0 and p.values[:, 2].sum() == 0.0
+
+
+def test_ingest_pair_merges_unknown_reports_sorted():
+    schema = RecordSchema(
+        modes=SCHEMA_2D.modes,
+        count_column="count",
+        categories={"region": ("A", "B"), "year": ("1990",)},
+    )
+    pop = "region,year,count\nZ,1990,5\nA,1990,5\nB,1991,5\n"
+    cases = "region,year,count\nX,1990,1\nZ,1990,1\nA,1990,2\nY,1989,1\n"
+    c, p, unknown = ingest_pair(io.StringIO(cases), io.StringIO(pop), schema)
+    assert unknown == {"region": ("X", "Y", "Z"), "year": ("1989", "1991")}
+    assert c.total == 2.0 and p.total == 5.0
+
+
+def test_build_tensor_matches_per_row_accumulation_bit_for_bit():
+    # non-integer counts make float sums depend on their order: every cell
+    # must add its rows' counts in row order, starting from zero
+    rng = np.random.default_rng(29)
+    raw = [
+        (
+            f"r{rng.integers(0, 16)}",
+            f"y{rng.integers(0, 6)}",
+            f"a{rng.integers(0, 5)}",
+            "mf"[rng.integers(0, 2)],
+            float(rng.random() * 100.0),
+        )
+        for _ in range(20_000)
+    ]
+    text = "region,year,age,sex,count\n" + "".join(
+        f"{r},{y},{a},{s},{c!r}\n" for r, y, a, s, c in raw
+    )
+    t = build_tensor(parse_records(io.StringIO(text), SCHEMA_3D), SCHEMA_3D)
+    region, year, demo = ({v: i for i, v in enumerate(m.categories)} for m in t.modes)
+    cells = [(region[r], year[y], demo[f"{a}|{s}"]) for r, y, a, s, _ in raw]
+    expected = np.zeros(t.dims)
+    for cell, (*_, c) in zip(cells, raw):
+        expected[cell] += c
+    assert t.values.tobytes() == expected.tobytes()
+    # the oracle can tell the order apart: reversed rows change some cells
+    backwards = np.zeros(t.dims)
+    for cell, (*_, c) in zip(reversed(cells), reversed(raw)):
+        backwards[cell] += c
+    assert backwards.tobytes() != expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

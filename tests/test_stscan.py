@@ -343,6 +343,14 @@ def test_scan_validation():
     # candidates come as a family, not as a list of rows
     with pytest.raises(InputError, match="CylinderFamily"):
         scan(np.ones((1, 2)), np.ones((1, 2)), list(cands))
+    # a family whose regions or steps reach past the matrices: two regions,
+    # three steps, and a negative member that numpy would wrap around
+    two_regions = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    three_steps = enumerate_cylinders(times=3, coords=coords)
+    wrapped = CylinderFamily(np.array([1]), np.array([-1]), np.array([0]), np.array([1]))
+    for family in (two_regions, three_steps, wrapped):
+        with pytest.raises(InputError, match="does not cover"):
+            scan(np.ones((1, 2)), np.ones((1, 2)), family)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +424,9 @@ def test_monte_carlo_validation():
         monte_carlo_p(res, m, replications=0, seed=1)
     with pytest.raises(InputError):
         monte_carlo_p(res, np.zeros((1, 2)), replications=9, seed=1)
+    for short in (np.ones((1, 1)), np.ones(2)):
+        with pytest.raises(InputError, match="does not cover"):
+            monte_carlo_p(res, short, replications=9, seed=1)
     frac = scan(np.full((1, 2), 0.6), m, cands)
     with pytest.raises(InputError):
         monte_carlo_p(frac, m, replications=9, seed=1)
