@@ -20,6 +20,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -98,6 +99,14 @@ class RecordSchema:
                     f"explicit categories for unmapped columns: {sorted(unknown)}",
                     module="dataio",
                 )
+            # CSV values are strings, so any other category would match no row
+            for col, values in cats.items():
+                for v in values:
+                    if not isinstance(v, str):
+                        raise InputError(
+                            f"explicit category {v!r} for column {col!r} is not a string",
+                            module="dataio",
+                        )
             object.__setattr__(self, "categories", cats)
 
     def flat_columns(self) -> tuple[str, ...]:
@@ -149,87 +158,150 @@ def _open_text(source: Any, mode: str = "r") -> Iterator[TextIO]:
         raise InputError(f"cannot open {type(source).__name__} as text", module="dataio")
 
 
+def _tokenize(fh: TextIO) -> tuple[list[str], list[Sequence[str]], np.ndarray]:
+    """Read a file's text and split it into a header and whole fields.
+
+    Returns ``(header, fields, lengths)``: ``fields[j]`` holds field ``j`` of
+    every record after the header, in file order, with a record's missing
+    trailing fields read as ``""``, and ``lengths`` each record's own field
+    count. Text without quote characters, NULs (which ``csv`` rejects before
+    Python 3.11) or line breaks other than LF and CRLF, whose lines all have
+    the header's field count, is split on commas in one pass; anything else
+    is read by :mod:`csv`, whose records may quote commas and line breaks.
+    """
+    # each whole-file copy is freed before the next one is made
+    text = fh.read()
+    plain = text.replace("\r\n", "\n")
+    if '"' in plain or "\0" in plain or "\r" in plain:
+        # read back as a file opened with newline="" is; the UTF-8 bytes take
+        # a quarter of the memory of an io.StringIO copy
+        data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+        del text, plain
+        lines = io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="")
+    else:
+        del text
+        lines = plain.split("\n")
+        del plain
+        if not lines[-1]:
+            lines.pop()
+        if not lines:
+            raise InputError("empty input: no header row", module="dataio")
+        width = lines[0].count(",") + 1
+        if set(map(str.count, lines, itertools.repeat(","))) == {width - 1}:
+            joined = ",".join(lines)
+            del lines
+            flat = joined.split(",")
+            del joined
+            fields = [flat[width + j :: width] for j in range(width)]
+            return flat[:width], fields, np.full(len(fields[0]), width)
+    records = csv.reader(lines)
+    del lines
+    header = next(records)
+    rows = list(records)
+    del records
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    width = max(len(header), int(lengths.max(initial=0)))
+    pad = width - lengths
+    if pad.any():
+        fill = map(operator.mul, itertools.repeat([""]), pad.tolist())
+        rows = list(map(list.__add__, rows, fill))
+    flat = list(itertools.chain.from_iterable(rows))
+    del rows
+    return header, [flat[j::width] for j in range(width)], lengths
+
+
+def _blank_rows(fields: Sequence[Sequence[str]]) -> np.ndarray:
+    """Mask of the records whose every field strips to ``""``."""
+    blank = np.ones(len(fields[0]), dtype=bool)
+    for field in fields:
+        if not blank.any():
+            break
+        cells = itertools.compress(field, blank.tolist())
+        blank[blank] = np.fromiter(map(operator.not_, map(str.strip, cells)), dtype=bool)
+    return blank
+
+
 def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
     """Parse a comma-separated file under a schema.
 
     Each kept row contributes its mapped column values plus a count (1.0
-    when the schema names no count column). Rows whose value falls outside
-    an explicit category list are excluded from the columns but collected
-    in the unknown-category report rather than silently dropped.
+    when the schema names no count column). Blank rows are skipped. Rows
+    whose value falls outside an explicit category list are excluded from
+    the columns but collected in the unknown-category report rather than
+    silently dropped. The first bad row in file order raises
+    :class:`InputError`; within a row, a missing mapped field is reported
+    before a non-numeric count, and that before a negative or non-finite one.
     """
     with _open_text(source) as fh:
-        reader = csv.reader(fh)
+        header, fields, lengths = _tokenize(fh)
+    header = [h.strip() for h in header]
+    seen: dict[str, int] = {}
+    for i, h in enumerate(header):
+        if h in seen:
+            raise InputError(f"duplicate header column {h!r}", module="dataio")
+        seen[h] = i
+
+    cols = schema.flat_columns()
+    missing = [c for c in cols if c not in seen]
+    if missing:
+        raise InputError(f"missing mapped column(s): {missing}", module="dataio")
+    count_idx = None
+    if schema.count_column is not None:
+        if schema.count_column not in seen:
+            raise InputError(
+                f"missing count column {schema.count_column!r}", module="dataio"
+            )
+        count_idx = seen[schema.count_column]
+    col_idx = [seen[c] for c in cols]
+
+    # every check runs over whole columns of the non-blank rows and records
+    # its first failure as (row, rank, message); min() then takes the first
+    # row in file order and, within it, the lowest rank
+    live = ~_blank_rows(fields)
+    row_at = np.flatnonzero(live) + 2  # record number of each non-blank row; the header is 1
+    select = live.tolist()
+    values = {
+        c: tuple(map(str.strip, itertools.compress(fields[i], select)))
+        for c, i in zip(cols, col_idx)
+    }
+    rows = len(row_at)
+    errors: list[tuple[int, int, str]] = []
+    short = np.flatnonzero(lengths[live] <= max(col_idx))
+    if short.size:
+        errors.append((short[0], 0, f"row {row_at[short[0]]} is shorter than the header"))
+    if count_idx is None:
+        counts = np.ones(rows)
+    else:
+        raw = tuple(map(str.strip, itertools.compress(fields[count_idx], select)))
+        parsed: list[float] = []  # on a failure, holds the counts before the failing one
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("empty input: no header row", module="dataio") from None
-        header = [h.strip() for h in header]
-        seen: dict[str, int] = {}
-        for i, h in enumerate(header):
-            if h in seen:
-                raise InputError(f"duplicate header column {h!r}", module="dataio")
-            seen[h] = i
+            parsed.extend(map(float, raw))
+        except ValueError:
+            at = len(parsed)
+            errors.append((at, 1, f"non-numeric count {raw[at]!r} at row {row_at[at]}"))
+        counts = np.array(parsed, dtype=float)
+        bad = np.flatnonzero((counts < 0) | ~np.isfinite(counts))
+        if bad.size:
+            errors.append(
+                (bad[0], 2, f"count must be finite and non-negative at row {row_at[bad[0]]}")
+            )
+    if errors:
+        raise InputError(min(errors)[2], module="dataio")
 
-        cols = schema.flat_columns()
-        missing = [c for c in cols if c not in seen]
-        if missing:
-            raise InputError(f"missing mapped column(s): {missing}", module="dataio")
-        count_idx = None
-        if schema.count_column is not None:
-            if schema.count_column not in seen:
-                raise InputError(
-                    f"missing count column {schema.count_column!r}", module="dataio"
-                )
-            count_idx = seen[schema.count_column]
-        col_idx = [seen[c] for c in cols]
-        explicit = schema.categories or {}
-        allowed = {c: set(explicit[c]) for c in cols if c in explicit}
-
-        kept: list[tuple[str, ...]] = []
-        counts: list[float] = []
-        unknown: dict[str, set[str]] = {}
-        rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            rows += 1
-            try:
-                values = tuple(row[i].strip() for i in col_idx)
-            except IndexError:
-                raise InputError(
-                    f"row {lineno} is shorter than the header", module="dataio"
-                ) from None
-            if count_idx is not None:
-                raw = row[count_idx].strip() if count_idx < len(row) else ""
-                try:
-                    count = float(raw)
-                except ValueError:
-                    raise InputError(
-                        f"non-numeric count {raw!r} at row {lineno}", module="dataio"
-                    ) from None
-            else:
-                count = 1.0
-            if count < 0 or not math.isfinite(count):
-                raise InputError(
-                    f"count must be finite and non-negative at row {lineno}",
-                    module="dataio",
-                )
-            bad = False
-            for c, v in zip(cols, values):
-                if c in allowed and v not in allowed[c]:
-                    unknown.setdefault(c, set()).add(v)
-                    bad = True
-            if bad:
-                continue
-            kept.append(values)
-            counts.append(count)
-
-    return ParsedRecords(
-        columns=dict(zip(cols, tuple(zip(*kept)) or ((),) * len(cols))),
-        counts=np.array(counts, dtype=float),
-        unknown={c: tuple(sorted(v)) for c, v in sorted(unknown.items())},
-        rows=rows,
-    )
+    explicit = schema.categories or {}
+    excluded = np.zeros(rows, dtype=bool)
+    unknown: dict[str, tuple[str, ...]] = {}
+    for c in sorted(explicit):
+        allowed = set(explicit[c]).__contains__
+        outside = ~np.fromiter(map(allowed, values[c]), dtype=bool, count=rows)
+        if outside.any():
+            unknown[c] = tuple(sorted(set(itertools.compress(values[c], outside.tolist()))))
+            excluded |= outside
+    if excluded.any():
+        keep = (~excluded).tolist()
+        values = {c: tuple(itertools.compress(v, keep)) for c, v in values.items()}
+        counts = counts[~excluded]
+    return ParsedRecords(columns=values, counts=counts, unknown=unknown, rows=rows)
 
 
 BUNDLE_JOIN = "|"

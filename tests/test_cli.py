@@ -151,6 +151,60 @@ def test_detect_unknown_category_warns_once_and_exits_0(synth_dir, tmp_path):
     assert res.stdout == clean.stdout
 
 
+def test_detect_numeric_explicit_categories_exit_2(synth_dir, tmp_path):
+    # a year list written as JSON numbers would match no CSV value
+    schema = json.loads((synth_dir / "schema.json").read_text())
+    schema["categories"] = {"time": [0, 1, 2]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    args = detect_args(synth_dir)
+    args[args.index("--schema") + 1] = str(tmp_path / "schema.json")
+    res = run_cli(args)
+    assert res.returncode == 2
+    err = json.loads(res.stderr.splitlines()[-1])
+    assert err["error"]["module"] == "dataio"
+    assert err["error"]["message"] == "explicit category 0 for column 'time' is not a string"
+
+
+def test_line_breaks_quoting_and_bom_give_identical_outputs(synth_dir, tmp_path):
+    # one data set written four ways; region r05 is renamed, and only the
+    # quoted variant can carry a comma in its name, so that variant's
+    # outputs must equal the others' with the name swapped
+    plain, comma = "Do\u00f1a Ana NM", "Do\u00f1a Ana, NM"
+    files = {}
+    for name in ("cases.csv", "population.csv", "adjacency.csv"):
+        rows = [line.split(",") for line in (synth_dir / name).read_text().splitlines()]
+        files[name] = [[plain if v == "r05" else v for v in row] for row in rows]
+    variants = {
+        "lf": ("\n", False, ""),
+        "crlf": ("\r\n", False, ""),
+        "bom": ("\n", False, "\ufeff"),
+        "quoted": ("\n", True, ""),
+    }
+    outputs = {}
+    for variant, (eol, quoted, bom) in variants.items():
+        data = tmp_path / variant
+        data.mkdir()
+        shutil.copy(synth_dir / "schema.json", data)
+        for name, rows in files.items():
+            if quoted:
+                lines = [",".join('"%s"' % v.replace(plain, comma) for v in row) for row in rows]
+            else:
+                lines = [",".join(row) for row in rows]
+            (data / name).write_text(bom + eol.join(lines) + eol, encoding="utf-8")
+        build = run_cli(
+            ["build", "--input", str(data / "cases.csv"), "--schema", str(data / "schema.json")]
+        )
+        detect = run_cli(detect_args(data))
+        assert build.returncode == 0 and detect.returncode == 0, (build.stderr, detect.stderr)
+        outputs[variant] = (build.stdout, detect.stdout)
+    assert json.dumps(plain) in outputs["lf"][0] and json.dumps(plain) in outputs["lf"][1]
+    assert outputs["crlf"] == outputs["lf"]
+    assert outputs["bom"] == outputs["lf"]
+    assert outputs["quoted"] == tuple(
+        out.replace(json.dumps(plain), json.dumps(comma)) for out in outputs["lf"]
+    )
+
+
 def test_detect_geojson_needs_geometry(synth_dir, tmp_path):
     res = run_cli(detect_args(synth_dir, ["--geojson", str(tmp_path / "x.geojson")]))
     assert res.returncode == 2

@@ -97,6 +97,22 @@ def test_schema_explicit_categories_must_be_mapped():
         )
 
 
+def test_explicit_categories_must_be_strings():
+    modes = (ModeSpec("region", "space", ("region",)), ModeSpec("time", "time", ("time",)))
+    message = r"^explicit category 0 for column 'time' is not a string$"
+    with pytest.raises(InputError, match=message):
+        RecordSchema(modes=modes, categories={"time": ("t00", 0)})
+    doc = {
+        "modes": [
+            {"name": "region", "kind": "space", "columns": ["region"]},
+            {"name": "time", "kind": "time", "columns": ["time"]},
+        ],
+        "categories": {"region": ["r00"], "time": [0, 1, 2]},
+    }
+    with pytest.raises(InputError, match=r"explicit category 0 for column 'time'"):
+        load_schema(doc)
+
+
 def test_load_schema_roundtrip(tmp_path):
     doc = {
         "modes": [
