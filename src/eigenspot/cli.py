@@ -65,11 +65,10 @@ def _parse_ranks(text: str | None) -> tuple[int, ...] | None:
     return ranks
 
 
-def _warn_unknown(unknown: dict[str, tuple[str, ...]]) -> None:
-    if unknown:
-        click.echo(
-            json.dumps({"warning": {"unknown_categories": unknown}}), err=True
-        )
+def _warn(kind: str, detail: object) -> None:
+    """Report a non-fatal condition as one JSON line on stderr, if there is one."""
+    if detail:
+        click.echo(json.dumps({"warning": {kind: detail}}), err=True)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -107,7 +106,7 @@ def build(input_path: str, schema_path: str, out_path: str | None) -> None:
     """Ingest one CSV file and write the resulting count tensor as JSON."""
     schema = dataio.load_schema(schema_path)
     parsed = dataio.parse_records(input_path, schema)
-    _warn_unknown(parsed.unknown)
+    _warn("unknown_categories", parsed.unknown)
     tensor = dataio.build_tensor(parsed, schema)
     _write_text(out_path, dataio.dumps_stable(dataio.tensor_to_dict(tensor)))
 
@@ -145,7 +144,7 @@ def detect(
     """Run the eigenvector-matching detector and write its report."""
     schema = dataio.load_schema(schema_path)
     cases_t, population_t, unknown = dataio.ingest_pair(cases, population, schema)
-    _warn_unknown(unknown)
+    _warn("unknown_categories", unknown)
     space_cats = cases_t.modes[cases_t.space_axis].categories
     neighbors = dataio.parse_adjacency(adjacency, space_cats, header=adjacency_header)
     report = run_sst_hotspot(
@@ -160,7 +159,7 @@ def detect(
         if geometry_path is None:
             raise InputError("--geojson needs --geometry", module="cli")
         geometry = dataio.RegionGeometry.from_geojson(geometry_path)
-        dataio.write_geojson(report, geometry, geojson_path)
+        _warn("geometry_missing", dataio.write_geojson(report, geometry, geojson_path))
 
 
 @main.command("scan")
@@ -202,7 +201,7 @@ def scan_cmd(
     """Run the space-time scan baseline and write ranked cylinders."""
     schema = dataio.load_schema(schema_path)
     cases_t, population_t, unknown = dataio.ingest_pair(cases, population, schema)
-    _warn_unknown(unknown)
+    _warn("unknown_categories", unknown)
     space_cats = cases_t.modes[cases_t.space_axis].categories
     time_cats = cases_t.modes[cases_t.time_axis].categories
 

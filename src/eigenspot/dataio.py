@@ -18,7 +18,6 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import logging
 import math
 import operator
 from contextlib import contextmanager
@@ -42,7 +41,6 @@ from .eigenmatch import (
 from .stscan import ScanCylinder, ScanResult
 from .tensors import CountTensor, ModeKind, ModeLabel
 
-logger = logging.getLogger(__name__)
 
 REPORT_SCHEMA = "hotspot-report/1"
 SCAN_SCHEMA = "scan-result/1"
@@ -92,7 +90,19 @@ class RecordSchema:
         if len(set(cols)) != len(cols):
             raise InputError("schema maps a column twice", module="dataio")
         if self.categories is not None:
-            cats = {k: tuple(v) for k, v in dict(self.categories).items()}
+            if not isinstance(self.categories, Mapping):
+                raise InputError(
+                    "explicit categories must map each column to a list", module="dataio"
+                )
+            # a string would split into characters and a number is no list at all
+            for col, values in self.categories.items():
+                if not isinstance(values, (list, tuple)):
+                    raise InputError(
+                        f"explicit categories for column {col!r} must be a list, "
+                        f"not {type(values).__name__}",
+                        module="dataio",
+                    )
+            cats = {k: tuple(v) for k, v in self.categories.items()}
             unknown = set(cats) - set(cols)
             if unknown:
                 raise InputError(
@@ -128,11 +138,10 @@ def load_schema(source: Any) -> RecordSchema:
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed schema document: {exc}", module="dataio") from exc
-    cats = doc.get("categories")
     return RecordSchema(
         modes=modes,
         count_column=doc.get("count_column"),
-        categories={k: tuple(v) for k, v in cats.items()} if cats else None,
+        categories=doc.get("categories") or None,
     )
 
 
@@ -805,17 +814,18 @@ def write_geojson(
     report: HotspotReport,
     geometry: RegionGeometry,
     destination: Any,
-) -> None:
+) -> tuple[str, ...]:
     """Emit one feature per region with ds, role, and cluster membership.
 
-    Regions without geometry are skipped with a warning so a partial
-    geometry file still yields usable output.
+    Regions without geometry are skipped so a partial geometry file still
+    yields usable output; returns the skipped regions in report order.
     """
     features = []
+    skipped = []
     for region in report.ds.categories:
         geom = geometry.geometries.get(region)
         if geom is None:
-            logger.warning("no geometry for region %r; feature skipped", region)
+            skipped.append(region)
             continue
         clusters = [
             center
@@ -837,6 +847,7 @@ def write_geojson(
     doc = {"type": "FeatureCollection", "features": features}
     with _open_text(destination, "w") as fh:
         fh.write(dumps_stable(doc))
+    return tuple(skipped)
 
 
 # ---------------------------------------------------------------------------

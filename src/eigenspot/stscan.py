@@ -59,15 +59,16 @@ class ScanCylinder:
 class CylinderFamily(Sequence[ScanCylinder]):
     """Every spatial disk crossed with every time window, held as arrays.
 
-    Disk ``d`` is ``members[offsets[d]:offsets[d] + sizes[d]]``, center
-    first. Cylinder ``i`` is disk ``i // W`` over window ``i % W``, and the
-    per-cylinder arrays that :func:`scan` and :func:`monte_carlo_p` fill in
-    follow that index. The sequence runs in ``order`` (the ranking, once
-    scanned), builds :class:`ScanCylinder` rows on access and slices to views.
+    Disk ``d`` is ``orders[centers[d], :sizes[d]]``: a center's nested disks
+    are prefixes of its one order row, center first. Cylinder ``i`` is disk
+    ``i // W`` over window ``i % W``, and the per-cylinder arrays follow that
+    index. The sequence runs in ``order`` (the ranking, once scanned),
+    builds :class:`ScanCylinder` rows on access and slices to views.
     """
 
+    orders: np.ndarray
+    centers: np.ndarray
     sizes: np.ndarray
-    members: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
     counts: np.ndarray | None = None
@@ -75,10 +76,8 @@ class CylinderFamily(Sequence[ScanCylinder]):
     scores: np.ndarray | None = None
     p_values: np.ndarray | None = None
     order: np.ndarray | None = None
-    offsets: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "offsets", np.cumsum(self.sizes) - self.sizes)
         if self.order is None:
             object.__setattr__(self, "order", np.arange(self.sizes.size * self.t0.size))
 
@@ -91,17 +90,15 @@ class CylinderFamily(Sequence[ScanCylinder]):
 
     def __iter__(self) -> Iterator[ScanCylinder]:
         disk, window = np.divmod(self.order, self.t0.size)
-        start = self.offsets[disk]
-        bounds = zip(start.tolist(), (start + self.sizes[disk]).tolist())
+        disks = zip(self.centers[disk].tolist(), self.sizes[disk].tolist())
         spans = zip(self.t0[window].tolist(), self.t1[window].tolist())
         arrays = (self.counts, self.baselines, self.scores, self.p_values)
         columns = [
             itertools.repeat(default) if a is None else a[self.order].tolist()
             for a, default in zip(arrays, (0.0, 0.0, 0.0, None))
         ]
-        for (s, e), span, *values in zip(bounds, spans, *columns):
-            members = tuple(self.members[s:e].tolist())
-            yield ScanCylinder(members[0], members, span, *values)
+        for (c, k), span, *values in zip(disks, spans, *columns):
+            yield ScanCylinder(c, tuple(self.orders[c, :k].tolist()), span, *values)
 
     def cell_sums(self, matrix: np.ndarray) -> np.ndarray:
         """Per-cylinder sums that add cells as ``matrix[members][:, t0:t1+1].sum()`` does.
@@ -116,7 +113,7 @@ class CylinderFamily(Sequence[ScanCylinder]):
         widths = self.t1 - self.t0 + 1
         for k in np.unique(self.sizes).tolist():
             disks = np.flatnonzero(self.sizes == k)
-            rows = self.members[self.offsets[disks, None] + np.arange(k)]
+            rows = self.orders[self.centers[disks], :k]
             for w in np.unique(widths).tolist():
                 wins = np.flatnonzero(widths == w)
                 steps = (self.t0[wins, None] + np.arange(w))[None, :, None, :]
@@ -242,23 +239,20 @@ def expected_baseline(cases: np.ndarray, population: np.ndarray) -> np.ndarray:
     return pop_m * (float(cases_m.sum()) / pop_total)
 
 
-def _disks_from_coords(coords: np.ndarray) -> list[tuple[list[int], range]]:
-    """Per center: region indices by growing squared centroid distance, and the disk sizes.
+def _orders_from_coords(coords: np.ndarray) -> np.ndarray:
+    """Per center (one row each): region indices by growing squared centroid distance.
 
     Distance ties keep index order; the center itself always comes first.
     """
-    n = coords.shape[0]
-    disks = []
-    for c in range(n):
-        d2 = (coords[:, 0] - coords[c, 0]) ** 2 + (coords[:, 1] - coords[c, 1]) ** 2
-        d2[c] = -1.0  # pin the center to the front
-        disks.append((list(np.argsort(d2, kind="stable")), range(1, n + 1)))
-    return disks
+    dx, dy = (coords[None] - coords[:, None]).transpose(2, 0, 1)
+    d2 = dx**2 + dy**2
+    np.fill_diagonal(d2, -1.0)  # pin each center to the front of its row
+    return np.argsort(d2, axis=1, kind="stable")
 
 
-def _disks_from_adjacency(nb: NeighborMatrix) -> list[tuple[list[int], list[int]]]:
-    """Per center: breadth-first rings, and the disk sizes; each disk adds one whole ring."""
-    disks = []
+def _disks_from_adjacency(nb: NeighborMatrix) -> tuple[np.ndarray, list[list[int]]]:
+    """Per center: breadth-first ring order (padded with the center), and disk sizes by ring."""
+    orders, disk_sizes = [], []
     for c in range(nb.n):
         seen = {c}
         order = [c]
@@ -274,8 +268,9 @@ def _disks_from_adjacency(nb: NeighborMatrix) -> list[tuple[list[int], list[int]
             order.extend(nxt)
             sizes.append(len(order))
             frontier = nxt
-        disks.append((order, sizes))
-    return disks
+        orders.append(order + [c] * (nb.n - len(order)))
+        disk_sizes.append(sizes)
+    return np.array(orders, np.intp).reshape(nb.n, nb.n), disk_sizes
 
 
 def enumerate_cylinders(
@@ -309,10 +304,11 @@ def enumerate_cylinders(
         pts = np.asarray(coords, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InputError("coordinates must be an (n, 2) array", module="stscan")
-        disks = _disks_from_coords(pts)
+        orders = _orders_from_coords(pts)
+        disk_sizes = [range(1, len(pts) + 1)] * len(pts)
     else:
-        disks = _disks_from_adjacency(neighbors)
-    n = len(disks)
+        orders, disk_sizes = _disks_from_adjacency(neighbors)
+    n = len(orders)
 
     cap = None
     if region_baseline is not None:
@@ -324,15 +320,17 @@ def enumerate_cylinders(
             )
         cap = max_fraction * float(rb.sum())
 
-    sizes, members = [], []
-    for order, disk_sizes in disks:
-        for k in disk_sizes:
+    centers, sizes = [], []
+    for c, (order, ks) in enumerate(zip(orders, disk_sizes)):
+        for k in ks:
             if k > 1 and cap is not None and float(rb[order[:k]].sum()) > cap:
                 break  # disks are nested, larger ones only grow
+            centers.append(c)
             sizes.append(k)
-            members.extend(order[:k])
     t0, t1 = np.triu_indices(times)
-    return CylinderFamily(np.array(sizes, np.intp), np.array(members, np.intp), t0, t1)
+    centers, sizes = np.array([centers, sizes], np.intp)
+    # no disk reads past the largest one, and so neither do the replica sums
+    return CylinderFamily(orders[:, : sizes.max(initial=0)], centers, sizes, t0, t1)
 
 
 def _scores(
@@ -365,7 +363,7 @@ def _scores(
 def _check_covers(fam: CylinderFamily, matrix: np.ndarray, what: str) -> None:
     """Reject a family whose disks or windows reach outside a space-by-time matrix."""
     rows, steps = matrix.shape if matrix.ndim == 2 else (0, 0)
-    if fam.members.min() < 0 or fam.members.max() >= rows or fam.t0.min() < 0 or fam.t1.max() >= steps:
+    if fam.orders.min() < 0 or fam.orders.max() >= rows or fam.t0.min() < 0 or fam.t1.max() >= steps:
         raise InputError(
             f"{what} shape {matrix.shape} does not cover the scanned cylinders", module="stscan"
         )
@@ -409,7 +407,7 @@ def scan(
     baselines = fam.cell_sums(base_m)
     scores = _scores(counts, baselines, c_total, b_total, elevated_only)
     disk, window = np.divmod(np.arange(scores.size), fam.t0.size)
-    keys = (fam.t1[window], fam.t0[window], fam.members[fam.offsets][disk], fam.sizes[disk])
+    keys = (fam.t1[window], fam.t0[window], fam.centers[disk], fam.sizes[disk])
     order = np.lexsort((*keys, -scores))
     return ScanResult(
         cylinders=dataclasses.replace(
@@ -457,13 +455,13 @@ def monte_carlo_p(
     totals = (result.c_total, result.b_total, result.elevated_only)
     streams = np.random.SeedSequence(seed).spawn(replications)
     maxima = np.empty(replications)
-    # replica sums from per-window prefix sums, one add per disk: exact on integer draws
-    cum = np.zeros((base_m.shape[1] + 1, base_m.shape[0]))
+    # window sums from time prefix sums, disk sums along each order row: exact on integer draws
+    cum = np.zeros((base_m.shape[0], base_m.shape[1] + 1))
     for i, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
-        np.cumsum(rng.multinomial(total, probs).reshape(base_m.shape).T, axis=0, out=cum[1:])
-        per_window = cum[fam.t1 + 1] - cum[fam.t0]
-        counts = np.add.reduceat(per_window[:, fam.members], fam.offsets, axis=1).T.ravel()
+        np.cumsum(rng.multinomial(total, probs).reshape(base_m.shape), axis=1, out=cum[:, 1:])
+        nested = (cum[:, fam.t1 + 1] - cum[:, fam.t0])[fam.orders]
+        counts = np.cumsum(nested, axis=1, out=nested)[fam.centers, fam.sizes - 1].ravel()
         maxima[i] = _scores(counts, fam.baselines, *totals).max()
 
     maxima.sort()

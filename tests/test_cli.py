@@ -165,6 +165,20 @@ def test_detect_numeric_explicit_categories_exit_2(synth_dir, tmp_path):
     assert err["error"]["message"] == "explicit category 0 for column 'time' is not a string"
 
 
+def test_detect_string_category_list_exit_2(synth_dir, tmp_path):
+    # a bare string in place of a list would split into one category per character
+    schema = json.loads((synth_dir / "schema.json").read_text())
+    schema["categories"] = {"time": "t00"}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    args = detect_args(synth_dir)
+    args[args.index("--schema") + 1] = str(tmp_path / "schema.json")
+    res = run_cli(args)
+    assert res.returncode == 2
+    err = json.loads(res.stderr.splitlines()[-1])
+    assert err["error"]["module"] == "dataio"
+    assert err["error"]["message"] == "explicit categories for column 'time' must be a list, not str"
+
+
 def test_line_breaks_quoting_and_bom_give_identical_outputs(synth_dir, tmp_path):
     # one data set written four ways; region r05 is renamed, and only the
     # quoted variant can carry a comma in its name, so that variant's
@@ -243,6 +257,30 @@ def test_detect_geojson_output(synth_dir, tmp_path):
     report = json.loads(out.read_text())
     for center in report["space"]["sc"]:
         assert roles[center] == "center"
+
+
+def test_detect_geojson_reports_missing_geometry_on_stderr(synth_dir, tmp_path):
+    geometry = {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [i, 0]},
+                "properties": {"region": f"r{i:02d}"},
+            }
+            for i in range(16)
+            if i not in (3, 11)
+        ],
+    }
+    geo_path = tmp_path / "regions.geojson"
+    geo_path.write_text(json.dumps(geometry))
+    gj = tmp_path / "report.geojson"
+    res = run_cli(detect_args(synth_dir, ["--geojson", str(gj), "--geometry", str(geo_path)]))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines() == ['{"warning": {"geometry_missing": ["r03", "r11"]}}']
+    assert len(json.loads(gj.read_text())["features"]) == 14
+    # the report itself is the one written without GeoJSON
+    assert res.stdout == run_cli(detect_args(synth_dir)).stdout
 
 
 def test_scan_cylinder_combinatorics_single_region(tmp_path):

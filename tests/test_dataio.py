@@ -1,6 +1,5 @@
 import io
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -111,6 +110,30 @@ def test_explicit_categories_must_be_strings():
     }
     with pytest.raises(InputError, match=r"explicit category 0 for column 'time'"):
         load_schema(doc)
+
+
+SCHEMA_MODES = [
+    {"name": "region", "kind": "space", "columns": ["region"]},
+    {"name": "time", "kind": "time", "columns": ["time"]},
+]
+
+
+def test_load_schema_rejects_a_string_category_list():
+    # a string would otherwise split into the categories ("t", "0", "0")
+    message = r"^explicit categories for column 'time' must be a list, not str$"
+    with pytest.raises(InputError, match=message):
+        load_schema({"modes": SCHEMA_MODES, "categories": {"time": "t00"}})
+
+
+def test_load_schema_rejects_a_number_for_a_category_list():
+    message = r"^explicit categories for column 'time' must be a list, not int$"
+    with pytest.raises(InputError, match=message):
+        load_schema({"modes": SCHEMA_MODES, "categories": {"time": 5}})
+
+
+def test_load_schema_rejects_categories_that_are_not_a_mapping():
+    with pytest.raises(InputError, match="must map each column to a list"):
+        load_schema({"modes": SCHEMA_MODES, "categories": ["t00", "t01"]})
 
 
 def test_load_schema_roundtrip(tmp_path):
@@ -623,7 +646,7 @@ def square(x, y):
     }
 
 
-def test_write_geojson_roles_and_skip(tmp_path, rng, caplog):
+def test_write_geojson_roles_and_skip(tmp_path, rng):
     # engineered report: s2 is a hot center in a 6-region ring
     n = 6
     pop = np.full((n, 5), 100.0)
@@ -637,9 +660,7 @@ def test_write_geojson_roles_and_skip(tmp_path, rng, caplog):
     geoms = {f"s{i}": square(i, 0) for i in range(n) if i != 5}  # s5 missing
     geometry = RegionGeometry(geometries=geoms)
     path = tmp_path / "out.geojson"
-    with caplog.at_level(logging.WARNING):
-        write_geojson(report, geometry, path)
-    assert "s5" in caplog.text
+    assert write_geojson(report, geometry, path) == ("s5",)
 
     doc = json.loads(path.read_text())
     assert doc["type"] == "FeatureCollection"
@@ -655,8 +676,10 @@ def test_write_geojson_roles_and_skip(tmp_path, rng, caplog):
         assert ("s2" in props["clusters"]) == (region in members_of_s2)
 
     path2 = tmp_path / "out2.geojson"
-    write_geojson(report, geometry, path2)
+    assert write_geojson(report, geometry, path2) == ("s5",)
     assert path.read_bytes() == path2.read_bytes()
+    full = RegionGeometry(geometries={**geoms, "s5": square(5, 0)})
+    assert write_geojson(report, full, tmp_path / "full.geojson") == ()
 
 
 def test_region_geometry_from_geojson(tmp_path):

@@ -337,7 +337,8 @@ def test_scan_validation():
             scan(np.ones((1, 2)), np.array([[0.0, 2.0]]), cands, elevated_only=elevated_only)
     # a family of only region 0's singleton disk: that cylinder covers the
     # whole baseline and misses region 1's case
-    whole = CylinderFamily(np.array([1]), np.array([0]), np.array([0]), np.array([0]))
+    zero, one = np.array([0]), np.array([1])
+    whole = CylinderFamily(np.array([[0]]), zero, one, zero, zero)
     with pytest.raises(InputError, match="unbounded"):
         scan(np.array([[1.0], [1.0]]), np.array([[2.0], [0.0]]), whole, elevated_only=False)
     # candidates come as a family, not as a list of rows
@@ -347,7 +348,7 @@ def test_scan_validation():
     # three steps, and a negative member that numpy would wrap around
     two_regions = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0], [1.0, 0.0]]))
     three_steps = enumerate_cylinders(times=3, coords=coords)
-    wrapped = CylinderFamily(np.array([1]), np.array([-1]), np.array([0]), np.array([1]))
+    wrapped = CylinderFamily(np.array([[-1]]), zero, one, zero, one)
     for family in (two_regions, three_steps, wrapped):
         with pytest.raises(InputError, match="does not cover"):
             scan(np.ones((1, 2)), np.ones((1, 2)), family)
@@ -395,13 +396,33 @@ def test_monte_carlo_p_bounds_and_determinism():
     )  # different seed, different draw
 
 
-def test_monte_carlo_replicas_match_a_full_rescan():
-    # replica counts come from window prefix sums; on the integer replica
-    # draws they must equal the cell-order sums scan() takes, so every
-    # replica maximum equals the top score of scanning that replica
+def centroid_disks():
     coords, cases, pop = grid_instance(21, n=7, times=5)
+    return enumerate_cylinders(times=5, coords=coords), cases, pop
+
+
+def two_component_rings():
+    # a path over regions 0-7 and a triangle over 8-10, with a baseline cap:
+    # the triangle's centers reach fewer regions than their order rows hold
+    coords, cases, pop = grid_instance(21, n=11, times=5)
+    adj = np.zeros((11, 11), dtype=bool)
+    for i, j in [(i, i + 1) for i in range(7)] + [(8, 9), (9, 10), (8, 10)]:
+        adj[i, j] = adj[j, i] = True
+    cands = enumerate_cylinders(
+        times=5, neighbors=NeighborMatrix(adj), region_baseline=pop.sum(axis=1)
+    )
+    assert cands.orders.shape[1] > 3 and cands.sizes[cands.centers == 10].max() == 3
+    return cands, cases, pop
+
+
+@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
+def test_monte_carlo_replicas_match_a_full_rescan(instance):
+    # replica counts come from window prefix sums and running sums along each
+    # center's order row; on the integer replica draws they must equal the
+    # cell-order sums scan() takes, so every replica maximum equals the top
+    # score of scanning that replica
+    cands, cases, pop = instance()
     baseline = expected_baseline(cases, pop)
-    cands = enumerate_cylinders(times=5, coords=coords)
     res = scan(cases, baseline, cands)
     out = monte_carlo_p(res, baseline, replications=19, seed=4)
 
@@ -413,6 +434,25 @@ def test_monte_carlo_replicas_match_a_full_rescan():
     for cyl in out.cylinders:
         ge = sum(m >= cyl.score for m in maxima)
         assert cyl.p_value == (1 + ge) / 20
+
+
+def test_monte_carlo_working_set_stays_near_the_family_size():
+    # replica sums take one running sum per center's order row, so a replica
+    # holds a few per-cylinder arrays, not one value per member of every disk
+    import tracemalloc
+
+    coords, cases, pop = grid_instance(41, n=40, times=12)
+    baseline = expected_baseline(cases, pop)
+    cands = enumerate_cylinders(times=12, coords=coords)
+    assert len(cands) == 124_800
+    res = scan(cases, baseline, cands)
+    tracemalloc.start()
+    try:
+        monte_carlo_p(res, baseline, replications=1, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * len(cands) * np.dtype(float).itemsize
 
 
 def test_monte_carlo_validation():
