@@ -31,6 +31,12 @@ import numpy as np
 from .errors import InputError
 from .eigenmatch import NeighborMatrix
 
+# values one block of disk sums may gather; bounds the replica loop's working set
+_BLOCK = 1 << 20
+
+# integers below this, and sums of them that stay below it, are exact in float64
+_EXACT = 2.0**53
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ScanCylinder:
@@ -111,10 +117,11 @@ class CylinderFamily(Sequence[ScanCylinder]):
         """
         out = np.empty((self.sizes.size, self.t0.size))
         widths = self.t1 - self.t0 + 1
-        for k in np.unique(self.sizes).tolist():
+        # bincount, not np.unique, which imports numpy.ma on every call
+        for k in np.flatnonzero(np.bincount(self.sizes)).tolist():
             disks = np.flatnonzero(self.sizes == k)
             rows = self.orders[self.centers[disks], :k]
-            for w in np.unique(widths).tolist():
+            for w in np.flatnonzero(np.bincount(widths)).tolist():
                 wins = np.flatnonzero(widths == w)
                 steps = (self.t0[wins, None] + np.arange(w))[None, :, None, :]
                 cells = matrix[rows[:, None, :, None], steps].reshape(-1, k, w)
@@ -124,6 +131,32 @@ class CylinderFamily(Sequence[ScanCylinder]):
                     sums += cells[:, s : s + step].sum(axis=(1, 2))
                 out[np.ix_(disks, wins)] = sums.reshape(disks.size, wins.size)
         return out.ravel()
+
+    def window_sums(self, matrix: np.ndarray) -> np.ndarray:
+        """Each region's sum over each window (regions × windows), from its time prefix sums."""
+        cum = np.zeros((matrix.shape[0], matrix.shape[1] + 1))
+        np.cumsum(matrix, axis=1, out=cum[:, 1:])
+        return cum[:, self.t1 + 1] - cum[:, self.t0]
+
+    def blocks(self) -> list[tuple[slice, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+        """Runs of whole centers, each gathering at most ``_BLOCK`` values (or one center).
+
+        A run is a stretch of consecutive disks around one center. Each block
+        gives its disks, its centers' order rows step-major (steps × centers,
+        cut to its largest disk) and each disk's (step, center) in them.
+        """
+        centers = self.centers
+        new_run = np.r_[True, centers[1:] != centers[:-1]]
+        starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
+        per_block = max(1, _BLOCK // (self.orders.shape[1] * self.t0.size))
+        bounds = [*starts[::per_block].tolist(), centers.size]
+        out = []
+        for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            firsts = starts[b * per_block : (b + 1) * per_block]
+            steps = self.sizes[lo:hi] - 1
+            rows = self.orders[centers[firsts], : steps.max() + 1].T
+            out.append((slice(lo, hi), rows, (steps, run[lo:hi] - b * per_block)))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,6 +366,23 @@ def enumerate_cylinders(
     return CylinderFamily(orders[:, : sizes.max(initial=0)], centers, sizes, t0, t1)
 
 
+def _disk_sums(per_window: np.ndarray, blocks: list) -> Iterator[tuple[slice, np.ndarray]]:
+    """Per block of :meth:`CylinderFamily.blocks`: its disks and their sums over every window.
+
+    ``per_window`` holds region sums per window (:meth:`CylinderFamily.window_sums`).
+    A block gathers them along its order rows (steps × centers × windows),
+    adds each step into the next and reads disk ``d`` at step
+    ``sizes[d] - 1``. Every sum adds its terms one at a time in row order,
+    so on integer values with a total below 2**53 it is exact and equals a
+    sum in any other order.
+    """
+    for disks, rows, at in blocks:
+        nested = per_window.take(rows, axis=0)
+        for j in range(1, len(nested)):
+            np.add(nested[j - 1], nested[j], out=nested[j])
+        yield disks, nested[at]
+
+
 def _scores(
     counts: np.ndarray,
     baselines: np.ndarray,
@@ -346,18 +396,22 @@ def _scores(
             "zero baseline with positive count gives an infinite rate", module="stscan"
         )
     included = (counts * b_total > baselines * c_total) | (not elevated_only)
-    rest = c_total - counts
-    rest_base = b_total - baselines
-    if np.any(included & (rest > 0) & (rest_base <= 0)):
+    if np.any(included & (c_total - counts > 0) & (b_total - baselines <= 0)):
         raise InputError(
             "cylinder covers the whole baseline but not all cases; "
             "the score is unbounded",
             module="stscan",
         )
+    return np.where(included, _llr(counts, baselines, c_total, b_total), 0.0)
+
+
+def _llr(counts: np.ndarray, baselines: np.ndarray, c_total: float, b_total: float) -> np.ndarray:
+    """The unmasked log likelihood ratio of every cylinder, unchecked."""
+    rest = c_total - counts
     with np.errstate(divide="ignore", invalid="ignore"):
         inside = np.where(counts > 0, counts * np.log(counts / baselines), 0.0)
-        outside = np.where(rest > 0, rest * np.log(rest / rest_base), 0.0)
-    return np.where(included, inside + outside, 0.0)
+        outside = np.where(rest > 0, rest * np.log(rest / (b_total - baselines)), 0.0)
+    return inside + outside
 
 
 def _check_covers(fam: CylinderFamily, matrix: np.ndarray, what: str) -> None:
@@ -403,7 +457,14 @@ def scan(
         )
 
     fam = candidates
-    counts = fam.cell_sums(cases_m)
+    if c_total < _EXACT and np.array_equal(cases_m, np.trunc(cases_m)):
+        # exact sums, so equal to the cell-order ones
+        counts = np.empty((fam.sizes.size, fam.t0.size))
+        for disks, sums in _disk_sums(fam.window_sums(cases_m), fam.blocks()):
+            counts[disks] = sums
+        counts = counts.ravel()
+    else:
+        counts = fam.cell_sums(cases_m)
     baselines = fam.cell_sums(base_m)
     scores = _scores(counts, baselines, c_total, b_total, elevated_only)
     disk, window = np.divmod(np.arange(scores.size), fam.t0.size)
@@ -431,7 +492,9 @@ def monte_carlo_p(
     which must be the same matrix the result was scanned against (the
     per-cylinder baselines are reused, not recomputed). Replica streams
     are spawned per replica index from the seed, so the outcome does not
-    depend on evaluation order.
+    depend on evaluation order. A replica sums one block of centers at a
+    time (:meth:`CylinderFamily.blocks`) and keeps only its maximum score;
+    the draws are integers, so its sums are exact.
     """
     fam = result.cylinders
     if not isinstance(fam, CylinderFamily) or fam.scores is None:
@@ -450,19 +513,39 @@ def monte_carlo_p(
         raise InputError(
             "Monte Carlo randomization needs an integer case total", module="stscan"
         )
+    if not total < _EXACT:
+        raise InputError(
+            "Monte Carlo randomization needs a case total below 2**53", module="stscan"
+        )
 
     probs = (base_m / b_total).ravel()
-    totals = (result.c_total, result.b_total, result.elevated_only)
+    c_total, b_total, elevated_only = result.c_total, result.b_total, result.elevated_only
+    windows = fam.t0.size
+    blocks = fam.blocks()
+    baselines = fam.baselines.reshape(-1, windows)
+    # only a zero baseline or one at the total can fail _scores' checks
+    risky = np.flatnonzero((fam.baselines == 0) | (fam.baselines >= b_total))
+    checks = [
+        risky[(risky >= d.start * windows) & (risky < d.stop * windows)] - d.start * windows
+        for d, _, _ in blocks
+    ]
     streams = np.random.SeedSequence(seed).spawn(replications)
     maxima = np.empty(replications)
-    # window sums from time prefix sums, disk sums along each order row: exact on integer draws
-    cum = np.zeros((base_m.shape[0], base_m.shape[1] + 1))
     for i, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        np.cumsum(rng.multinomial(total, probs).reshape(base_m.shape), axis=1, out=cum[:, 1:])
-        nested = (cum[:, fam.t1 + 1] - cum[:, fam.t0])[fam.orders]
-        counts = np.cumsum(nested, axis=1, out=nested)[fam.centers, fam.sizes - 1].ravel()
-        maxima[i] = _scores(counts, fam.baselines, *totals).max()
+        draw = np.random.default_rng(ss).multinomial(total, probs).reshape(base_m.shape)
+        best = -math.inf
+        for (disks, counts), at in zip(_disk_sums(fam.window_sums(draw), blocks), checks):
+            c, b = counts.ravel(), baselines[disks].ravel()
+            if at.size:
+                _scores(c[at], b[at], c_total, b_total, elevated_only)
+            if elevated_only:
+                # the rest score 0, and only the maximum is kept
+                hot = np.flatnonzero(c * b_total > b * c_total)
+                if hot.size < c.size:
+                    best = max(best, 0.0)
+                c, b = c[hot], b[hot]
+            best = _llr(c, b, c_total, b_total).max(initial=best)
+        maxima[i] = best
 
     maxima.sort()
     ge = replications - np.searchsorted(maxima, fam.scores, side="left")

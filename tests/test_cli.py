@@ -355,6 +355,34 @@ def test_scan_deterministic_and_finds_block(synth_dir, tmp_path):
     assert top["p_value"] <= 0.05
 
 
+def test_scan_does_not_import_numpy_ma(synth_dir, tmp_path):
+    # np.unique imports numpy.ma on first use, about 17 ms of every scan run
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('eigenspot', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [
+            sys.executable, "-c", code,
+            "scan",
+            "--cases", str(synth_dir / "cases.csv"),
+            "--population", str(synth_dir / "population.csv"),
+            "--schema", str(synth_dir / "schema.json"),
+            "--centroids", str(synth_dir / "centroids.csv"),
+            "--replications", "9",
+            "--out", str(tmp_path / "scan.json"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_eval_end_to_end(synth_dir, tmp_path):
     report = tmp_path / "report.json"
     scan_out = tmp_path / "scan.json"

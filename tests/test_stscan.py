@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from eigenspot import (
     scan,
     score,
 )
-from eigenspot.stscan import expected_baseline
+from eigenspot import stscan
+from eigenspot.stscan import _scores, expected_baseline
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,25 @@ def grid_instance(seed, n=9, times=4, rate=0.2):
     return coords, cases, pop
 
 
+def centroid_disks():
+    coords, cases, pop = grid_instance(21, n=7, times=5)
+    return enumerate_cylinders(times=5, coords=coords), cases, pop
+
+
+def two_component_rings():
+    # a path over regions 0-7 and a triangle over 8-10, with a baseline cap:
+    # the triangle's centers reach fewer regions than their order rows hold
+    coords, cases, pop = grid_instance(21, n=11, times=5)
+    adj = np.zeros((11, 11), dtype=bool)
+    for i, j in [(i, i + 1) for i in range(7)] + [(8, 9), (9, 10), (8, 10)]:
+        adj[i, j] = adj[j, i] = True
+    cands = enumerate_cylinders(
+        times=5, neighbors=NeighborMatrix(adj), region_baseline=pop.sum(axis=1)
+    )
+    assert cands.orders.shape[1] > 3 and cands.sizes[cands.centers == 10].max() == 3
+    return cands, cases, pop
+
+
 def test_scan_equal_matrices_all_zero_scores():
     coords = np.array([[0.0, 0.0], [1.0, 0.0]])
     m = np.array([[4.0, 4.0], [4.0, 4.0]])
@@ -287,6 +308,30 @@ def test_scan_sums_follow_cell_order(bufsize):
     for cyl in res.cylinders:
         expected = score(cyl.count, cyl.baseline, res.c_total, res.b_total, elevated_only=False)
         assert cyl.score == pytest.approx(expected, rel=1e-12, abs=1e-12 * res.c_total)
+
+
+@pytest.mark.parametrize("scale", [1000, 0.37])
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("bufsize", [None, 16])
+@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
+def test_observed_counts_equal_cell_sums_bit_for_bit(instance, bufsize, block, scale, monkeypatch):
+    # integer cases take the blocked running sums along each order row; they
+    # are exact, so they equal the cell-order sums whatever numpy's buffer,
+    # and a budget below one center's row puts every center in its own block;
+    # non-integer cases still take the cell-order sums
+    cands, cases, pop = instance()
+    cases = cases * scale
+    if block:
+        monkeypatch.setattr(stscan, "_BLOCK", block)
+        assert len(cands.blocks()) == np.unique(cands.centers).size
+    old = np.setbufsize(bufsize) if bufsize else None
+    try:
+        counts = scan(cases, expected_baseline(cases, pop), cands).cylinders.counts
+        expected = cands.cell_sums(cases)
+    finally:
+        if old is not None:
+            np.setbufsize(old)
+    assert counts.tobytes() == expected.tobytes()
 
 
 def test_scan_exact_ties_keep_documented_order():
@@ -396,49 +441,44 @@ def test_monte_carlo_p_bounds_and_determinism():
     )  # different seed, different draw
 
 
-def centroid_disks():
-    coords, cases, pop = grid_instance(21, n=7, times=5)
-    return enumerate_cylinders(times=5, coords=coords), cases, pop
-
-
-def two_component_rings():
-    # a path over regions 0-7 and a triangle over 8-10, with a baseline cap:
-    # the triangle's centers reach fewer regions than their order rows hold
-    coords, cases, pop = grid_instance(21, n=11, times=5)
-    adj = np.zeros((11, 11), dtype=bool)
-    for i, j in [(i, i + 1) for i in range(7)] + [(8, 9), (9, 10), (8, 10)]:
-        adj[i, j] = adj[j, i] = True
-    cands = enumerate_cylinders(
-        times=5, neighbors=NeighborMatrix(adj), region_baseline=pop.sum(axis=1)
-    )
-    assert cands.orders.shape[1] > 3 and cands.sizes[cands.centers == 10].max() == 3
-    return cands, cases, pop
-
-
 @pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
-def test_monte_carlo_replicas_match_a_full_rescan(instance):
+def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
     # replica counts come from window prefix sums and running sums along each
-    # center's order row; on the integer replica draws they must equal the
-    # cell-order sums scan() takes, so every replica maximum equals the top
-    # score of scanning that replica
+    # center's order row, one block of centers at a time, and only the
+    # maximum score is kept; every replica maximum must equal the top score
+    # of the whole family rescored from the replica's cell-order sums, for
+    # one block, for the 4096-value budget, and for one center per block
     cands, cases, pop = instance()
-    baseline = expected_baseline(cases, pop)
-    res = scan(cases, baseline, cands)
-    out = monte_carlo_p(res, baseline, replications=19, seed=4)
+    # with the raw population as the baseline (a total far above the case
+    # total) elevated cylinders score below 0, so a replica's maximum of 0
+    # comes from the cylinders that are not elevated
+    for baseline, elevated_only in itertools.product(
+        (expected_baseline(cases, pop), pop), (True, False)
+    ):
+        probs = (baseline / baseline.sum()).ravel()
+        baselines = cands.cell_sums(baseline)
+        draws = [
+            np.random.default_rng(ss).multinomial(int(cases.sum()), probs).reshape(cases.shape)
+            for ss in np.random.SeedSequence(4).spawn(19)
+        ]
+        res = scan(cases, baseline, cands, elevated_only=elevated_only)
+        maxima = [
+            _scores(cands.cell_sums(draw.astype(float)), baselines, res.c_total, res.b_total,
+                    elevated_only).max()
+            for draw in draws
+        ]
+        expected = [(1 + sum(m >= s for m in maxima)) / 20 for s in res.cylinders.scores]
+        for block in (1 << 20, 4096, 1):
+            monkeypatch.setattr(stscan, "_BLOCK", block)
+            assert (len(cands.blocks()) > 1) == (block == 1)
+            out = monte_carlo_p(res, baseline, replications=19, seed=4)
+            assert out.cylinders.p_values.tolist() == expected
 
-    probs = (baseline / baseline.sum()).ravel()
-    maxima = []
-    for ss in np.random.SeedSequence(4).spawn(19):
-        draw = np.random.default_rng(ss).multinomial(int(cases.sum()), probs)
-        maxima.append(scan(draw.reshape(cases.shape).astype(float), baseline, cands).top.score)
-    for cyl in out.cylinders:
-        ge = sum(m >= cyl.score for m in maxima)
-        assert cyl.p_value == (1 + ge) / 20
 
-
-def test_monte_carlo_working_set_stays_near_the_family_size():
-    # replica sums take one running sum per center's order row, so a replica
-    # holds a few per-cylinder arrays, not one value per member of every disk
+def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
+    # a replica sums one block of centers at a time and keeps only its
+    # maximum score: the default budget holds this whole family in one
+    # block, a 4096-value budget leaves little beyond the p-values
     import tracemalloc
 
     coords, cases, pop = grid_instance(41, n=40, times=12)
@@ -446,13 +486,15 @@ def test_monte_carlo_working_set_stays_near_the_family_size():
     cands = enumerate_cylinders(times=12, coords=coords)
     assert len(cands) == 124_800
     res = scan(cases, baseline, cands)
-    tracemalloc.start()
-    try:
-        monte_carlo_p(res, baseline, replications=1, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * len(cands) * np.dtype(float).itemsize
+    for block, bound in ((1 << 20, 12), (4096, 4)):
+        monkeypatch.setattr(stscan, "_BLOCK", block)
+        tracemalloc.start()
+        try:
+            monte_carlo_p(res, baseline, replications=1, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(cands) * np.dtype(float).itemsize
 
 
 def test_monte_carlo_validation():
@@ -470,10 +512,21 @@ def test_monte_carlo_validation():
     frac = scan(np.full((1, 2), 0.6), m, cands)
     with pytest.raises(InputError):
         monte_carlo_p(frac, m, replications=9, seed=1)
+    # from 2**53 on, integer cases and their sums are no longer exact
+    for huge in (2.0**53, 2.0**60):
+        big = scan(np.array([[huge, 0.0]]), m, cands)
+        with pytest.raises(InputError, match="2\\*\\*53"):
+            monte_carlo_p(big, m, replications=9, seed=1)
     # negative or NaN baseline cells would reach the multinomial draw
     for bad in ([[-1.0, 3.0]], [[np.nan, 3.0]]):
         with pytest.raises(InputError, match="non-negative"):
             monte_carlo_p(res, np.array(bad), replications=9, seed=1)
+    # replicas drawn from another baseline can put cases where the scanned
+    # baseline is zero, which _scores rejects
+    half = np.array([[0.0, 2.0]])
+    zero = scan(half, half, cands)
+    with pytest.raises(InputError, match="zero baseline"):
+        monte_carlo_p(zero, np.ones((1, 2)), replications=9, seed=1)
     # the result must carry the scanned family, not rows read back
     rows = dataclasses.replace(res, cylinders=tuple(res.cylinders))
     with pytest.raises(InputError, match="scan"):
