@@ -232,7 +232,7 @@ def scan_cmd(
         regions=space_cats,
         times=time_cats,
     )
-    result = stscan.monte_carlo_p(result, baseline_m, replications=replications, seed=seed)
+    result = stscan.monte_carlo_p(result, replications=replications, seed=seed)
     _write_text(
         out_path,
         dataio.dumps_stable(dataio.scan_to_dict(result, alpha=alpha, top=top)),

@@ -643,7 +643,14 @@ def scan_to_dict(
     alpha: float | None = None,
     top: int | None = None,
 ) -> dict[str, Any]:
-    """Scan result as a document; ``top`` truncates the ranked list."""
+    """Scan result as a document; ``top`` truncates the ranked list.
+
+    ``top`` must be non-negative and ``alpha`` lie in (0, 1].
+    """
+    if top is not None and top < 0:
+        raise InputError(f"top must be non-negative, got {top}", module="dataio")
+    if alpha is not None and not 0 < alpha <= 1:
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}", module="dataio")
     cyls = result.cylinders if top is None else result.cylinders[:top]
     doc: dict[str, Any] = {
         "schema": SCAN_SCHEMA,

@@ -248,7 +248,7 @@ def scan_detected(result: ScanResult, alpha: float = 0.05) -> frozenset[str]:
     """Regions covered by the non-overlapping significant cylinders.
 
     Falls back to the top-ranked cylinder when no p-values are attached
-    or nothing clears the threshold.
+    or nothing clears the threshold, and is empty when there is no cylinder.
     """
 
     def names(members: Iterable[int]) -> Iterable[str]:
@@ -256,10 +256,8 @@ def scan_detected(result: ScanResult, alpha: float = 0.05) -> frozenset[str]:
             return (result.regions[m] for m in members)
         return (str(m) for m in members)
 
-    clusters = result.significant_clusters(alpha)
-    if clusters:
-        return frozenset(m for cyl in clusters for m in names(cyl.members))
-    return frozenset(names(result.top.members))
+    kept = result.significant_clusters(alpha) or result.cylinders[:1]
+    return frozenset(m for cyl in kept for m in names(cyl.members))
 
 
 @dataclass(frozen=True, eq=False)

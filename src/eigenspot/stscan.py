@@ -171,6 +171,8 @@ class ScanResult:
     seed: int | None = None
     regions: tuple[str, ...] | None = None
     times: tuple[str, ...] | None = None
+    # read-only copy of the scanned baseline matrix, for the replicas; None when read back
+    baseline: np.ndarray | None = None
 
     @property
     def top(self) -> ScanCylinder:
@@ -414,12 +416,12 @@ def _llr(counts: np.ndarray, baselines: np.ndarray, c_total: float, b_total: flo
     return inside + outside
 
 
-def _check_covers(fam: CylinderFamily, matrix: np.ndarray, what: str) -> None:
+def _check_covers(fam: CylinderFamily, matrix: np.ndarray) -> None:
     """Reject a family whose disks or windows reach outside a space-by-time matrix."""
-    rows, steps = matrix.shape if matrix.ndim == 2 else (0, 0)
+    rows, steps = matrix.shape
     if fam.orders.min() < 0 or fam.orders.max() >= rows or fam.t0.min() < 0 or fam.t1.max() >= steps:
         raise InputError(
-            f"{what} shape {matrix.shape} does not cover the scanned cylinders", module="stscan"
+            f"matrix shape {matrix.shape} does not cover the scanned cylinders", module="stscan"
         )
 
 
@@ -433,20 +435,24 @@ def scan(
 ) -> ScanResult:
     """Score every cylinder of a family and rank them.
 
+    Case cells must be whole numbers with a total below 2**53, the counts
+    the Poisson statistic is defined on; their disk sums are then exact.
     Every disk crossed with every window is scored, whatever ranking the
     family carries. Ties sort the smaller member set first, then the lower
     center index, then the earlier window, which makes the ordering total
-    and the output deterministic.
+    and the output deterministic. The result keeps a read-only copy of the
+    baseline, which :func:`monte_carlo_p` draws its replicas from.
     """
     cases_m = np.asarray(cases, dtype=float)
-    base_m = np.asarray(baseline, dtype=float)
+    base_m = np.array(baseline, dtype=float)
+    base_m.setflags(write=False)
     if cases_m.shape != base_m.shape or cases_m.ndim != 2:
         raise InputError(
             "cases and baseline must be equal-shape space-by-time matrices", module="stscan"
         )
     if not isinstance(candidates, CylinderFamily) or not len(candidates):
         raise InputError("candidates must be a non-empty CylinderFamily", module="stscan")
-    _check_covers(candidates, cases_m, "matrix")
+    _check_covers(candidates, cases_m)
     c_total = float(cases_m.sum())
     b_total = float(base_m.sum())
     # NaN fails the comparison and an infinite cell makes its total infinite
@@ -455,16 +461,16 @@ def scan(
         raise InputError(
             "cells must be finite and non-negative with a positive baseline total", module="stscan"
         )
+    if not (c_total < _EXACT and np.array_equal(cases_m, np.trunc(cases_m))):
+        raise InputError(
+            "case cells must be whole numbers with a total below 2**53", module="stscan"
+        )
 
     fam = candidates
-    if c_total < _EXACT and np.array_equal(cases_m, np.trunc(cases_m)):
-        # exact sums, so equal to the cell-order ones
-        counts = np.empty((fam.sizes.size, fam.t0.size))
-        for disks, sums in _disk_sums(fam.window_sums(cases_m), fam.blocks()):
-            counts[disks] = sums
-        counts = counts.ravel()
-    else:
-        counts = fam.cell_sums(cases_m)
+    counts = np.empty((fam.sizes.size, fam.t0.size))
+    for disks, sums in _disk_sums(fam.window_sums(cases_m), fam.blocks()):
+        counts[disks] = sums
+    counts = counts.ravel()
     baselines = fam.cell_sums(base_m)
     scores = _scores(counts, baselines, c_total, b_total, elevated_only)
     disk, window = np.divmod(np.arange(scores.size), fam.t0.size)
@@ -479,65 +485,40 @@ def scan(
         elevated_only=elevated_only,
         regions=tuple(regions) if regions is not None else None,
         times=tuple(times) if times is not None else None,
+        baseline=base_m,
     )
 
 
-def monte_carlo_p(
-    result: ScanResult, baseline: np.ndarray, replications: int, seed: int
-) -> ScanResult:
+def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResult:
     """Attach Monte Carlo p-values to a result from :func:`scan`.
 
     Replica case matrices are multinomial redistributions of the observed
-    total over all cells with probabilities proportional to the baseline,
-    which must be the same matrix the result was scanned against (the
-    per-cylinder baselines are reused, not recomputed). Replica streams
-    are spawned per replica index from the seed, so the outcome does not
-    depend on evaluation order. A replica sums one block of centers at a
-    time (:meth:`CylinderFamily.blocks`) and keeps only its maximum score;
-    the draws are integers, so its sums are exact.
+    total over all cells with probabilities proportional to the baseline
+    the result was scanned against, so a replica puts no case where that
+    baseline is zero. Replica streams are spawned per replica index from
+    the seed, so the outcome does not depend on evaluation order. A replica
+    sums one block of centers at a time (:meth:`CylinderFamily.blocks`) and
+    keeps only its maximum score; the draws are integers, so its sums are
+    exact.
     """
     fam = result.cylinders
-    if not isinstance(fam, CylinderFamily) or fam.scores is None:
+    if result.baseline is None or not isinstance(fam, CylinderFamily) or fam.scores is None:
         raise InputError("Monte Carlo p-values need a result from scan()", module="stscan")
     if replications < 1:
         raise InputError("need at least one replication", module="stscan")
-    base_m = np.asarray(baseline, dtype=float)
-    _check_covers(fam, base_m, "baseline")
-    b_total = float(base_m.sum())
-    if not (np.all(base_m >= 0) and 0 < b_total < math.inf):
-        raise InputError(
-            "baseline cells must be finite and non-negative with a positive total", module="stscan"
-        )
-    total = int(round(result.c_total))
-    if abs(result.c_total - total) > 1e-9:
-        raise InputError(
-            "Monte Carlo randomization needs an integer case total", module="stscan"
-        )
-    if not total < _EXACT:
-        raise InputError(
-            "Monte Carlo randomization needs a case total below 2**53", module="stscan"
-        )
 
-    probs = (base_m / b_total).ravel()
     c_total, b_total, elevated_only = result.c_total, result.b_total, result.elevated_only
-    windows = fam.t0.size
+    base_m = result.baseline
+    probs = (base_m / b_total).ravel()
     blocks = fam.blocks()
-    baselines = fam.baselines.reshape(-1, windows)
-    # only a zero baseline or one at the total can fail _scores' checks
-    risky = np.flatnonzero((fam.baselines == 0) | (fam.baselines >= b_total))
-    checks = [
-        risky[(risky >= d.start * windows) & (risky < d.stop * windows)] - d.start * windows
-        for d, _, _ in blocks
-    ]
+    baselines = fam.baselines.reshape(-1, fam.t0.size)
     streams = np.random.SeedSequence(seed).spawn(replications)
     maxima = np.empty(replications)
     for i, ss in enumerate(streams):
-        draw = np.random.default_rng(ss).multinomial(total, probs).reshape(base_m.shape)
+        draw = np.random.default_rng(ss).multinomial(int(c_total), probs).reshape(base_m.shape)
         best = -math.inf
-        for (disks, counts), at in zip(_disk_sums(fam.window_sums(draw), blocks), checks):
+        for disks, counts in _disk_sums(fam.window_sums(draw), blocks):
             c, b = counts.ravel(), baselines[disks].ravel()
-            if at.size:
-                _scores(c[at], b[at], c_total, b_total, elevated_only)
             if elevated_only:
                 # the rest score 0, and only the maximum is kept
                 hot = np.flatnonzero(c * b_total > b * c_total)
@@ -545,13 +526,23 @@ def monte_carlo_p(
                     best = max(best, 0.0)
                 c, b = c[hot], b[hot]
             best = _llr(c, b, c_total, b_total).max(initial=best)
+        if not math.isfinite(best):
+            # a cylinder whose baseline sum reaches the total but misses a drawn case
+            raise InputError(
+                "cylinder covers the whole baseline but not all cases; "
+                "the score is unbounded",
+                module="stscan",
+            )
         maxima[i] = best
 
     maxima.sort()
-    ge = replications - np.searchsorted(maxima, fam.scores, side="left")
+    # (1 + #{maxima >= score}) / (R + 1), written into one array
+    p_values = np.searchsorted(maxima, fam.scores, side="left").astype(float)
+    np.subtract(replications + 1, p_values, out=p_values)
+    p_values /= replications + 1
     return dataclasses.replace(
         result,
-        cylinders=dataclasses.replace(fam, p_values=(1 + ge) / (replications + 1)),
+        cylinders=dataclasses.replace(fam, p_values=p_values),
         replications=replications,
         seed=seed,
     )

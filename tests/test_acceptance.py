@@ -279,9 +279,7 @@ def test_monte_carlo_calibration():
             times=6, coords=data.coords, region_baseline=baseline_m.sum(axis=1)
         )
         result = scan(cases_m, baseline_m, candidates)
-        result = monte_carlo_p(
-            result, baseline_m, replications=99, seed=90_000 + trial
-        )
+        result = monte_carlo_p(result, replications=99, seed=90_000 + trial)
         if result.top.p_value <= 0.05:
             rejections += 1
     fraction = rejections / trials

@@ -283,9 +283,21 @@ def test_detect_geojson_reports_missing_geometry_on_stderr(synth_dir, tmp_path):
     assert res.stdout == run_cli(detect_args(synth_dir)).stdout
 
 
-def test_scan_cylinder_combinatorics_single_region(tmp_path):
+def scan_args(data, extra=()):
+    return [
+        "scan",
+        "--cases", str(data / "cases.csv"),
+        "--population", str(data / "population.csv"),
+        "--schema", str(data / "schema.json"),
+        "--centroids", str(data / "centroids.csv"),
+        *extra,
+    ]
+
+
+def write_single_region(tmp_path, counts):
+    """Region A over t0-t2 with the given case counts, population 100 each."""
     (tmp_path / "cases.csv").write_text(
-        "region,time,count\nA,t0,5\nA,t1,6\nA,t2,4\n"
+        "region,time,count\n" + "".join(f"A,t{t},{c}\n" for t, c in enumerate(counts))
     )
     (tmp_path / "population.csv").write_text(
         "region,time,count\nA,t0,100\nA,t1,100\nA,t2,100\n"
@@ -302,17 +314,11 @@ def test_scan_cylinder_combinatorics_single_region(tmp_path):
             }
         )
     )
-    res = run_cli(
-        [
-            "scan",
-            "--cases", str(tmp_path / "cases.csv"),
-            "--population", str(tmp_path / "population.csv"),
-            "--schema", str(tmp_path / "schema.json"),
-            "--centroids", str(tmp_path / "centroids.csv"),
-            "--replications", "9",
-            "--seed", "1",
-        ]
-    )
+
+
+def test_scan_cylinder_combinatorics_single_region(tmp_path):
+    write_single_region(tmp_path, ["5", "6", "4"])
+    res = run_cli(scan_args(tmp_path, ["--replications", "9", "--seed", "1"]))
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert len(doc["cylinders"]) == 6
@@ -381,6 +387,26 @@ def test_scan_does_not_import_numpy_ma(synth_dir, tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_scan_rejects_fractional_case_counts(tmp_path):
+    # the Poisson scan counts cases: a whole total (0.5 + 1.5) is not enough
+    write_single_region(tmp_path, ["0.5", "1.5", "0"])
+    res = run_cli(scan_args(tmp_path, ["--replications", "9", "--out", str(tmp_path / "s.json")]))
+    assert res.returncode == 2
+    err = json.loads(res.stderr)["error"]
+    assert (err["type"], err["module"]) == ("InputError", "stscan")
+    assert "whole numbers" in err["message"]
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("flag", [("--top", "-1"), ("--alpha", "1.5"), ("--alpha", "0")])
+def test_scan_rejects_negative_top_and_alpha_outside_unit_interval(synth_dir, tmp_path, flag):
+    res = run_cli(scan_args(synth_dir, [*flag, "--replications", "1", "--out", str(tmp_path / "s.json")]))
+    assert res.returncode == 2
+    err = json.loads(res.stderr)["error"]
+    assert (err["type"], err["module"]) == ("InputError", "dataio")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_eval_end_to_end(synth_dir, tmp_path):
@@ -512,6 +538,30 @@ def test_eval_counts_significant_clusters_ranked_below_top(synth_dir, tmp_path):
     res = run_cli(eval_args + ["--alpha", "0.01"])
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"]["type"] == "InputError"
+
+
+def test_eval_scan_without_cylinders_gives_zero_row(synth_dir, tmp_path):
+    # --top 0 keeps no ranked cylinder, and with 19 replicas no p-value
+    # reaches alpha 0.001, so the document holds no cylinder at all
+    report, scan_out = tmp_path / "report.json", tmp_path / "scan.json"
+    assert run_cli(detect_args(synth_dir, ["--out", str(report)])).returncode == 0
+    extra = ["--top", "0", "--alpha", "0.001", "--replications", "19", "--out", str(scan_out)]
+    res = run_cli(scan_args(synth_dir, extra))
+    assert res.returncode == 0, res.stderr
+    scan_doc = json.loads(scan_out.read_text())
+    assert scan_doc["cylinders"] == [] and scan_doc["significant"] == []
+    res = run_cli(
+        [
+            "eval",
+            "--detect", str(report),
+            "--scan", str(scan_out),
+            "--truth", str(synth_dir / "truth.json"),
+            "--alpha", "0.001",
+        ]
+    )
+    assert res.returncode == 0, res.stderr
+    row = next(r for r in json.loads(res.stdout)["rows"] if r["method"] == "st-scan")
+    assert (row["detected"], row["f1"]) == ([], 0.0)
 
 
 @pytest.fixture()

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -595,7 +596,7 @@ def test_scan_result_roundtrip_with_labels(tmp_path, rng):
         regions=("A", "B", "C", "D"),
         times=("t0", "t1", "t2"),
     )
-    res = monte_carlo_p(res, pop, replications=9, seed=2)
+    res = monte_carlo_p(res, replications=9, seed=2)
     path = tmp_path / "scan.json"
     write_report(res, path, alpha=0.05, top=10)
     back = read_report(path)
@@ -617,6 +618,16 @@ def test_scan_result_roundtrip_without_labels():
     )
     back = scan_from_dict(cyl_doc)
     assert back.cylinders[0].members == (0,)
+
+
+def test_scan_document_rejects_negative_top_and_alpha_outside_unit_interval():
+    res = scan(np.ones((1, 2)), np.ones((1, 2)), enumerate_cylinders(times=2, coords=np.zeros((1, 2))))
+    assert scan_to_dict(res, alpha=1.0, top=0)["cylinders"] == []
+    with pytest.raises(InputError, match="top"):
+        scan_to_dict(res, top=-1)
+    for alpha in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(InputError, match="alpha"):
+            scan_to_dict(res, alpha=alpha)
 
 
 def test_tensor_document_roundtrip():

@@ -283,7 +283,7 @@ def test_scan_detected_uses_significant_clusters(rng):
         regions=tuple(f"r{i}" for i in range(5)),
         times=tuple(f"t{i}" for i in range(4)),
     )
-    res = monte_carlo_p(res, baseline, replications=99, seed=4)
+    res = monte_carlo_p(res, replications=99, seed=4)
     detected = scan_detected(res, alpha=0.05)
     assert "r3" in detected
 

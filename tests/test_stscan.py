@@ -14,8 +14,10 @@ from eigenspot import (
     ScanCylinder,
     enumerate_cylinders,
     monte_carlo_p,
+    read_report,
     scan,
     score,
+    write_report,
 )
 from eigenspot import stscan
 from eigenspot.stscan import _scores, expected_baseline
@@ -315,12 +317,12 @@ def test_scan_sums_follow_cell_order(bufsize):
 @pytest.mark.parametrize("bufsize", [None, 16])
 @pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
 def test_observed_counts_equal_cell_sums_bit_for_bit(instance, bufsize, block, scale, monkeypatch):
-    # integer cases take the blocked running sums along each order row; they
+    # case counts take the blocked running sums along each order row; they
     # are exact, so they equal the cell-order sums whatever numpy's buffer,
     # and a budget below one center's row puts every center in its own block;
-    # non-integer cases still take the cell-order sums
+    # large counts, and small ones (scaled by 0.37 and rounded) with many zeros
     cands, cases, pop = instance()
-    cases = cases * scale
+    cases = np.round(cases * scale)
     if block:
         monkeypatch.setattr(stscan, "_BLOCK", block)
         assert len(cands.blocks()) == np.unique(cands.centers).size
@@ -375,8 +377,9 @@ def test_scan_validation():
     for bad_cases in ([[-1.0, 3.0]], [[np.nan, 3.0]], [[np.inf, 3.0]]):
         with pytest.raises(InputError):
             scan(np.array(bad_cases), np.ones((1, 2)), cands)
-    with pytest.raises(InputError):
-        scan(np.ones((1, 2)), np.array([[-1.0, 3.0]]), cands)
+    for bad_baseline in ([[-1.0, 3.0]], [[np.nan, 3.0]]):
+        with pytest.raises(InputError, match="non-negative"):
+            scan(np.ones((1, 2)), np.array(bad_baseline), cands)
     for elevated_only in (True, False):
         with pytest.raises(InputError, match="zero baseline"):
             scan(np.ones((1, 2)), np.array([[0.0, 2.0]]), cands, elevated_only=elevated_only)
@@ -399,6 +402,27 @@ def test_scan_validation():
             scan(np.ones((1, 2)), np.ones((1, 2)), family)
 
 
+def test_scan_requires_whole_number_cases():
+    # the Poisson statistic is defined on counts, so fractional cells are
+    # rejected before any cylinder is summed or scored
+    rng = np.random.default_rng(41)
+    coords = rng.random((24, 2))
+    cases = rng.poisson(6.0, size=(24, 9)).astype(float)
+    baseline = expected_baseline(cases, rng.integers(50, 150, size=(24, 9)))
+    cands = enumerate_cylinders(times=9, coords=coords)
+    with pytest.raises(InputError, match="whole numbers"):
+        scan(cases * 0.37, baseline, cands, elevated_only=False)
+    # from 2**53 on, integer cases and their sums are no longer exact
+    one = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0]]))
+    for huge in (2.0**53 - 1.0, 2.0**53, 2.0**60):
+        matrix = np.array([[huge, 0.0]])
+        if huge < 2.0**53:
+            assert scan(matrix, np.ones((1, 2)), one).c_total == huge
+        else:
+            with pytest.raises(InputError, match="whole numbers.*2\\*\\*53"):
+                scan(matrix, np.ones((1, 2)), one)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -409,7 +433,7 @@ def test_monte_carlo_null_top_score_gives_p_one():
     cands = enumerate_cylinders(times=2, coords=coords)
     res = scan(m, m, cands)
     assert res.top.score == 0.0
-    out = monte_carlo_p(res, m, replications=19, seed=1)
+    out = monte_carlo_p(res, replications=19, seed=1)
     # replica maxima are always >= 0, so a zero observed score ranks last
     assert all(c.p_value == 1.0 for c in out.cylinders)
 
@@ -421,7 +445,7 @@ def test_monte_carlo_extreme_observation_gets_smallest_p():
     cases[0, 0] = 150.0  # all mass in one cell; replicas spread it out
     cands = enumerate_cylinders(times=3, coords=coords)
     res = scan(cases, baseline, cands)
-    out = monte_carlo_p(res, baseline, replications=19, seed=3)
+    out = monte_carlo_p(res, replications=19, seed=3)
     assert out.top.p_value == pytest.approx(1 / 20)
 
 
@@ -430,12 +454,12 @@ def test_monte_carlo_p_bounds_and_determinism():
     baseline = expected_baseline(cases, pop)
     cands = enumerate_cylinders(times=3, coords=coords)
     res = scan(cases, baseline, cands)
-    a = monte_carlo_p(res, baseline, replications=49, seed=7)
-    b = monte_carlo_p(res, baseline, replications=49, seed=7)
+    a = monte_carlo_p(res, replications=49, seed=7)
+    b = monte_carlo_p(res, replications=49, seed=7)
     for ca, cb in zip(a.cylinders, b.cylinders):
         assert ca.p_value == cb.p_value
         assert 1 / 50 <= ca.p_value <= 1.0
-    c = monte_carlo_p(res, baseline, replications=49, seed=8)
+    c = monte_carlo_p(res, replications=49, seed=8)
     assert any(
         x.p_value != y.p_value for x, y in zip(a.cylinders, c.cylinders)
     )  # different seed, different draw
@@ -471,7 +495,7 @@ def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
         for block in (1 << 20, 4096, 1):
             monkeypatch.setattr(stscan, "_BLOCK", block)
             assert (len(cands.blocks()) > 1) == (block == 1)
-            out = monte_carlo_p(res, baseline, replications=19, seed=4)
+            out = monte_carlo_p(res, replications=19, seed=4)
             assert out.cylinders.p_values.tolist() == expected
 
 
@@ -486,51 +510,57 @@ def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
     cands = enumerate_cylinders(times=12, coords=coords)
     assert len(cands) == 124_800
     res = scan(cases, baseline, cands)
-    for block, bound in ((1 << 20, 12), (4096, 4)):
+    for block, bound in ((1 << 20, 12), (4096, 3)):
         monkeypatch.setattr(stscan, "_BLOCK", block)
         tracemalloc.start()
         try:
-            monte_carlo_p(res, baseline, replications=1, seed=2)
+            monte_carlo_p(res, replications=1, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound * len(cands) * np.dtype(float).itemsize
 
 
-def test_monte_carlo_validation():
+def test_monte_carlo_validation(tmp_path, monkeypatch):
     coords = np.array([[0.0, 0.0]])
     m = np.ones((1, 2))
     cands = enumerate_cylinders(times=2, coords=coords)
-    res = scan(m, m, cands)
+    res = scan(m, m, cands, elevated_only=False)
     with pytest.raises(InputError):
-        monte_carlo_p(res, m, replications=0, seed=1)
-    with pytest.raises(InputError):
-        monte_carlo_p(res, np.zeros((1, 2)), replications=9, seed=1)
-    for short in (np.ones((1, 1)), np.ones(2)):
-        with pytest.raises(InputError, match="does not cover"):
-            monte_carlo_p(res, short, replications=9, seed=1)
-    frac = scan(np.full((1, 2), 0.6), m, cands)
-    with pytest.raises(InputError):
-        monte_carlo_p(frac, m, replications=9, seed=1)
-    # from 2**53 on, integer cases and their sums are no longer exact
-    for huge in (2.0**53, 2.0**60):
-        big = scan(np.array([[huge, 0.0]]), m, cands)
-        with pytest.raises(InputError, match="2\\*\\*53"):
-            monte_carlo_p(big, m, replications=9, seed=1)
-    # negative or NaN baseline cells would reach the multinomial draw
-    for bad in ([[-1.0, 3.0]], [[np.nan, 3.0]]):
-        with pytest.raises(InputError, match="non-negative"):
-            monte_carlo_p(res, np.array(bad), replications=9, seed=1)
-    # replicas drawn from another baseline can put cases where the scanned
-    # baseline is zero, which _scores rejects
-    half = np.array([[0.0, 2.0]])
-    zero = scan(half, half, cands)
-    with pytest.raises(InputError, match="zero baseline"):
-        monte_carlo_p(zero, np.ones((1, 2)), replications=9, seed=1)
-    # the result must carry the scanned family, not rows read back
-    rows = dataclasses.replace(res, cylinders=tuple(res.cylinders))
+        monte_carlo_p(res, replications=0, seed=1)
+    # the result must carry the scanned family and baseline, not rows read back
+    for partial in (
+        dataclasses.replace(res, cylinders=tuple(res.cylinders)),
+        dataclasses.replace(res, baseline=None),
+    ):
+        with pytest.raises(InputError, match="scan"):
+            monte_carlo_p(partial, replications=9, seed=1)
+    write_report(res, tmp_path / "scan.json")
+    back = read_report(tmp_path / "scan.json")
+    assert back.baseline is None
     with pytest.raises(InputError, match="scan"):
-        monte_carlo_p(rows, m, replications=9, seed=1)
+        monte_carlo_p(back, replications=9, seed=1)
+    # a replica maximum that is not finite is an unbounded score
+    for bad in (np.inf, np.nan):
+        monkeypatch.setattr(stscan, "_llr", lambda c, *args, bad=bad: np.full(c.shape, bad))
+        with pytest.raises(InputError, match="unbounded"):
+            monte_carlo_p(res, replications=1, seed=1)
+
+
+def test_monte_carlo_draws_from_the_scanned_baseline():
+    cands, cases, pop = centroid_disks()
+    baseline = expected_baseline(cases, pop)
+    res = scan(cases, baseline, cands)
+    assert not res.baseline.flags.writeable and not np.shares_memory(res.baseline, baseline)
+    expected = monte_carlo_p(res, replications=19, seed=6).cylinders.p_values.tolist()
+    baseline[0] *= 40.0  # the caller's array changes; the scanned copy does not
+    assert monte_carlo_p(res, replications=19, seed=6).cylinders.p_values.tolist() == expected
+    # region 0 and time 0 carry no baseline, so no replica puts a case there
+    half = np.array([[0.0, 0.0], [0.0, 2.0]])
+    two = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    for elevated_only in (True, False):
+        out = monte_carlo_p(scan(half, half, two, elevated_only), replications=9, seed=1)
+        assert out.cylinders.p_values.tolist() == [1.0] * len(two)
 
 
 def test_family_rows_slices_and_significant_prefix():
@@ -544,7 +574,7 @@ def test_family_rows_slices_and_significant_prefix():
     assert [c.window for c in rows[:10]] == [(t0, t1) for t0 in range(4) for t1 in range(t0, 4)]
     assert rows[10].center == 0 and len(rows[10].members) == 2 and rows[10].window == (0, 0)
 
-    res = monte_carlo_p(scan(cases, baseline, cands), baseline, replications=99, seed=5)
+    res = monte_carlo_p(scan(cases, baseline, cands), replications=99, seed=5)
     assert cands.scores is None  # scanning leaves the candidate family as it was
     ranked = list(res.cylinders)
     head = res.cylinders[:5]
@@ -563,7 +593,7 @@ def test_significant_clusters_are_disjoint():
     cases[2, :] += 40.0  # force a hot region
     baseline = expected_baseline(cases, pop)
     cands = enumerate_cylinders(times=4, coords=coords)
-    res = monte_carlo_p(scan(cases, baseline, cands), baseline, replications=99, seed=5)
+    res = monte_carlo_p(scan(cases, baseline, cands), replications=99, seed=5)
     clusters = res.significant_clusters(0.05)
     seen = set()
     for cyl in clusters:
