@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import operator
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -86,9 +87,18 @@ class RecordSchema:
                 "schema needs exactly one space mode and one time mode",
                 module="dataio",
             )
+        names = [m.name for m in self.modes]
+        twice = sorted({n for n in names if names.count(n) > 1})
+        if twice:
+            raise InputError(f"schema names mode {twice[0]!r} twice", module="dataio")
         cols = self.flat_columns()
         if len(set(cols)) != len(cols):
             raise InputError("schema maps a column twice", module="dataio")
+        if self.count_column in cols:
+            # the column's values would be read both as categories and as counts
+            raise InputError(
+                f"count column {self.count_column!r} is also a mapped column", module="dataio"
+            )
         if self.categories is not None:
             if not isinstance(self.categories, Mapping):
                 raise InputError(
@@ -145,12 +155,20 @@ def load_schema(source: Any) -> RecordSchema:
     )
 
 
+# records tokenized, checked and mapped to codes at a time: no field string
+# outlives its chunk
+_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class ParsedRecords:
-    """One file's kept rows as value columns and a count array, both in row
-    order; ``rows`` also counts the rows excluded for an unknown category."""
+    """One file's kept rows in row order: per mapped column, integer ``codes``
+    into its ``categories`` (in first appearance over the kept rows), and a
+    float64 ``counts`` array; ``rows`` also counts the rows excluded for an
+    unknown category."""
 
-    columns: dict[str, tuple[str, ...]]
+    codes: dict[str, np.ndarray]
+    categories: dict[str, tuple[str, ...]]
     counts: np.ndarray
     unknown: dict[str, tuple[str, ...]]
     rows: int
@@ -167,56 +185,73 @@ def _open_text(source: Any, mode: str = "r") -> Iterator[TextIO]:
         raise InputError(f"cannot open {type(source).__name__} as text", module="dataio")
 
 
-def _tokenize(fh: TextIO) -> tuple[list[str], list[Sequence[str]], np.ndarray]:
-    """Read a file's text and split it into a header and whole fields.
+@contextmanager
+def _open_lines(source: Any) -> Iterator[TextIO]:
+    """Open ``source`` so that its lines end at LF, CRLF and lone CR, as :mod:`csv` expects."""
+    if isinstance(source, (str, Path)):
+        with _open_text(source) as fh:  # opened with newline=""
+            yield fh
+        return
+    # a stream may translate or keep line breaks, so read it back as a file
+    # opened with newline="" is; the UTF-8 bytes take a quarter of the memory
+    # of an io.StringIO copy
+    with _open_text(source) as fh:
+        data = io.BytesIO(fh.read().encode("utf-8", "surrogatepass"))
+    yield io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="")
 
-    Returns ``(header, fields, lengths)``: ``fields[j]`` holds field ``j`` of
-    every record after the header, in file order, with a record's missing
-    trailing fields read as ``""``, and ``lengths`` each record's own field
-    count. Text without quote characters, NULs (which ``csv`` rejects before
-    Python 3.11) or line breaks other than LF and CRLF, whose lines all have
-    the header's field count, is split on commas in one pass; anything else
-    is read by :mod:`csv`, whose records may quote commas and line breaks.
+
+def _plain_rows(lines: list[str]) -> list[str] | None:
+    """The lines without their LF or CRLF ends, or None when any holds a quote
+    character, a NUL (which ``csv`` rejects before Python 3.11) or a lone CR."""
+    text = "".join(lines).replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    rows = text.split("\n")
+    if not rows[-1]:
+        rows.pop()
+    return rows
+
+
+def _tokenize(fh: TextIO) -> Iterator[tuple[list[list[str]], np.ndarray]]:
+    """Split a file's records into whole fields, ``_CHUNK`` records at a time.
+
+    Yields ``(fields, lengths)`` per chunk, the header being the first record
+    of the first chunk: ``fields[j]`` holds field ``j`` of each record, with a
+    record's missing trailing fields read as ``""``, and ``lengths`` each
+    record's own field count. ``fh`` must end lines as a file opened with
+    newline="" does. A chunk of plain lines (see :func:`_plain_rows`), each
+    with the header's field count, is split on commas. From the first chunk
+    that is not, the rest of the file is read by :mod:`csv`, whose records
+    may quote commas and line breaks.
     """
-    # each whole-file copy is freed before the next one is made
-    text = fh.read()
-    plain = text.replace("\r\n", "\n")
-    if '"' in plain or "\0" in plain or "\r" in plain:
-        # read back as a file opened with newline="" is; the UTF-8 bytes take
-        # a quarter of the memory of an io.StringIO copy
-        data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-        del text, plain
-        lines = io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="")
+    width = 0  # the header's field count
+    while lines := list(itertools.islice(fh, _CHUNK)):
+        rows = _plain_rows(lines)
+        if rows is None:
+            break
+        width = width or rows[0].count(",") + 1
+        if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+            break
+        flat = ",".join(rows).split(",")
+        del lines, rows
+        yield [flat[j::width] for j in range(width)], np.full(len(flat) // width, width)
+        del flat  # before the next chunk is read
     else:
-        del text
-        lines = plain.split("\n")
-        del plain
-        if not lines[-1]:
-            lines.pop()
-        if not lines:
-            raise InputError("empty input: no header row", module="dataio")
-        width = lines[0].count(",") + 1
-        if set(map(str.count, lines, itertools.repeat(","))) == {width - 1}:
-            joined = ",".join(lines)
-            del lines
-            flat = joined.split(",")
-            del joined
-            fields = [flat[width + j :: width] for j in range(width)]
-            return flat[:width], fields, np.full(len(fields[0]), width)
-    records = csv.reader(lines)
-    del lines
-    header = next(records)
-    rows = list(records)
-    del records
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    width = max(len(header), int(lengths.max(initial=0)))
-    pad = width - lengths
-    if pad.any():
-        fill = map(operator.mul, itertools.repeat([""]), pad.tolist())
-        rows = list(map(list.__add__, rows, fill))
-    flat = list(itertools.chain.from_iterable(rows))
-    del rows
-    return header, [flat[j::width] for j in range(width)], lengths
+        return  # every chunk was split
+    records = csv.reader(itertools.chain(lines, fh))
+    del lines, rows
+    while rows := list(itertools.islice(records, _CHUNK)):
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        width = width or int(lengths[0])
+        full = max(width, int(lengths.max()))
+        pad = full - lengths
+        if pad.any():
+            fill = map(operator.mul, itertools.repeat([""]), pad.tolist())
+            rows = list(map(list.__add__, rows, fill))
+        flat = list(itertools.chain.from_iterable(rows))
+        del rows
+        yield [flat[j::full] for j in range(full)], lengths
+        del flat
 
 
 def _blank_rows(fields: Sequence[Sequence[str]]) -> np.ndarray:
@@ -230,56 +265,27 @@ def _blank_rows(fields: Sequence[Sequence[str]]) -> np.ndarray:
     return blank
 
 
-def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
-    """Parse a comma-separated file under a schema.
+def _chunk_counts(
+    fields: list[list[str]],
+    lengths: np.ndarray,
+    row_at: np.ndarray,
+    select: list[bool],
+    last_col: int,
+    count_idx: int | None,
+) -> np.ndarray:
+    """The counts of a chunk's non-blank rows (``select``, numbered ``row_at``,
+    of ``lengths`` fields each), or the chunk's first error.
 
-    Each kept row contributes its mapped column values plus a count (1.0
-    when the schema names no count column). Blank rows are skipped. Rows
-    whose value falls outside an explicit category list are excluded from
-    the columns but collected in the unknown-category report rather than
-    silently dropped. The first bad row in file order raises
-    :class:`InputError`; within a row, a missing mapped field is reported
-    before a non-numeric count, and that before a negative or non-finite one.
+    Each check runs over whole columns and records its first failure as
+    (row, rank, message); min() then takes the first row in file order and,
+    within it, the lowest rank.
     """
-    with _open_text(source) as fh:
-        header, fields, lengths = _tokenize(fh)
-    header = [h.strip() for h in header]
-    seen: dict[str, int] = {}
-    for i, h in enumerate(header):
-        if h in seen:
-            raise InputError(f"duplicate header column {h!r}", module="dataio")
-        seen[h] = i
-
-    cols = schema.flat_columns()
-    missing = [c for c in cols if c not in seen]
-    if missing:
-        raise InputError(f"missing mapped column(s): {missing}", module="dataio")
-    count_idx = None
-    if schema.count_column is not None:
-        if schema.count_column not in seen:
-            raise InputError(
-                f"missing count column {schema.count_column!r}", module="dataio"
-            )
-        count_idx = seen[schema.count_column]
-    col_idx = [seen[c] for c in cols]
-
-    # every check runs over whole columns of the non-blank rows and records
-    # its first failure as (row, rank, message); min() then takes the first
-    # row in file order and, within it, the lowest rank
-    live = ~_blank_rows(fields)
-    row_at = np.flatnonzero(live) + 2  # record number of each non-blank row; the header is 1
-    select = live.tolist()
-    values = {
-        c: tuple(map(str.strip, itertools.compress(fields[i], select)))
-        for c, i in zip(cols, col_idx)
-    }
-    rows = len(row_at)
     errors: list[tuple[int, int, str]] = []
-    short = np.flatnonzero(lengths[live] <= max(col_idx))
+    short = np.flatnonzero(lengths <= last_col)
     if short.size:
         errors.append((short[0], 0, f"row {row_at[short[0]]} is shorter than the header"))
     if count_idx is None:
-        counts = np.ones(rows)
+        counts = np.ones(len(row_at))
     else:
         raw = tuple(map(str.strip, itertools.compress(fields[count_idx], select)))
         parsed: list[float] = []  # on a failure, holds the counts before the failing one
@@ -296,21 +302,95 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
             )
     if errors:
         raise InputError(min(errors)[2], module="dataio")
+    return counts
 
-    explicit = schema.categories or {}
-    excluded = np.zeros(rows, dtype=bool)
-    unknown: dict[str, tuple[str, ...]] = {}
-    for c in sorted(explicit):
-        allowed = set(explicit[c]).__contains__
-        outside = ~np.fromiter(map(allowed, values[c]), dtype=bool, count=rows)
-        if outside.any():
-            unknown[c] = tuple(sorted(set(itertools.compress(values[c], outside.tolist()))))
-            excluded |= outside
-    if excluded.any():
-        keep = (~excluded).tolist()
-        values = {c: tuple(itertools.compress(v, keep)) for c, v in values.items()}
-        counts = counts[~excluded]
-    return ParsedRecords(columns=values, counts=counts, unknown=unknown, rows=rows)
+
+def _header_columns(header: list[str], schema: RecordSchema) -> tuple[list[int], int | None]:
+    """Field indices of the schema's mapped columns and of its count column."""
+    seen: dict[str, int] = {}
+    for i, h in enumerate(map(str.strip, header)):
+        if h in seen:
+            raise InputError(f"duplicate header column {h!r}", module="dataio")
+        seen[h] = i
+    missing = [c for c in schema.flat_columns() if c not in seen]
+    if missing:
+        raise InputError(f"missing mapped column(s): {missing}", module="dataio")
+    count_idx = None
+    if schema.count_column is not None:
+        if schema.count_column not in seen:
+            raise InputError(
+                f"missing count column {schema.count_column!r}", module="dataio"
+            )
+        count_idx = seen[schema.count_column]
+    return [seen[c] for c in schema.flat_columns()], count_idx
+
+
+def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
+    """Parse a comma-separated file under a schema.
+
+    Each kept row contributes its mapped column values plus a count (1.0
+    when the schema names no count column). Blank rows are skipped. Rows
+    whose value falls outside an explicit category list are excluded from
+    the columns but collected in the unknown-category report rather than
+    silently dropped. The first bad row in file order raises
+    :class:`InputError`; within a row, a missing mapped field is reported
+    before a non-numeric count, and that before a negative or non-finite one.
+    The file is read ``_CHUNK`` records at a time, and each chunk's values
+    become integer codes before the next chunk is read.
+    """
+    cols = schema.flat_columns()
+    explicit = {c: set(v).__contains__ for c, v in (schema.categories or {}).items()}
+    # value -> code: a value not seen before takes the next code
+    index = {c: defaultdict() for c in cols}
+    for c in cols:
+        index[c].default_factory = index[c].__len__
+    codes: dict[str, list[np.ndarray]] = {c: [np.zeros(0, np.intp)] for c in cols}
+    counts = [np.zeros(0)]
+    outside: dict[str, set[str]] = {c: set() for c in explicit}
+    rows = 0
+    record = 0  # records read before the chunk; the header is record 1
+    with _open_lines(source) as fh:
+        for fields, lengths in _tokenize(fh):
+            if not record:  # the first chunk starts with the header
+                col_idx, count_idx = _header_columns(
+                    [f[0] for f in fields[: lengths[0]]], schema
+                )
+                fields, lengths, record = [f[1:] for f in fields], lengths[1:], 1
+            live = ~_blank_rows(fields)
+            row_at = np.flatnonzero(live) + record + 1
+            select = live.tolist()
+            chunk_counts = _chunk_counts(
+                fields, lengths[live], row_at, select, max(col_idx), count_idx
+            )
+            values = {
+                c: tuple(map(str.strip, itertools.compress(fields[i], select)))
+                for c, i in zip(cols, col_idx)
+            }
+            record += len(lengths)
+            rows += len(row_at)
+
+            excluded = np.zeros(len(row_at), dtype=bool)
+            for c, allowed in explicit.items():
+                out = ~np.fromiter(map(allowed, values[c]), dtype=bool, count=len(row_at))
+                if out.any():
+                    outside[c].update(itertools.compress(values[c], out.tolist()))
+                    excluded |= out
+            if excluded.any():
+                keep = (~excluded).tolist()
+                values = {c: tuple(itertools.compress(v, keep)) for c, v in values.items()}
+            counts.append(chunk_counts[~excluded])
+            for c, v in values.items():
+                codes[c].append(np.fromiter(map(index[c].__getitem__, v), np.intp, len(v)))
+            del fields, values, v  # before the next chunk is read
+    if not record:
+        raise InputError("empty input: no header row", module="dataio")
+    return ParsedRecords(
+        codes={c: np.concatenate(codes.pop(c)) for c in cols},  # frees each column's parts
+        categories={c: tuple(index[c]) for c in cols},
+        counts=np.concatenate(counts),
+        unknown={c: tuple(sorted(outside[c])) for c in sorted(outside) if outside[c]},
+        rows=rows,
+    )
 
 
 BUNDLE_JOIN = "|"
@@ -327,7 +407,7 @@ def _column_categories(
         if col in explicit:
             out[col] = tuple(explicit[col])
             continue
-        out[col] = tuple(dict.fromkeys(itertools.chain(*(p.columns[col] for p in parsed_files))))
+        out[col] = tuple(dict.fromkeys(itertools.chain(*(p.categories[col] for p in parsed_files))))
         if not out[col]:
             raise InputError(
                 f"cannot infer categories for column {col!r} from empty input; "
@@ -345,7 +425,6 @@ def build_tensor(parsed: ParsedRecords, schema: RecordSchema) -> CountTensor:
     product of the component counts. Each cell adds its rows' counts in
     row order, starting from zero.
     """
-    cols = schema.flat_columns()
     col_cats = _column_categories((parsed,), schema)
 
     labels = []
@@ -359,18 +438,21 @@ def build_tensor(parsed: ParsedRecords, schema: RecordSchema) -> CountTensor:
             )
         labels.append(ModeLabel(kind=mode.kind, categories=cats, name=mode.name))
 
-    codes = []
-    for c in cols:
+    # each file category's place in the tensor's list; the last column varies
+    # fastest, as in the bundle labels and the mode order
+    flat = np.zeros(len(parsed.counts), dtype=np.intp)
+    for c in schema.flat_columns():
         index = {v: i for i, v in enumerate(col_cats[c])}
         try:
-            codes.append(np.fromiter(map(index.__getitem__, parsed.columns[c]), dtype=np.intp))
+            lookup = np.array([index[v] for v in parsed.categories[c]], dtype=np.intp)
         except KeyError as exc:
+            # categories come in first appearance, so this is the first row's value
             raise InputError(
                 f"category {exc.args[0]!r} not in the explicit list for column {c!r}",
                 module="dataio",
             ) from None
-    # last column varies fastest, as in the bundle labels and the mode order
-    flat = np.ravel_multi_index(codes, [len(col_cats[c]) for c in cols])
+        flat *= len(col_cats[c])
+        flat += lookup[parsed.codes[c]]
     dims = tuple(l.dim for l in labels)
     values = np.bincount(flat, weights=parsed.counts, minlength=math.prod(dims))
     return CountTensor(tuple(labels), values.reshape(dims))

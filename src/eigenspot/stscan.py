@@ -286,26 +286,38 @@ def _orders_from_coords(coords: np.ndarray) -> np.ndarray:
 
 
 def _disks_from_adjacency(nb: NeighborMatrix) -> tuple[np.ndarray, list[list[int]]]:
-    """Per center: breadth-first ring order (padded with the center), and disk sizes by ring."""
-    orders, disk_sizes = [], []
-    for c in range(nb.n):
-        seen = {c}
-        order = [c]
-        sizes = [1]
-        frontier = [c]
-        while frontier:
-            nxt = sorted(
-                {j for i in frontier for j in np.flatnonzero(nb.adjacency[i]) if j not in seen}
-            )
-            if not nxt:
-                break
-            seen.update(nxt)
-            order.extend(nxt)
-            sizes.append(len(order))
-            frontier = nxt
-        orders.append(order + [c] * (nb.n - len(order)))
-        disk_sizes.append(sizes)
-    return np.array(orders, np.intp).reshape(nb.n, nb.n), disk_sizes
+    """Per center: breadth-first ring order (padded with the center), and disk sizes by ring.
+
+    Every center's search advances one ring per step: the frontier holds
+    (center, region) pairs and grows over the regions' neighbour lists. Ring
+    order is then one stable sort of each center's hop counts, so a ring
+    keeps index order.
+    """
+    n = nb.n
+    degree = nb.adjacency.sum(axis=1)
+    start = np.cumsum(degree) - degree  # neighbours of i: nbrs[start[i]:start[i] + degree[i]]
+    nbrs = np.nonzero(nb.adjacency)[1]
+    hops = np.full(n * n, n, dtype=np.int32)  # [c * n + r]: rings from c out to r; n if never
+    pairs = np.arange(n) * (n + 1)  # the frontier's (center, region) pairs, as c * n + r
+    hops[pairs] = 0
+    for ring in range(1, n):
+        region = pairs % n
+        deg = degree[region]
+        ends = np.cumsum(deg)
+        # where each frontier region's neighbours sit in nbrs, one run per pair
+        at = np.arange(ends[-1]) + np.repeat(start[region] - ends + deg, deg)
+        reached = np.repeat(pairs - region, deg) + nbrs[at]
+        reached = np.sort(reached[hops[reached] == n])
+        pairs = reached[np.diff(reached, prepend=-1) != 0]
+        if not pairs.size:
+            break
+        hops[pairs] = ring
+    hops = hops.reshape(n, n)
+    order = np.argsort(hops, axis=1, kind="stable")
+    known = (hops < n).sum(axis=1, keepdims=True)
+    order = np.where(np.arange(n) < known, order, np.arange(n)[:, None])
+    disk_sizes = [np.cumsum(np.bincount(h[h < n])).tolist() for h in hops]
+    return order, disk_sizes
 
 
 def enumerate_cylinders(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eigenspot import CountTensor, ModeLabel, NeighborMatrix
+from eigenspot.dataio import ParsedRecords
 
 
 def make_tensor(values, kinds=("space", "time", "attribute")):
@@ -22,6 +23,22 @@ def ring_adjacency(n):
     if n > 2:
         adj[0, n - 1] = adj[n - 1, 0] = True
     return NeighborMatrix(adj)
+
+
+def columns_of(parsed):
+    """A ParsedRecords' columns decoded back to their values, in row order."""
+    return {c: tuple(parsed.categories[c][i] for i in codes) for c, codes in parsed.codes.items()}
+
+
+def records_from_columns(columns, counts, unknown=None, rows=None):
+    """ParsedRecords holding value columns, each coded in first appearance."""
+    categories = {c: tuple(dict.fromkeys(v)) for c, v in columns.items()}
+    codes = {
+        c: np.array([categories[c].index(x) for x in v], dtype=np.intp)
+        for c, v in columns.items()
+    }
+    counts = np.asarray(counts, dtype=float)
+    return ParsedRecords(codes, categories, counts, unknown or {}, len(counts) if rows is None else rows)
 
 
 @pytest.fixture

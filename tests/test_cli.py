@@ -179,6 +179,35 @@ def test_detect_string_category_list_exit_2(synth_dir, tmp_path):
     assert err["error"]["message"] == "explicit categories for column 'time' must be a list, not str"
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"count_column": "region"}, "count column 'region' is also a mapped column"),
+        (
+            {"modes": [{"name": "region", "kind": "space", "columns": ["region"]},
+                       {"name": "region", "kind": "time", "columns": ["time"]}]},
+            "schema names mode 'region' twice",
+        ),
+    ],
+    ids=["count-column-mapped", "mode-named-twice"],
+)
+@pytest.mark.parametrize("command", ["detect", "build"])
+def test_schema_collisions_exit_2(synth_dir, tmp_path, change, message, command):
+    schema = {**json.loads((synth_dir / "schema.json").read_text()), **change}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    if command == "detect":
+        args = detect_args(synth_dir)
+        args[args.index("--schema") + 1] = str(tmp_path / "schema.json")
+    else:
+        args = ["build", "--input", str(synth_dir / "cases.csv"),
+                "--schema", str(tmp_path / "schema.json")]
+    res = run_cli(args)
+    assert res.returncode == 2 and res.stdout == ""
+    err = json.loads(res.stderr.splitlines()[-1])
+    assert err["error"]["module"] == "dataio"
+    assert err["error"]["message"] == message
+
+
 def test_line_breaks_quoting_and_bom_give_identical_outputs(synth_dir, tmp_path):
     # one data set written four ways; region r05 is renamed, and only the
     # quoted variant can carry a comma in its name, so that variant's

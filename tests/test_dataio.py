@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from eigenspot import (
     write_report,
 )
 from eigenspot.dataio import (
-    ParsedRecords,
     report_from_dict,
     report_to_dict,
     scan_from_dict,
@@ -33,7 +34,7 @@ from eigenspot.dataio import (
     tensor_to_dict,
 )
 from eigenspot import enumerate_cylinders, monte_carlo_p, scan
-from conftest import make_tensor, ring_adjacency
+from conftest import columns_of, make_tensor, records_from_columns, ring_adjacency
 
 SCHEMA_2D = RecordSchema(
     modes=(
@@ -79,6 +80,29 @@ def test_schema_rejects_duplicate_columns():
                 ModeSpec("b", "time", ("col",)),
             )
         )
+
+
+def test_schema_rejects_count_column_that_is_also_mapped():
+    modes = (ModeSpec("region", "space", ("region",)), ModeSpec("year", "time", ("year",)))
+    message = r"^count column 'region' is also a mapped column$"
+    with pytest.raises(InputError, match=message):
+        RecordSchema(modes=modes, count_column="region")
+    with pytest.raises(InputError, match=message):
+        load_schema({"modes": SCHEMA_MODES, "count_column": "region"})
+
+
+def test_schema_rejects_duplicate_mode_names():
+    message = r"^schema names mode 'region' twice$"
+    with pytest.raises(InputError, match=message):
+        RecordSchema(
+            modes=(
+                ModeSpec("region", "space", ("region",)),
+                ModeSpec("region", "time", ("year",)),
+            )
+        )
+    doc = {"modes": SCHEMA_MODES + [{"name": "region", "kind": "attribute", "columns": ["age"]}]}
+    with pytest.raises(InputError, match=message):
+        load_schema(doc)
 
 
 def test_schema_space_mode_single_column_only():
@@ -164,7 +188,8 @@ def test_parse_records_with_counts():
     parsed = parse_records(io.StringIO(text), SCHEMA_2D)
     assert parsed.rows == 3
     assert parsed.counts.sum() == 7.0
-    assert parsed.columns == {"region": ("A", "B", "A"), "year": ("1990", "1990", "1991")}
+    assert columns_of(parsed) == {"region": ("A", "B", "A"), "year": ("1990", "1990", "1991")}
+    assert parsed.categories == {"region": ("A", "B"), "year": ("1990", "1991")}
     assert parsed.counts.dtype == np.float64 and parsed.counts[0] == 2.0
 
 
@@ -210,7 +235,7 @@ def test_parse_records_unknown_categories_reported_not_dropped_silently():
     parsed = parse_records(io.StringIO(text), schema)
     assert parsed.unknown == {"region": ("Z",)}
     assert parsed.counts.sum() == 3.0
-    assert len(parsed.counts) == 2 and parsed.columns["region"] == ("A", "B")
+    assert len(parsed.counts) == 2 and columns_of(parsed)["region"] == ("A", "B")
     assert parsed.rows == 3
 
 
@@ -282,13 +307,14 @@ def test_build_tensor_rejects_record_outside_explicit_list():
         categories={"region": ("A",), "year": ("1990",)},
     )
     # parse_records would exclude the row, so hand build_tensor the columns
-    parsed = ParsedRecords(
-        columns={"region": ("Z",), "year": ("1990",)},
-        counts=np.array([1.0]),
-        unknown={},
-        rows=1,
-    )
+    parsed = records_from_columns({"region": ("Z",), "year": ("1990",)}, [1.0])
     with pytest.raises(InputError, match="'Z'.*'region'"):
+        build_tensor(parsed, schema)
+    # the first offending value in row order is the one reported
+    parsed = records_from_columns(
+        {"region": ("A", "Y", "X", "Y"), "year": ("1990", "1991", "1990", "1990")}, [1.0] * 4
+    )
+    with pytest.raises(InputError, match=r"^category 'Y' not in the explicit list for column 'region'$"):
         build_tensor(parsed, schema)
 
 
@@ -373,11 +399,8 @@ def test_bundled_mode_dim_is_product_at_registry_cardinalities():
         )
         for _ in range(1175)
     ]
-    records = ParsedRecords(
-        columns=dict(zip(("region", "year", "age", "sex", "race"), zip(*rows))),
-        counts=np.ones(1175),
-        unknown={},
-        rows=1175,
+    records = records_from_columns(
+        dict(zip(("region", "year", "age", "sex", "race"), zip(*rows))), np.ones(1175)
     )
     t3 = build_tensor(records, schema3)
     assert t3.dims == (32, 19, 114)
@@ -428,6 +451,46 @@ def test_ingest_pair_merges_unknown_reports_sorted():
     c, p, unknown = ingest_pair(io.StringIO(cases), io.StringIO(pop), schema)
     assert unknown == {"region": ("X", "Y", "Z"), "year": ("1989", "1991")}
     assert c.total == 2.0 and p.total == 5.0
+
+
+LINELIST_SCHEMA = RecordSchema(
+    modes=(
+        ModeSpec("region", "space", ("region",)),
+        ModeSpec("week", "time", ("week",)),
+        ModeSpec("demo", "attribute", ("sex", "age")),
+    ),
+    count_column="count",
+)
+
+
+@pytest.mark.parametrize("quote", [False, True], ids=["plain", "quoted"])
+def test_ingest_pair_memory_stays_near_the_file_size(tmp_path, quote):
+    # a 100,000-case line list over a 200 x 20 x 8 population. Keeping one
+    # string per field and row peaks near 15x the files' bytes plain and 11x
+    # with every cell quoted; parsing chunks to integer codes near 4.6x and 3.3x.
+    rng = np.random.default_rng(5)
+    pop = [
+        (f"r{r:03d}", f"w{w:02d}", sex, age, str(n))
+        for r in range(200) for w in range(20) for sex in "FM"
+        for age, n in zip(("00-19", "20-39", "40-59", "60+"), rng.integers(50, 500, 4).tolist())
+    ]
+    cases = [pop[i][:4] + ("1",) for i in rng.integers(0, len(pop), 100_000).tolist()]
+    cell = '"{}"'.format if quote else str
+    size = 0
+    for name, rows in (("cases.csv", cases), ("population.csv", pop)):
+        lines = [("region", "week", "sex", "age", "count"), *rows]
+        text = "".join(",".join(map(cell, line)) + "\n" for line in lines)
+        size += (tmp_path / name).write_text(text, encoding="utf-8")
+    del pop, cases, text
+    gc.collect()
+    tracemalloc.start()
+    try:
+        c, p, _ = ingest_pair(tmp_path / "cases.csv", tmp_path / "population.csv", LINELIST_SCHEMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.total == 100_000 and c.dims == p.dims == (200, 20, 8)
+    assert peak < 6 * size, (peak, size)
 
 
 def test_build_tensor_matches_per_row_accumulation_bit_for_bit():

@@ -3,8 +3,8 @@
 ``reference_parse_records`` is the per-row parser that ``parse_records``
 replaced: ``csv.reader`` over the file's lines, every check made row by row
 and the first failing row raising. The columnar parser must agree with it
-on columns, counts (bit for bit), unknown-category reports, row counts and
-error messages.
+on the decoded columns and their categories in first appearance, counts
+(bit for bit), unknown-category reports, row counts and error messages.
 """
 
 import csv
@@ -15,8 +15,10 @@ import random
 import numpy as np
 import pytest
 
+from conftest import columns_of, records_from_columns
 from eigenspot import InputError, ModeSpec, RecordSchema, parse_records
-from eigenspot.dataio import ParsedRecords, _open_text
+from eigenspot import dataio
+from eigenspot.dataio import _open_text
 
 
 def reference_parse_records(source, schema):
@@ -87,9 +89,9 @@ def reference_parse_records(source, schema):
             kept.append(values)
             counts.append(count)
 
-    return ParsedRecords(
-        columns=dict(zip(cols, tuple(zip(*kept)) or ((),) * len(cols))),
-        counts=np.array(counts, dtype=float),
+    return records_from_columns(
+        dict(zip(cols, tuple(zip(*kept)) or ((),) * len(cols))),
+        np.array(counts, dtype=float),
         unknown={c: tuple(sorted(v)) for c, v in sorted(unknown.items())},
         rows=rows,
     )
@@ -101,7 +103,9 @@ def outcome(parse, text, schema):
         p = parse(io.StringIO(text, newline=""), schema)
     except Exception as exc:  # the error type and message are compared
         return ("error", type(exc).__name__, str(exc))
-    return ("ok", p.columns, p.counts.dtype.str, p.counts.tobytes(), p.unknown, p.rows)
+    return (
+        "ok", columns_of(p), p.categories, p.counts.dtype.str, p.counts.tobytes(), p.unknown, p.rows
+    )
 
 
 REGIONS = ["A", "B", " C ", "Z", "A, B", "x\ny", 'q"t', ""]
@@ -198,6 +202,20 @@ def test_random_texts_match_reference():
     assert min(seen.values()) > 800, seen
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_random_texts_match_reference_in_small_chunks(monkeypatch, chunk):
+    # chunks this small put chunk ends inside quoted fields, switch from the
+    # split path to csv mid-file and leave whole chunks blank, short or outside
+    # an explicit list
+    monkeypatch.setattr(dataio, "_CHUNK", chunk)
+    rnd = random.Random(chunk)
+    for _ in range(800):
+        text = random_text(rnd)
+        schema = random_schema(rnd)
+        expected = outcome(reference_parse_records, text, schema)
+        assert outcome(parse_records, text, schema) == expected, (text, schema)
+
+
 SCHEMA = RecordSchema(
     modes=(ModeSpec("region", "space", ("region",)), ModeSpec("year", "time", ("year",))),
     count_column="count",
@@ -205,36 +223,42 @@ SCHEMA = RecordSchema(
 )
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        # a bad count at row 5 is reported before a short row at row 9
-        "region,year,count\nA,1,1\nA,1,1\nA,1,1\nA,1,x\nA,1,1\nA,1,1\nA,1,1\nA\n",
-        # a short row wins over a bad count in a later row, and in its own row
-        "region,year,count\nA,1,1\nA\nA,1,-1\n",
-        "region,count,year\nA,1,1\nA,-1\n",
-        # a negative count wins over an unknown category in the same row
-        "region,year,count\nZ,1,-1\n",
-        # non-finite counts and an underscore in a number
-        "region,year,count\nA,1,1_0\nB,1,inf\n",
-        "region,year,count\nA,1,nan\n",
-        # blank and whitespace-only rows are skipped and still numbered, but
-        # a field past the header's last one keeps a row from being blank
-        "region,year,count\n\n , , \nA,1,2\n\nB,1,\n",
-        "region,year,count\n \nA,1,2\n , , ,x\n",
-        # a quoted field spanning two lines counts as one row
-        'region,year,count\n"A\nB",1,1\nA,1,-2\n',
-        # CRLF, lone CR and a trailing blank line
-        "region,year,count\r\nA,1,1\r\nZ,2,1\r\n",
-        "region,year,count\rA,1,1\rB,2,1\r",
-        "region,year,count\nA,1,1\n\n\n",
-        # header only, blank header, and nothing at all
-        "region,year,count\n",
-        "\nregion,year,count\n",
-        "",
-    ],
-)
+EDGE_CASES = [
+    # a bad count at row 5 is reported before a short row at row 9
+    "region,year,count\nA,1,1\nA,1,1\nA,1,1\nA,1,x\nA,1,1\nA,1,1\nA,1,1\nA\n",
+    # a short row wins over a bad count in a later row, and in its own row
+    "region,year,count\nA,1,1\nA\nA,1,-1\n",
+    "region,count,year\nA,1,1\nA,-1\n",
+    # a negative count wins over an unknown category in the same row
+    "region,year,count\nZ,1,-1\n",
+    # non-finite counts and an underscore in a number
+    "region,year,count\nA,1,1_0\nB,1,inf\n",
+    "region,year,count\nA,1,nan\n",
+    # blank and whitespace-only rows are skipped and still numbered, but
+    # a field past the header's last one keeps a row from being blank
+    "region,year,count\n\n , , \nA,1,2\n\nB,1,\n",
+    "region,year,count\n \nA,1,2\n , , ,x\n",
+    # a quoted field spanning two lines counts as one row
+    'region,year,count\n"A\nB",1,1\nA,1,-2\n',
+    # CRLF, lone CR and a trailing blank line
+    "region,year,count\r\nA,1,1\r\nZ,2,1\r\n",
+    "region,year,count\rA,1,1\rB,2,1\r",
+    "region,year,count\nA,1,1\n\n\n",
+    # header only, blank header, and nothing at all
+    "region,year,count\n",
+    "\nregion,year,count\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
 def test_edge_cases_match_reference(text):
+    assert outcome(parse_records, text, SCHEMA) == outcome(reference_parse_records, text, SCHEMA)
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_edge_cases_match_reference_in_chunks_of_two(monkeypatch, text):
+    monkeypatch.setattr(dataio, "_CHUNK", 2)
     assert outcome(parse_records, text, SCHEMA) == outcome(reference_parse_records, text, SCHEMA)
 
 
@@ -244,3 +268,24 @@ def test_first_error_in_file_order_wins():
         parse_records(io.StringIO(text), SCHEMA)
     with pytest.raises(InputError, match=r"^row 9 is shorter than the header$"):
         parse_records(io.StringIO(text.replace(",x", ",1")), SCHEMA)
+
+
+@pytest.mark.parametrize("quote", [False, True])
+def test_rows_past_the_first_chunk(quote):
+    # three chunks' worth of rows: categories, unknown values and row numbers
+    # carry over from chunk to chunk, on the split path and through csv
+    n = 2 * dataio._CHUNK + 100
+    rows = [[("A", "B", "Z", "C")[i % 7 % 4], f"y{i % 3}", str(i % 5)] for i in range(n)]
+
+    def text():
+        cell = '"{}"'.format if quote else str
+        return "region,year,count\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows)
+
+    assert outcome(parse_records, text(), SCHEMA) == outcome(reference_parse_records, text(), SCHEMA)
+    parsed = parse_records(io.StringIO(text()), SCHEMA)
+    assert parsed.unknown == {"region": ("C", "Z")} and parsed.rows == n
+    assert parsed.categories == {"region": ("A", "B"), "year": ("y0", "y1", "y2")}
+    bad = 2 * dataio._CHUNK + 7  # a data row in the third chunk
+    rows[bad - 2][2] = "x"
+    with pytest.raises(InputError, match=rf"^non-numeric count 'x' at row {bad}$"):
+        parse_records(io.StringIO(text()), SCHEMA)

@@ -166,6 +166,65 @@ def test_adjacency_disconnected_component_never_joins():
     assert disks0 == {(0,), (0, 1)}
 
 
+def reference_disks_from_adjacency(nb):
+    """The per-center breadth-first search that ``_disks_from_adjacency`` replaced."""
+    orders, disk_sizes = [], []
+    for c in range(nb.n):
+        seen = {c}
+        order = [c]
+        sizes = [1]
+        frontier = [c]
+        while frontier:
+            nxt = sorted(
+                {j for i in frontier for j in np.flatnonzero(nb.adjacency[i]) if j not in seen}
+            )
+            if not nxt:
+                break
+            seen.update(nxt)
+            order.extend(nxt)
+            sizes.append(len(order))
+            frontier = nxt
+        orders.append(order + [c] * (nb.n - len(order)))
+        disk_sizes.append(sizes)
+    return np.array(orders, np.intp).reshape(nb.n, nb.n), disk_sizes
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ring_orders_match_per_center_search(seed):
+    # sparse random graphs, split into components, some regions isolated
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    adj = np.triu(rng.random((n, n)) < rng.uniform(0.0, 6.0 / n), 1)
+    part = rng.integers(0, 1 + seed % 3, n)  # edges only within a part
+    adj &= part[:, None] == part[None, :]
+    gone = rng.random(n) < 0.1
+    adj[gone] = False
+    adj[:, gone] = False
+    nb = NeighborMatrix(adj | adj.T)
+    orders, sizes = stscan._disks_from_adjacency(nb)
+    expected_orders, expected_sizes = reference_disks_from_adjacency(nb)
+    assert orders.dtype == expected_orders.dtype
+    assert np.array_equal(orders, expected_orders)
+    assert sizes == expected_sizes
+
+
+def test_ring_orders_match_per_center_search_on_a_grid_with_removed_regions():
+    side = 12
+    adj = np.zeros((side * side, side * side), dtype=bool)
+    for i in range(side * side):
+        if i % side + 1 < side:
+            adj[i, i + 1] = adj[i + 1, i] = True
+        if i + side < side * side:
+            adj[i, i + side] = adj[i + side, i] = True
+    # removing column 3 of rows 0-4 and row 4 of columns 0-3 cuts off a 4x3 corner
+    for gone in [r * side + 3 for r in range(5)] + [4 * side + c for c in range(3)]:
+        adj[gone] = adj[:, gone] = False
+    nb = NeighborMatrix(adj)
+    orders, sizes = stscan._disks_from_adjacency(nb)
+    expected_orders, expected_sizes = reference_disks_from_adjacency(nb)
+    assert np.array_equal(orders, expected_orders) and sizes == expected_sizes
+
+
 def test_baseline_cap_drops_large_disks():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     rb = np.array([10.0, 10.0, 10.0])
