@@ -178,7 +178,18 @@ class ParsedRecords:
 def _open_text(source: Any, mode: str = "r") -> Iterator[TextIO]:
     if isinstance(source, (str, Path)):
         with open(source, mode, encoding="utf-8-sig" if "r" in mode else "utf-8", newline="") as fh:
-            yield fh
+            try:
+                yield fh
+            except UnicodeDecodeError as exc:
+                try:  # the error counts from the start of one decoded chunk, not of the file
+                    Path(source).read_bytes().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    exc = whole
+                raise InputError(
+                    f"{source} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                    f"at offset {exc.start}",
+                    module="dataio",
+                ) from None
     elif isinstance(source, io.TextIOBase) or hasattr(source, "read") or hasattr(source, "write"):
         yield source
     else:

@@ -37,6 +37,9 @@ _BLOCK = 1 << 20
 # integers below this, and sums of them that stay below it, are exact in float64
 _EXACT = 2.0**53
 
+# a replica scores only counts that can reach this share of the smallest replica maximum
+_FLOOR = 0.75
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ScanCylinder:
@@ -428,6 +431,72 @@ def _llr(counts: np.ndarray, baselines: np.ndarray, c_total: float, b_total: flo
     return inside + outside
 
 
+def _count_bounds(
+    baselines: np.ndarray, c_total: float, b_total: float, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per cylinder, bounds ``(lo, hi)`` such that no count ``lo < C < hi`` reaches ``tau``.
+
+    ln x <= x - 1 on both terms of the score gives
+    llr(C, B) <= U = C²/B + (N - C)²/(Bt - B) - N, a parabola in C with its
+    minimum at C = N B / Bt, which equals ``tau`` at
+    C = (N B ± sqrt(B (Bt - B) (Bt (N + tau) - N²))) / Bt. The roots are
+    taken for ``tau`` less 1e-12 (|tau| + N + Bt), far more than the
+    rounding error of :func:`_llr`, and each moves toward the other by 1e-9
+    of the upper root, against their own rounding. Where a root is not
+    finite (B = 0, B >= Bt, or U above ``tau`` everywhere) both bounds are
+    -inf, which keeps every count.
+    """
+    n, bt = c_total, b_total
+    target = tau - 1e-12 * (abs(tau) + n + bt)
+    rest = bt - baselines
+    with np.errstate(invalid="ignore", over="ignore"):
+        spread = np.where((baselines > 0) & (rest > 0), baselines * rest, np.nan)
+        half = np.sqrt(spread * (bt * (n + target) - n * n)) / bt
+        mid = baselines * (n / bt)
+        margin = 1e-9 * (mid + half)
+        lo, hi = mid - half + margin, mid + half - margin
+    lo[~np.isfinite(lo)] = -np.inf
+    hi[~np.isfinite(hi)] = -np.inf
+    return lo, hi
+
+
+def _replica_max(
+    per_window: np.ndarray,
+    blocks: list,
+    baselines: np.ndarray,
+    c_total: float,
+    b_total: float,
+    elevated_only: bool,
+    bounds: list | None = None,
+) -> float:
+    """One replica's maximum score, block by block; with ``bounds``, over the counts they keep.
+
+    ``per_window`` holds the replica's region sums per window and
+    ``baselines`` the family's (disks × windows). ``bounds`` holds one
+    ``(lo, hi)`` per block from :func:`_count_bounds`, over the block's
+    cylinders, with ``lo`` None for the upper bound alone; a count is kept
+    when ``C >= hi`` or ``C <= lo``.
+    """
+    best = -math.inf
+    for b, (disks, counts) in enumerate(_disk_sums(per_window, blocks)):
+        c, base = counts.ravel(), baselines[disks].ravel()
+        if bounds is not None:
+            lo, hi = bounds[b]
+            keep = c >= hi
+            if lo is not None:
+                keep |= c <= lo
+            keep = np.flatnonzero(keep)
+            c, base = c[keep], base[keep]
+        if elevated_only:
+            # the rest score 0, and only the maximum is kept
+            hot = np.flatnonzero(c * b_total > base * c_total)
+            if hot.size < c.size:
+                best = max(best, 0.0)
+            c, base = c[hot], base[hot]
+        best = _llr(c, base, c_total, b_total).max(initial=best)
+    return best
+
+
 def _check_covers(fam: CylinderFamily, matrix: np.ndarray) -> None:
     """Reject a family whose disks or windows reach outside a space-by-time matrix."""
     rows, steps = matrix.shape
@@ -512,6 +581,13 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
     sums one block of centers at a time (:meth:`CylinderFamily.blocks`) and
     keeps only its maximum score; the draws are integers, so its sums are
     exact.
+
+    The first replica is scored in full and sets a floor of ``_FLOOR`` times
+    its maximum. Later replicas score only the counts that can reach the
+    floor (:func:`_count_bounds`); a best score at or above the floor is then
+    the replica's exact maximum. A replica whose best falls below the floor,
+    or is NaN, is scored again in full, and its maximum sets the new floor.
+    At a floor of 0 or below nothing is left out.
     """
     fam = result.cylinders
     if result.baseline is None or not isinstance(fam, CylinderFamily) or fam.scores is None:
@@ -526,18 +602,23 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
     baselines = fam.baselines.reshape(-1, fam.t0.size)
     streams = np.random.SeedSequence(seed).spawn(replications)
     maxima = np.empty(replications)
+    tau, bounds = math.nan, None  # the floor (NaN before the first replica) and its bounds
+    totals = (c_total, b_total, elevated_only)
     for i, ss in enumerate(streams):
         draw = np.random.default_rng(ss).multinomial(int(c_total), probs).reshape(base_m.shape)
-        best = -math.inf
-        for disks, counts in _disk_sums(fam.window_sums(draw), blocks):
-            c, b = counts.ravel(), baselines[disks].ravel()
-            if elevated_only:
-                # the rest score 0, and only the maximum is kept
-                hot = np.flatnonzero(c * b_total > b * c_total)
-                if hot.size < c.size:
-                    best = max(best, 0.0)
-                c, b = c[hot], b[hot]
-            best = _llr(c, b, c_total, b_total).max(initial=best)
+        per_window = fam.window_sums(draw)
+        best = math.nan
+        if tau > 0:
+            if bounds is None:
+                bounds = []
+                for disks, _, _ in blocks:
+                    lo, hi = _count_bounds(baselines[disks].ravel(), c_total, b_total, tau)
+                    bounds.append((None if elevated_only else lo, hi))
+            best = _replica_max(per_window, blocks, baselines, *totals, bounds)
+        if not best >= tau:
+            best = _replica_max(per_window, blocks, baselines, *totals)
+            if not best >= tau:
+                tau, bounds = _FLOOR * best, None
         if not math.isfinite(best):
             # a cylinder whose baseline sum reaches the total but misses a drawn case
             raise InputError(
@@ -547,6 +628,7 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
             )
         maxima[i] = best
 
+    del bounds  # one value per cylinder; freed before the p-values are built
     maxima.sort()
     # (1 + #{maxima >= score}) / (R + 1), written into one array
     p_values = np.searchsorted(maxima, fam.scores, side="left").astype(float)

@@ -686,6 +686,26 @@ def test_missing_input_file_is_a_clean_error(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "command, name", [("build", "cases"), ("detect", "cases"), ("detect", "adjacency")]
+)
+def test_input_that_is_not_utf8_exits_2(synth_dir, tmp_path, command, name):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    lines = (data / f"{name}.csv").read_bytes().splitlines(keepends=True)
+    (data / f"{name}.csv").write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+    if command == "build":
+        args = ["build", "--input", str(data / "cases.csv"), "--schema", str(data / "schema.json")]
+    else:
+        args = detect_args(data)
+    res = run_cli(args)
+    assert res.returncode == 2, res.stderr
+    err = json.loads(res.stderr.splitlines()[-1])["error"]
+    assert err["module"] == "dataio"
+    at = len(lines[0]) + len(lines[1])
+    assert err["message"].endswith(f"{name}.csv is not UTF-8 text: byte 0xff at offset {at}")
+
+
 def test_numerical_failure_exits_3(synth_dir, tmp_path):
     # an all-zero cases file has no eigen-direction in any mode
     lines = ["region,time,count"]

@@ -207,6 +207,21 @@ def test_parse_records_missing_column():
     assert "year" in str(exc.value)
 
 
+def test_files_that_are_not_utf8_are_input_errors(tmp_path):
+    # byte 0xff starts a data row past a BOM and past the first chunk the
+    # text reader decodes; the offset counts from the start of the file
+    lead = "region,year,count\n" + "A,1990,1\n" * 2000
+    records = tmp_path / "records.csv"
+    records.write_bytes(b"\xef\xbb\xbf" + lead.encode() + b"\xffB,1990,1\n")
+    at = 3 + len(lead)
+    with pytest.raises(InputError, match=rf"records\.csv is not UTF-8 text: byte 0xff at offset {at}$"):
+        parse_records(records, SCHEMA_2D)
+    adjacency = tmp_path / "adjacency.csv"
+    adjacency.write_bytes(b"A,B\n\xffC,B\n")
+    with pytest.raises(InputError, match=r"adjacency\.csv is not UTF-8 text: byte 0xff at offset 4$"):
+        parse_adjacency(adjacency, ("A", "B", "C"))
+
+
 def test_parse_records_duplicate_header():
     text = "region,region,year,count\nA,A,1990,1\n"
     with pytest.raises(InputError):

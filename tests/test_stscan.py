@@ -20,7 +20,7 @@ from eigenspot import (
     write_report,
 )
 from eigenspot import stscan
-from eigenspot.stscan import _scores, expected_baseline
+from eigenspot.stscan import _count_bounds, _llr, _scores, expected_baseline
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +524,57 @@ def test_monte_carlo_p_bounds_and_determinism():
     )  # different seed, different draw
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    total=st.integers(1, 2**40),
+    # Bt / N: an expected-count baseline, or a raw population above or below N
+    ratio=st.just(1.0) | st.floats(1e-3, 1e3),
+    # B / Bt: empty, nearly empty, whole (and an ulp above, as a float sum may land)
+    share=st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 1.0, 1.0 + 2**-52]) | st.floats(0.0, 1.0),
+    # tau near 0, or up to 3, itself or as a multiple of N
+    tau=st.floats(5e-324, 1e-6) | st.floats(1e-9, 3.0),
+    per_case=st.booleans(),
+)
+def test_count_bounds_leave_out_no_count_that_reaches_the_floor(total, ratio, share, tau, per_case):
+    n = float(total)
+    tau = tau * n if per_case else tau
+    bt = n * ratio
+    b = bt * share
+    (lo,), (hi,) = _count_bounds(np.array([b]), n, bt, tau)
+    # the score is convex in C, so over the whole counts strictly inside the
+    # bounds it peaks at the first or the last of them; among the elevated
+    # counts below hi, at the first elevated one or the last below hi
+    near = [math.ceil(lo), math.floor(hi), math.floor(n * b / bt) + 1] if hi > -math.inf else []
+    counts = {c + d for c in near if abs(c) < 2**60 for d in range(-2, 3)}
+    counts |= set(np.linspace(0, n, 17).round().tolist())
+    counts = np.array(sorted(c for c in counts if 0 <= c <= n), dtype=float)
+    with np.errstate(over="ignore"):  # C / B overflows for a subnormal B
+        scores = _llr(counts, np.full(counts.size, b), n, bt)
+    inside = (lo < counts) & (counts < hi)
+    assert not np.any(inside & (scores >= tau))
+    # with elevated_only only the upper bound applies; counts below it score 0 or stay below tau
+    hot = counts * bt > b * n
+    assert not np.any((counts < hi) & hot & (scores >= tau))
+    if b <= 0 or b >= bt:
+        assert lo == hi == -math.inf
+
+
 @pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
 def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
     # replica counts come from window prefix sums and running sums along each
     # center's order row, one block of centers at a time, and only the
     # maximum score is kept; every replica maximum must equal the top score
     # of the whole family rescored from the replica's cell-order sums, for
-    # one block, for the 4096-value budget, and for one center per block
+    # one block, for the 4096-value budget, and for one center per block;
+    # replicas after the first score only the counts that can reach a floor
+    # of a share of the smallest maximum so far, the default or another, and
+    # a share of 1.0 sends every replica that sets a new low back through a
+    # full rescore, which lowers the floor and recomputes the bounds
     cands, cases, pop = instance()
+    floors = []
+    monkeypatch.setattr(
+        stscan, "_count_bounds", lambda b, c, t, tau: floors.append(tau) or _count_bounds(b, c, t, tau)
+    )
     # with the raw population as the baseline (a total far above the case
     # total) elevated cylinders score below 0, so a replica's maximum of 0
     # comes from the cylinders that are not elevated
@@ -551,11 +594,35 @@ def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
             for draw in draws
         ]
         expected = [(1 + sum(m >= s for m in maxima)) / 20 for s in res.cylinders.scores]
-        for block in (1 << 20, 4096, 1):
+        for floor, block in itertools.product((stscan._FLOOR, 0.25, 1.0), (1 << 20, 4096, 1)):
+            monkeypatch.setattr(stscan, "_FLOOR", floor)
             monkeypatch.setattr(stscan, "_BLOCK", block)
             assert (len(cands.blocks()) > 1) == (block == 1)
+            floors.clear()
             out = monte_carlo_p(res, replications=19, seed=4)
             assert out.cylinders.p_values.tolist() == expected
+            if baseline is pop:
+                assert not floors  # every maximum is 0 or below, so nothing is pruned
+            else:
+                assert len(set(floors)) >= (2 if floor == 1.0 else 1)
+
+
+@pytest.mark.parametrize("seed, regions, times, share", [(21, 7, 5, 0.25), (41, 20, 8, 0.1)])
+def test_monte_carlo_scores_few_cylinders_after_the_first_replica(
+    seed, regions, times, share, monkeypatch
+):
+    # the first replica scores every elevated cylinder, about half of them,
+    # and later ones only the counts that can reach the floor. On the 735
+    # cylinders of centroid_disks 6-12% of a replica's cylinders score above
+    # the floor, and the bound keeps about twice that; the kept share falls
+    # as the family grows, to 4-7% on 14,400 cylinders
+    coords, cases, pop = grid_instance(seed, n=regions, times=times)
+    cands = enumerate_cylinders(times=times, coords=coords)
+    res = scan(cases, expected_baseline(cases, pop), cands)
+    scored = []
+    monkeypatch.setattr(stscan, "_llr", lambda c, *args: scored.append(c.size) or _llr(c, *args))
+    monte_carlo_p(res, replications=49, seed=3)
+    assert 0 < sum(scored) < share * len(cands) * 49
 
 
 def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
