@@ -359,7 +359,7 @@ def eval_cmd(
     report = dataio.read_report(detect_path)
     if not isinstance(report, dataio.HotspotReport):
         raise InputError("--detect must point at a hotspot report", module="cli")
-    scan_doc = json.loads(Path(scan_path).read_text(encoding="utf-8"))
+    scan_doc = dataio.read_json(scan_path)
     scan_result = dataio.scan_from_dict(scan_doc)
     if "alpha" in scan_doc:
         # the ranked list is cut at --top; the clusters were chosen from
@@ -373,7 +373,7 @@ def eval_cmd(
             scan_result = dataio.scan_from_dict(
                 {**scan_doc, "cylinders": scan_doc["significant"]}
             )
-    truth_doc = json.loads(Path(truth_path).read_text(encoding="utf-8"))
+    truth_doc = dataio.read_json(truth_path)
     try:
         reference = tuple(truth_doc["regions"])
     except (KeyError, TypeError):

@@ -135,12 +135,7 @@ class RecordSchema:
 
 def load_schema(source: Any) -> RecordSchema:
     """Read a RecordSchema from a JSON file, path, or parsed dict."""
-    if isinstance(source, (str, Path)):
-        doc = json.loads(Path(source).read_text(encoding="utf-8"))
-    elif isinstance(source, Mapping):
-        doc = source
-    else:
-        doc = json.load(source)
+    doc = source if isinstance(source, Mapping) else read_json(source)
     try:
         modes = tuple(
             ModeSpec(name=m["name"], kind=m["kind"], columns=tuple(m["columns"]))
@@ -155,9 +150,14 @@ def load_schema(source: Any) -> RecordSchema:
     )
 
 
-# records tokenized, checked and mapped to codes at a time: no field string
-# outlives its chunk
+# the chunk bound: the plain path reads _BLOCK characters at a time and csv
+# _CHUNK records, and no field string outlives its chunk
+_BLOCK = 1 << 18
 _CHUNK = 1 << 14
+
+# the ASCII characters that str.strip removes; it also removes some non-ASCII
+# ones, such as "\xa0" and "\u3000"
+_SPACES = "".join(c for c in map(chr, range(128)) if not c.strip())
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,17 @@ def _open_text(source: Any, mode: str = "r") -> Iterator[TextIO]:
         raise InputError(f"cannot open {type(source).__name__} as text", module="dataio")
 
 
+def read_json(source: Any) -> Any:
+    """Parse the JSON document in a path or text stream; text that is not
+    UTF-8 or not JSON raises :class:`InputError` naming the source."""
+    with _open_text(source) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            name = source if isinstance(source, (str, Path)) else getattr(fh, "name", "input")
+            raise InputError(f"{name} is not valid JSON: {exc}", module="dataio") from None
+
+
 @contextmanager
 def _open_lines(source: Any) -> Iterator[TextIO]:
     """Open ``source`` so that its lines end at LF, CRLF and lone CR, as :mod:`csv` expects."""
@@ -211,46 +222,73 @@ def _open_lines(source: Any) -> Iterator[TextIO]:
     yield io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="")
 
 
-def _plain_rows(lines: list[str]) -> list[str] | None:
-    """The lines without their LF or CRLF ends, or None when any holds a quote
-    character, a NUL (which ``csv`` rejects before Python 3.11) or a lone CR."""
-    text = "".join(lines).replace("\r\n", "\n")
-    if '"' in text or "\0" in text or "\r" in text:
-        return None
-    rows = text.split("\n")
-    if not rows[-1]:
-        rows.pop()
-    return rows
+def _stripped(flat: list[str], text: str) -> list[str]:
+    """``flat`` with every field stripped, or as it is when ``text``, which
+    holds every character of its fields, holds none that :meth:`str.strip`
+    removes."""
+    if text.isascii() and not any(map(text.__contains__, _SPACES)):
+        return flat
+    return list(map(str.strip, flat))
 
 
 def _tokenize(fh: TextIO) -> Iterator[tuple[list[list[str]], np.ndarray]]:
-    """Split a file's records into whole fields, ``_CHUNK`` records at a time.
+    """Split a file's records into whole, stripped fields, a chunk at a time.
 
     Yields ``(fields, lengths)`` per chunk, the header being the first record
     of the first chunk: ``fields[j]`` holds field ``j`` of each record, with a
     record's missing trailing fields read as ``""``, and ``lengths`` each
     record's own field count. ``fh`` must end lines as a file opened with
-    newline="" does. A chunk of plain lines (see :func:`_plain_rows`), each
-    with the header's field count, is split on commas. From the first chunk
-    that is not, the rest of the file is read by :mod:`csv`, whose records
-    may quote commas and line breaks.
+    newline="" does, and fields are stripped of surrounding whitespace only in
+    a chunk that holds whitespace or non-ASCII text (see :func:`_stripped`).
+
+    The file is read ``_BLOCK`` characters at a time, and a chunk is the
+    whole lines read so far: a record longer than a block waits for the
+    blocks that end it. A chunk with no ``"`` character, no NUL (which
+    ``csv`` rejects before Python 3.11) and no lone CR, whose every line has
+    the header's field count, is split on commas. From the first chunk that
+    is not, the rest of the file is read by :mod:`csv`, ``_CHUNK`` records at
+    a time, whose records may quote commas and line breaks.
     """
     width = 0  # the header's field count
-    while lines := list(itertools.islice(fh, _CHUNK)):
-        rows = _plain_rows(lines)
-        if rows is None:
+    text = ""  # the text read and not yet split
+    while True:
+        block = fh.read(_BLOCK)
+        text += block
+        if '"' in text or "\0" in text:
             break
-        width = width or rows[0].count(",") + 1
-        if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+            cr = text.find("\r")
+            if cr >= 0 and (cr < len(text) - 1 or not block):
+                break  # a lone CR: one that ends the block may begin a CRLF
+        # the last record of a file may lack a line break
+        end = text.rfind("\n") + 1 if block else len(text)
+        if not end:
+            if block:
+                continue
+            return  # every chunk was split
+        lines, text = text[:end], text[end:]
+        # each line's comma count, from the offsets of its commas and of its end
+        data = np.frombuffer(lines.encode("utf-8", "surrogatepass"), np.uint8)
+        ends = np.flatnonzero(data == ord("\n")) if block else [data.size]
+        commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
+        del data
+        width = width or int(commas[0]) + 1
+        if (commas != width - 1).any():
+            text = lines + text
             break
-        flat = ",".join(rows).split(",")
-        del lines, rows
+        joined = lines.replace("\n", ",")
+        del lines
+        flat = joined.split(",")
+        if block:
+            flat.pop()  # the "" after the last line break
+        flat = _stripped(flat, joined)
+        del joined
         yield [flat[j::width] for j in range(width)], np.full(len(flat) // width, width)
-        del flat  # before the next chunk is read
-    else:
-        return  # every chunk was split
-    records = csv.reader(itertools.chain(lines, fh))
-    del lines, rows
+        del flat  # before the next block is read
+    # csv needs whole lines, and a CR that ends the text may begin a CRLF
+    records = csv.reader(itertools.chain(io.StringIO(text + fh.readline(), newline=""), fh))
+    del text
     while rows := list(itertools.islice(records, _CHUNK)):
         lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         width = width or int(lengths[0])
@@ -261,31 +299,30 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[list[str]], np.ndarray]]:
             rows = list(map(list.__add__, rows, fill))
         flat = list(itertools.chain.from_iterable(rows))
         del rows
+        flat = _stripped(flat, "".join(flat))
         yield [flat[j::full] for j in range(full)], lengths
         del flat
 
 
 def _blank_rows(fields: Sequence[Sequence[str]]) -> np.ndarray:
-    """Mask of the records whose every field strips to ``""``."""
+    """Mask of the records whose every field is ``""``."""
     blank = np.ones(len(fields[0]), dtype=bool)
     for field in fields:
         if not blank.any():
             break
-        cells = itertools.compress(field, blank.tolist())
-        blank[blank] = np.fromiter(map(operator.not_, map(str.strip, cells)), dtype=bool)
+        cells = field if blank.all() else itertools.compress(field, blank.tolist())
+        blank[blank] = np.fromiter(map(operator.not_, cells), dtype=bool)
     return blank
 
 
 def _chunk_counts(
-    fields: list[list[str]],
+    raw: Sequence[str] | None,
     lengths: np.ndarray,
     row_at: np.ndarray,
-    select: list[bool],
     last_col: int,
-    count_idx: int | None,
 ) -> np.ndarray:
-    """The counts of a chunk's non-blank rows (``select``, numbered ``row_at``,
-    of ``lengths`` fields each), or the chunk's first error.
+    """The counts (``raw``, or 1.0 each when None) of a chunk's non-blank rows,
+    numbered ``row_at``, of ``lengths`` fields each, or the chunk's first error.
 
     Each check runs over whole columns and records its first failure as
     (row, rank, message); min() then takes the first row in file order and,
@@ -295,10 +332,9 @@ def _chunk_counts(
     short = np.flatnonzero(lengths <= last_col)
     if short.size:
         errors.append((short[0], 0, f"row {row_at[short[0]]} is shorter than the header"))
-    if count_idx is None:
+    if raw is None:
         counts = np.ones(len(row_at))
     else:
-        raw = tuple(map(str.strip, itertools.compress(fields[count_idx], select)))
         parsed: list[float] = []  # on a failure, holds the counts before the failing one
         try:
             parsed.extend(map(float, raw))
@@ -319,7 +355,7 @@ def _chunk_counts(
 def _header_columns(header: list[str], schema: RecordSchema) -> tuple[list[int], int | None]:
     """Field indices of the schema's mapped columns and of its count column."""
     seen: dict[str, int] = {}
-    for i, h in enumerate(map(str.strip, header)):
+    for i, h in enumerate(header):
         if h in seen:
             raise InputError(f"duplicate header column {h!r}", module="dataio")
         seen[h] = i
@@ -346,8 +382,8 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
     silently dropped. The first bad row in file order raises
     :class:`InputError`; within a row, a missing mapped field is reported
     before a non-numeric count, and that before a negative or non-finite one.
-    The file is read ``_CHUNK`` records at a time, and each chunk's values
-    become integer codes before the next chunk is read.
+    The file is read a chunk at a time (see :func:`_tokenize`), and each
+    chunk's values become integer codes before the next chunk is read.
     """
     cols = schema.flat_columns()
     explicit = {c: set(v).__contains__ for c, v in (schema.categories or {}).items()}
@@ -369,14 +405,16 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
                 fields, lengths, record = [f[1:] for f in fields], lengths[1:], 1
             live = ~_blank_rows(fields)
             row_at = np.flatnonzero(live) + record + 1
-            select = live.tolist()
+            # the fields read below, of the non-blank rows
+            used = {i: fields[i] for i in (*col_idx, count_idx) if i is not None}
+            if not live.all():
+                select = live.tolist()
+                used = {i: list(itertools.compress(f, select)) for i, f in used.items()}
             chunk_counts = _chunk_counts(
-                fields, lengths[live], row_at, select, max(col_idx), count_idx
+                None if count_idx is None else used[count_idx],
+                lengths[live], row_at, max(col_idx),
             )
-            values = {
-                c: tuple(map(str.strip, itertools.compress(fields[i], select)))
-                for c, i in zip(cols, col_idx)
-            }
+            values = {c: used[i] for c, i in zip(cols, col_idx)}
             record += len(lengths)
             rows += len(row_at)
 
@@ -392,7 +430,7 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
             counts.append(chunk_counts[~excluded])
             for c, v in values.items():
                 codes[c].append(np.fromiter(map(index[c].__getitem__, v), np.intp, len(v)))
-            del fields, values, v  # before the next chunk is read
+            del fields, used, values, v  # before the next chunk is read
     if not record:
         raise InputError("empty input: no header row", module="dataio")
     return ParsedRecords(
@@ -855,8 +893,7 @@ def write_report(
 
 def read_report(source: Any) -> HotspotReport | ScanResult:
     """Read back a document written by :func:`write_report`."""
-    with _open_text(source) as fh:
-        doc = json.load(fh)
+    doc = read_json(source)
     kind = doc.get("schema")
     if kind == REPORT_SCHEMA:
         return report_from_dict(doc)
@@ -878,8 +915,7 @@ class RegionGeometry:
 
     @classmethod
     def from_geojson(cls, source: Any, id_property: str = "region") -> "RegionGeometry":
-        with _open_text(source) as fh:
-            doc = json.load(fh)
+        doc = read_json(source)
         if doc.get("type") != "FeatureCollection":
             raise InputError("expected a GeoJSON FeatureCollection", module="dataio")
         geoms: dict[str, Mapping[str, Any]] = {}

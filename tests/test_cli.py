@@ -208,6 +208,67 @@ def test_schema_collisions_exit_2(synth_dir, tmp_path, change, message, command)
     assert err["error"]["message"] == message
 
 
+def one_line_error(res):
+    """The single JSON error line a failed run writes, with no traceback."""
+    assert res.returncode == 2 and res.stdout == "", res.stderr
+    (line,) = res.stderr.splitlines()
+    return json.loads(line)["error"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"modes": [', "is not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+        (b'\xff\xfe{"modes": []}', "is not UTF-8 text: byte 0xff at offset 0"),
+    ],
+    ids=["truncated", "utf-16-mark"],
+)
+@pytest.mark.parametrize("command", ["detect", "build"])
+def test_malformed_schema_exits_2(synth_dir, tmp_path, text, message, command):
+    schema = tmp_path / "schema.json"
+    schema.write_bytes(text)
+    if command == "detect":
+        args = detect_args(synth_dir)
+        args[args.index("--schema") + 1] = str(schema)
+    else:
+        args = ["build", "--input", str(synth_dir / "cases.csv"), "--schema", str(schema)]
+    err = one_line_error(run_cli(args))
+    assert err["module"] == "dataio" and err["message"] == f"{schema} {message}"
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("eval")
+    files = {"detect": out / "report.json", "scan": out / "scan.json",
+             "truth": synth_dir / "truth.json"}
+    assert run_cli(detect_args(synth_dir, ["--out", str(files["detect"])])).returncode == 0
+    res = run_cli(
+        [
+            "scan",
+            "--cases", str(synth_dir / "cases.csv"),
+            "--population", str(synth_dir / "population.csv"),
+            "--schema", str(synth_dir / "schema.json"),
+            "--centroids", str(synth_dir / "centroids.csv"),
+            "--replications", "9",
+            "--out", str(files["scan"]),
+        ]
+    )
+    assert res.returncode == 0, res.stderr
+    return files
+
+
+@pytest.mark.parametrize("flag", ["detect", "scan", "truth"])
+def test_eval_truncated_document_exits_2(eval_inputs, tmp_path, flag):
+    files = dict(eval_inputs)
+    truncated = tmp_path / f"{flag}.json"
+    truncated.write_bytes(files[flag].read_bytes()[:40])
+    files[flag] = truncated
+    res = run_cli(["eval", *(a for k, path in files.items() for a in (f"--{k}", str(path)))])
+    err = one_line_error(res)
+    assert err["module"] == "dataio"
+    assert err["message"].startswith(f"{truncated} is not valid JSON: ")
+
+
 def test_line_breaks_quoting_and_bom_give_identical_outputs(synth_dir, tmp_path):
     # one data set written four ways; region r05 is renamed, and only the
     # quoted variant can carry a comma in its name, so that variant's

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -722,6 +723,16 @@ def test_read_report_unknown_schema(tmp_path):
     path.write_text('{"schema": "bogus/9"}')
     with pytest.raises(InputError):
         read_report(path)
+
+
+@pytest.mark.parametrize("read", [read_report, RegionGeometry.from_geojson, load_schema])
+def test_json_readers_reject_malformed_documents(tmp_path, read):
+    path = tmp_path / "doc.json"
+    path.write_text('{"schema": ')
+    with pytest.raises(InputError, match="^" + re.escape(f"{path} is not valid JSON: Expecting value")):
+        read(path)
+    with pytest.raises(InputError, match=r"^input is not valid JSON: "):
+        read(io.StringIO("[1,"))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,9 @@ def outcome(parse, text, schema):
     )
 
 
-REGIONS = ["A", "B", " C ", "Z", "A, B", "x\ny", 'q"t', ""]
+# "\xa0", "\u3000" and "\x1c" are whitespace to str.strip too
+PADDED = ["\xa0B", "A\u3000", "\x1cC"]
+REGIONS = ["A", "B", " C ", "Z", "A, B", "x\ny", 'q"t', "", *PADDED]
 YEARS = ["1990", "1991", "\t1992", "1993 ", "zz"]
 AGES = ["young", "old", "mid"]
 COUNTS = ["1", "2.5", " 3 ", "0", "-0", "1e3", "1_0", "", "lots", "-1", "nan", "inf", "-inf", "0x1"]
@@ -153,7 +155,7 @@ def random_text(rnd):
     messy = rnd.random() < 0.5
     quote_all = messy and rnd.random() < 0.3
     pools = {
-        "region": REGIONS if messy else ["A", "B", " C ", "Z", ""],
+        "region": REGIONS if messy else ["A", "B", " C ", "Z", "", *PADDED],
         "year": YEARS, "count": COUNTS,
         "age": AGES, "sex": ["f", "m"], "note": ["", "ok", "a, b", "n/a"] if messy else ["", "ok"],
     }
@@ -202,12 +204,18 @@ def test_random_texts_match_reference():
     assert min(seen.values()) > 800, seen
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5])
-def test_random_texts_match_reference_in_small_chunks(monkeypatch, chunk):
-    # chunks this small put chunk ends inside quoted fields, switch from the
-    # split path to csv mid-file and leave whole chunks blank, short or outside
-    # an explicit list
-    monkeypatch.setattr(dataio, "_CHUNK", chunk)
+def small_chunks(monkeypatch, records, chars):
+    monkeypatch.setattr(dataio, "_CHUNK", records)
+    monkeypatch.setattr(dataio, "_BLOCK", chars)
+
+
+@pytest.mark.parametrize("chunk, block", [(1, 1), (2, 16), (5, 64)], ids=["1", "2", "5"])
+def test_random_texts_match_reference_in_small_chunks(monkeypatch, chunk, block):
+    # chunks this small put chunk ends inside quoted fields and CRLFs, make
+    # records longer than a block, switch from the split path to csv mid-file,
+    # mix chunks that need stripping with chunks that do not and leave whole
+    # chunks blank, short or outside an explicit list
+    small_chunks(monkeypatch, chunk, block)
     rnd = random.Random(chunk)
     for _ in range(800):
         text = random_text(rnd)
@@ -258,8 +266,58 @@ def test_edge_cases_match_reference(text):
 
 @pytest.mark.parametrize("text", EDGE_CASES)
 def test_edge_cases_match_reference_in_chunks_of_two(monkeypatch, text):
-    monkeypatch.setattr(dataio, "_CHUNK", 2)
+    small_chunks(monkeypatch, 2, 16)
     assert outcome(parse_records, text, SCHEMA) == outcome(reference_parse_records, text, SCHEMA)
+
+
+CLEAN = "region,year,count\nA,1,1\nB,1,2\n"
+# (text, block size): without a size, the first block ends at the "|", which
+# is not part of the text
+BLOCK_CASES = [
+    # a CRLF split across two blocks, and a file ending in a CR the next block
+    # would pair with an LF
+    ("region,year,count\r|\nA,1,1\r\nB,2,1\r\n", None),
+    ("region,year,count\r\nA,1,1\r|\nB,2,1\r", None),
+    # a record longer than one block, and one past several blocks
+    ("region,year,count\nA,1,1\nB,19" + "9" * 40 + ",1\nA,1,2\n", 12),
+    ("region,year,count\nA,1,1\nB,1,1" + " " * 90 + "\nA,1,2\n", 7),
+    # no final line break, after a whole block and within one
+    (CLEAN + "|A,1,3", None),
+    ("region,year,count\nA,1,1\nB,|1,3", None),
+    # a clean chunk, then one whose values are padded with whitespace
+    (CLEAN + "|\xa0A\xa0,1,1\nB,1,2\n", None),
+    (CLEAN + "|A,1,\u30003\nB\u3000,1,2\n", None),
+    (CLEAN + "|\x1cA,1,1\nB,\x1c1\x1c,2\n", None),
+    # a blank record inside a clean chunk, and a chunk of only blank records
+    ("region,year,count\nA,1,1\n,,\nB,1,2\n|A,1,1\n", None),
+    (CLEAN + "|,,\n , ,\u3000\n", None),
+    # a quoted cell in the first record after a clean block, and in the
+    # record a block cuts in two
+    (CLEAN + '|"B",1,2\nA,1,3\n', None),
+    (CLEAN + 'A,1|,"3"\nB,1,"x"\n', None),
+    # a ragged record after a clean block
+    (CLEAN + "|A,1,1,9\nB\n", None),
+]
+
+
+@pytest.mark.parametrize("case, chunk", [(c, k) for c in BLOCK_CASES for k in (1, 2)])
+def test_block_boundaries_match_reference(monkeypatch, case, chunk):
+    marked, block = case
+    text = marked.replace("|", "")
+    small_chunks(monkeypatch, chunk, block or marked.index("|"))
+    assert outcome(parse_records, text, SCHEMA) == outcome(reference_parse_records, text, SCHEMA)
+
+
+def test_tokenize_yields_the_whole_lines_of_each_block(monkeypatch):
+    # the header comes in the first chunk; the second, padded with non-ASCII
+    # whitespace, is stripped
+    small_chunks(monkeypatch, 2, len(CLEAN))
+    text = CLEAN + "\xa0A,1,1\nB,\u30001,2\n"
+    chunks = list(dataio._tokenize(io.StringIO(text, newline="")))
+    assert [fields for fields, _ in chunks] == [
+        [["region", "A", "B"], ["year", "1", "1"], ["count", "1", "2"]],
+        [["A", "B"], ["1", "1"], ["1", "2"]],
+    ]
 
 
 def test_first_error_in_file_order_wins():
@@ -270,11 +328,24 @@ def test_first_error_in_file_order_wins():
         parse_records(io.StringIO(text.replace(",x", ",1")), SCHEMA)
 
 
+def test_csv_reads_the_rest_of_the_file_as_it_goes(monkeypatch):
+    # from the first block with a quote, csv parses each chunk before the
+    # next is read, rather than the rest of the file at once
+    small_chunks(monkeypatch, 10, 100)
+    text = "region,year,count\n" + '"A",1,1\n' * 1000
+    fh = io.StringIO(text, newline="")
+    fields, lengths = next(dataio._tokenize(fh))
+    assert fields[0] == ["region"] + ["A"] * 9 and len(lengths) == 10
+    assert fh.tell() < len(text) // 10
+
+
 @pytest.mark.parametrize("quote", [False, True])
-def test_rows_past_the_first_chunk(quote):
+def test_rows_past_the_first_chunk(monkeypatch, quote):
     # three chunks' worth of rows: categories, unknown values and row numbers
-    # carry over from chunk to chunk, on the split path and through csv
-    n = 2 * dataio._CHUNK + 100
+    # carry over from chunk to chunk, on the split path (blocks of 50 rows of
+    # 7 characters) and through csv (chunks of 50 records)
+    small_chunks(monkeypatch, 50, 50 * 7)
+    n = 2 * dataio._CHUNK + 20
     rows = [[("A", "B", "Z", "C")[i % 7 % 4], f"y{i % 3}", str(i % 5)] for i in range(n)]
 
     def text():
