@@ -71,13 +71,6 @@ def _warn(kind: str, detail: object) -> None:
         click.echo(json.dumps({"warning": {kind: detail}}), err=True)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        click.echo(text, nl=False)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _space_time_matrix(tensor) -> np.ndarray:
     """Marginalize attribute modes down to a space-by-time matrix."""
     axes = tuple(
@@ -108,7 +101,7 @@ def build(input_path: str, schema_path: str, out_path: str | None) -> None:
     parsed = dataio.parse_records(input_path, schema)
     _warn("unknown_categories", parsed.unknown)
     tensor = dataio.build_tensor(parsed, schema)
-    _write_text(out_path, dataio.dumps_stable(dataio.tensor_to_dict(tensor)))
+    dataio.write_json(dataio.tensor_to_dict(tensor), out_path)
 
 
 @main.command()
@@ -154,7 +147,7 @@ def detect(
         ranks=_parse_ranks(ranks),
         likely_threshold=likely_threshold,
     )
-    _write_text(out_path, dataio.dumps_stable(dataio.report_to_dict(report)))
+    dataio.write_json(dataio.report_to_dict(report), out_path)
     if geojson_path is not None:
         if geometry_path is None:
             raise InputError("--geojson needs --geometry", module="cli")
@@ -233,10 +226,7 @@ def scan_cmd(
         times=time_cats,
     )
     result = stscan.monte_carlo_p(result, replications=replications, seed=seed)
-    _write_text(
-        out_path,
-        dataio.dumps_stable(dataio.scan_to_dict(result, alpha=alpha, top=top)),
-    )
+    dataio.write_json(dataio.scan_to_dict(result, alpha=alpha, top=top), out_path)
 
 
 @main.command()
@@ -306,9 +296,7 @@ def synth(
 
     pair_lines = [
         f"{region_names[i]},{region_names[j]}"
-        for i in range(len(region_names))
-        for j in range(i + 1, len(region_names))
-        if data.neighbors.adjacency[i, j]
+        for i, j in np.argwhere(np.triu(data.neighbors.adjacency))
     ]
     (out / "adjacency.csv").write_text(
         "\n".join(pair_lines) + ("\n" if pair_lines else ""), encoding="utf-8"
@@ -327,7 +315,7 @@ def synth(
         ],
         "count_column": "count",
     }
-    (out / "schema.json").write_text(dataio.dumps_stable(schema_doc), encoding="utf-8")
+    dataio.write_json(schema_doc, out / "schema.json")
 
     truth_doc = {
         "regions": list(data.truth.regions),
@@ -336,7 +324,7 @@ def synth(
         "relative_risk": data.truth.relative_risk,
         "seed": seed,
     }
-    (out / "truth.json").write_text(dataio.dumps_stable(truth_doc), encoding="utf-8")
+    dataio.write_json(truth_doc, out / "truth.json")
 
 
 @main.command("eval")
@@ -361,18 +349,19 @@ def eval_cmd(
         raise InputError("--detect must point at a hotspot report", module="cli")
     scan_doc = dataio.read_json(scan_path)
     scan_result = dataio.scan_from_dict(scan_doc)
-    if "alpha" in scan_doc:
-        # the ranked list is cut at --top; the clusters were chosen from
-        # every cylinder at the document's alpha
-        if scan_doc["alpha"] != alpha:
-            raise InputError(
-                f"--alpha {alpha} differs from the scan's alpha {scan_doc['alpha']}",
-                module="cli",
-            )
-        if scan_doc["significant"]:
-            scan_result = dataio.scan_from_dict(
-                {**scan_doc, "cylinders": scan_doc["significant"]}
-            )
+    with dataio.malformed("scan"):
+        if "alpha" in scan_doc:
+            # the ranked list is cut at --top; the clusters were chosen from
+            # every cylinder at the document's alpha
+            if scan_doc["alpha"] != alpha:
+                raise InputError(
+                    f"--alpha {alpha} differs from the scan's alpha {scan_doc['alpha']}",
+                    module="cli",
+                )
+            if scan_doc["significant"]:
+                scan_result = dataio.scan_from_dict(
+                    {**scan_doc, "cylinders": scan_doc["significant"]}
+                )
     truth_doc = dataio.read_json(truth_path)
     try:
         reference = tuple(truth_doc["regions"])
@@ -380,7 +369,7 @@ def eval_cmd(
         raise InputError("truth file needs a 'regions' list", module="cli")
     table = evalsynth.compare(report, scan_result, reference, alpha=alpha)
     doc = evalsynth.comparison_to_dict(table)
-    _write_text(out_path, dataio.dumps_stable(doc))
+    dataio.write_json(doc, out_path)
     if csv_path is not None:
         evalsynth.write_comparison(table, csv_destination=csv_path)
 

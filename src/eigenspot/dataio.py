@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -133,16 +134,25 @@ class RecordSchema:
         return tuple(c for m in self.modes for c in m.columns)
 
 
+@contextmanager
+def malformed(kind: str) -> Iterator[None]:
+    """Raise the errors that reading a parsed JSON document of the wrong shape
+    raises (a missing key, a list where a mapping belongs, ...) as
+    :class:`InputError`; works as a decorator too."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise InputError(f"malformed {kind} document: {exc}", module="dataio") from exc
+
+
+@malformed("schema")
 def load_schema(source: Any) -> RecordSchema:
     """Read a RecordSchema from a JSON file, path, or parsed dict."""
     doc = source if isinstance(source, Mapping) else read_json(source)
-    try:
-        modes = tuple(
-            ModeSpec(name=m["name"], kind=m["kind"], columns=tuple(m["columns"]))
-            for m in doc["modes"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed schema document: {exc}", module="dataio") from exc
+    modes = tuple(
+        ModeSpec(name=m["name"], kind=m["kind"], columns=tuple(m["columns"]))
+        for m in doc["modes"]
+    )
     return RecordSchema(
         modes=modes,
         count_column=doc.get("count_column"),
@@ -507,6 +517,17 @@ def build_tensor(parsed: ParsedRecords, schema: RecordSchema) -> CountTensor:
     return CountTensor(tuple(labels), values.reshape(dims))
 
 
+def _geometry_rows(source: Any, header: bool) -> Iterator[tuple[int, list[str]]]:
+    """A geometry file's records as (record number, stripped cells), without
+    the first record when ``header`` is set and without blank records."""
+    with _open_text(source) as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            cells = [cell.strip() for cell in row]
+            if (header and lineno == 1) or not any(cells):
+                continue
+            yield lineno, cells
+
+
 def parse_adjacency(
     source: Any,
     regions: Sequence[str],
@@ -521,32 +542,26 @@ def parse_adjacency(
     regions = tuple(regions)
     index = {r: i for i, r in enumerate(regions)}
     adj = np.zeros((len(regions), len(regions)), dtype=bool)
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
+    for lineno, row in _geometry_rows(source, header):
+        if len(row) != 2:
+            raise InputError(
+                f"adjacency row {lineno} must have exactly two columns",
+                module="dataio",
+            )
+        a, b = row
+        for r in (a, b):
+            if r not in index:
                 raise InputError(
-                    f"adjacency row {lineno} must have exactly two columns",
+                    f"unknown region {r!r} at adjacency row {lineno}",
                     module="dataio",
                 )
-            a, b = row[0].strip(), row[1].strip()
-            for r in (a, b):
-                if r not in index:
-                    raise InputError(
-                        f"unknown region {r!r} at adjacency row {lineno}",
-                        module="dataio",
-                    )
-            if a == b:
-                raise InputError(
-                    f"self-pair {a!r} rejected at adjacency row {lineno}",
-                    module="dataio",
-                )
-            adj[index[a], index[b]] = True
-            adj[index[b], index[a]] = True
+        if a == b:
+            raise InputError(
+                f"self-pair {a!r} rejected at adjacency row {lineno}",
+                module="dataio",
+            )
+        adj[index[a], index[b]] = True
+        adj[index[b], index[a]] = True
     return NeighborMatrix(adjacency=adj, regions=regions)
 
 
@@ -559,32 +574,26 @@ def parse_centroids(
     regions = tuple(regions)
     index = {r: i for i, r in enumerate(regions)}
     coords = np.full((len(regions), 2), np.nan)
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise InputError(
-                    f"centroid row {lineno} must be region,x,y", module="dataio"
-                )
-            r = row[0].strip()
-            if r not in index:
-                raise InputError(
-                    f"unknown region {r!r} at centroid row {lineno}", module="dataio"
-                )
-            if not np.isnan(coords[index[r]]).all():
-                raise InputError(
-                    f"region {r!r} listed twice in centroids", module="dataio"
-                )
-            try:
-                coords[index[r]] = (float(row[1]), float(row[2]))
-            except ValueError:
-                raise InputError(
-                    f"non-numeric coordinate at centroid row {lineno}", module="dataio"
-                ) from None
+    for lineno, row in _geometry_rows(source, header):
+        if len(row) != 3:
+            raise InputError(
+                f"centroid row {lineno} must be region,x,y", module="dataio"
+            )
+        r = row[0]
+        if r not in index:
+            raise InputError(
+                f"unknown region {r!r} at centroid row {lineno}", module="dataio"
+            )
+        if not np.isnan(coords[index[r]]).all():
+            raise InputError(
+                f"region {r!r} listed twice in centroids", module="dataio"
+            )
+        try:
+            coords[index[r]] = (float(row[1]), float(row[2]))
+        except ValueError:
+            raise InputError(
+                f"non-numeric coordinate at centroid row {lineno}", module="dataio"
+            ) from None
     missing = [r for r in regions if np.isnan(coords[index[r]]).any()]
     if missing:
         raise InputError(f"missing centroids for region(s): {missing}", module="dataio")
@@ -648,6 +657,14 @@ def dumps_stable(value: Any) -> str:
     return "".join(out) + "\n"
 
 
+def write_json(doc: Any, destination: Any = None) -> None:
+    """Write ``doc`` through :func:`dumps_stable` to a path or text stream, or
+    to stdout when ``destination`` is None. A file gets LF line ends on every OS."""
+    text = dumps_stable(doc)
+    with _open_text(sys.stdout if destination is None else destination, "w") as fh:
+        fh.write(text)
+
+
 # ---------------------------------------------------------------------------
 # report documents
 
@@ -694,6 +711,7 @@ def report_to_dict(report: HotspotReport) -> dict[str, Any]:
     }
 
 
+@malformed("report")
 def report_from_dict(doc: Mapping[str, Any]) -> HotspotReport:
     if doc.get("schema") != REPORT_SCHEMA:
         raise InputError(
@@ -807,6 +825,7 @@ def scan_to_dict(
     return doc
 
 
+@malformed("scan")
 def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
     if doc.get("schema") != SCAN_SCHEMA:
         raise InputError(
@@ -859,6 +878,7 @@ def tensor_to_dict(t: CountTensor) -> dict[str, Any]:
     }
 
 
+@malformed("tensor")
 def tensor_from_dict(doc: Mapping[str, Any]) -> CountTensor:
     if doc.get("schema") != TENSOR_SCHEMA:
         raise InputError(
@@ -872,27 +892,9 @@ def tensor_from_dict(doc: Mapping[str, Any]) -> CountTensor:
     return CountTensor.from_flat(doc["values"], modes)
 
 
-def write_report(
-    report: HotspotReport | ScanResult,
-    destination: Any,
-    alpha: float | None = None,
-    top: int | None = None,
-) -> None:
-    """Write a detector report or scan result as fixed-format JSON."""
-    if isinstance(report, HotspotReport):
-        doc = report_to_dict(report)
-    elif isinstance(report, ScanResult):
-        doc = scan_to_dict(report, alpha=alpha, top=top)
-    else:
-        raise InputError(
-            f"cannot serialize {type(report).__name__}", module="dataio"
-        )
-    with _open_text(destination, "w") as fh:
-        fh.write(dumps_stable(doc))
-
-
+@malformed("report")
 def read_report(source: Any) -> HotspotReport | ScanResult:
-    """Read back a document written by :func:`write_report`."""
+    """Read back a hotspot report or scan result document."""
     doc = read_json(source)
     kind = doc.get("schema")
     if kind == REPORT_SCHEMA:
@@ -914,6 +916,7 @@ class RegionGeometry:
     centroids: Mapping[str, tuple[float, float]] | None = None
 
     @classmethod
+    @malformed("GeoJSON")
     def from_geojson(cls, source: Any, id_property: str = "region") -> "RegionGeometry":
         doc = read_json(source)
         if doc.get("type") != "FeatureCollection":
@@ -980,9 +983,7 @@ def write_geojson(
                 },
             }
         )
-    doc = {"type": "FeatureCollection", "features": features}
-    with _open_text(destination, "w") as fh:
-        fh.write(dumps_stable(doc))
+    write_json({"type": "FeatureCollection", "features": features}, destination)
     return tuple(skipped)
 
 

@@ -116,9 +116,6 @@ class ClusterSet:
     clusters: dict[str, tuple[str, ...]]
     kind: Literal["first", "second"]
 
-    def members(self, center: str) -> tuple[str, ...]:
-        return self.clusters[center]
-
 
 @dataclass(frozen=True, eq=False)
 class TemporalResult:
@@ -232,7 +229,7 @@ def _threshold_tiers(
     positives = [cats[i] for i in order if entries[i] > ZERO_TOL]
     centers = [s for s in positives if diff.value(s) > diff.std_all]
     remainder = [s for s in positives if s not in centers]
-    std_rem = population_std([diff.value(s) for s in remainder]) if len(remainder) > 1 else 0.0
+    std_rem = population_std([diff.value(s) for s in remainder])
     tier1 = [s for s in remainder if diff.value(s) >= std_rem]
     tier2 = [s for s in remainder if diff.value(s) < std_rem]
     return positives, centers, remainder, std_rem, tier1, tier2

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Literal, Sequence
+from typing import Any, Iterable, Iterator, Literal
 
 import numpy as np
 
 from .errors import InputError
 from .dataio import _open_text
 from .eigenmatch import HotspotReport, NeighborMatrix
-from .stscan import ScanResult
+from .stscan import ScanResult, _disks_from_adjacency
 from .tensors import CountTensor, ModeLabel
 
 
@@ -120,42 +120,19 @@ def time_labels(n: int) -> tuple[str, ...]:
 def _grid_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows = int(math.isqrt(n))
     cols = (n + rows - 1) // rows
-    coords = np.array([(i % cols, i // cols) for i in range(n)], dtype=float)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(coords[i, 0] - coords[j, 0]) + abs(coords[i, 1] - coords[j, 1]) == 1:
-                adj[i, j] = adj[j, i] = True
-    return coords, adj
+    i = np.arange(n)
+    coords = np.column_stack((i % cols, i // cols)).astype(float)
+    x, y = coords.T
+    return coords, np.abs(x - x[:, None]) + np.abs(y - y[:, None]) == 1
 
 
 def _geometric_layout(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     coords = rng.random((n, 2))
     radius2 = 2.0 / n  # keeps the expected degree modest but nonzero
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2 = (coords[i, 0] - coords[j, 0]) ** 2 + (coords[i, 1] - coords[j, 1]) ** 2
-            if d2 <= radius2:
-                adj[i, j] = adj[j, i] = True
+    x, y = coords.T
+    adj = (x - x[:, None]) ** 2 + (y - y[:, None]) ** 2 <= radius2
+    np.fill_diagonal(adj, False)
     return coords, adj
-
-
-def _connected(members: Sequence[int], adj: np.ndarray) -> bool:
-    if not members:
-        return True
-    member_set = set(members)
-    seen = {members[0]}
-    frontier = [members[0]]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.flatnonzero(adj[i]):
-                if j in member_set and j not in seen:
-                    seen.add(int(j))
-                    nxt.append(int(j))
-        frontier = nxt
-    return len(seen) == len(member_set)
 
 
 def generate(cfg: SynthConfig) -> SynthData:
@@ -184,11 +161,13 @@ def generate(cfg: SynthConfig) -> SynthData:
     times = time_labels(cfg.times)
     r_index = {r: i for i, r in enumerate(regions)}
     injected = []
-    for r in cfg.injected_regions:
+    for r in dict.fromkeys(cfg.injected_regions):  # a region may be named twice
         if r not in r_index:
             raise InputError(f"unknown injected region {r!r}", module="evalsynth")
         injected.append(r_index[r])
-    if not _connected(injected, adj):
+    induced = NeighborMatrix(adj[np.ix_(injected, injected)])
+    # the rings around the first member reach every member of a connected set
+    if injected and _disks_from_adjacency(induced)[1][0][-1] < len(injected):
         raise InputError(
             "injected regions must form a connected set under the adjacency",
             module="evalsynth",

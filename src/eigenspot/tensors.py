@@ -203,14 +203,7 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         v = rng.standard_normal(n)
         for u in basis:
             v -= (u @ v) * u
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:  # astronomically unlikely; restart deterministically
-            v = np.zeros(n)
-            v[len(basis) % n] = 1.0
-            for u in basis:
-                v -= (u @ v) * u
-            nv = float(np.linalg.norm(v))
-        v /= nv
+        v /= np.linalg.norm(v)
 
         lam = 0.0
         resid = np.inf

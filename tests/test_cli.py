@@ -269,6 +269,28 @@ def test_eval_truncated_document_exits_2(eval_inputs, tmp_path, flag):
     assert err["message"].startswith(f"{truncated} is not valid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "flag, reshape, message",
+    [
+        ("detect", lambda doc: [], "malformed report document: 'list' object has no attribute 'get'"),
+        ("detect", lambda doc: {"schema": doc["schema"]}, "malformed report document: 'space'"),
+        ("scan", lambda doc: {**doc, "cylinders": [{}]}, "malformed scan document: 'center'"),
+        (
+            "scan",
+            lambda doc: {k: v for k, v in doc.items() if k != "significant"},
+            "malformed scan document: 'significant'",
+        ),
+    ],
+)
+def test_eval_malformed_document_exits_2(eval_inputs, tmp_path, flag, reshape, message):
+    files = dict(eval_inputs)
+    files[flag] = tmp_path / f"{flag}.json"
+    files[flag].write_text(json.dumps(reshape(json.loads(eval_inputs[flag].read_text()))))
+    res = run_cli(["eval", *(a for k, path in files.items() for a in (f"--{k}", str(path)))])
+    err = one_line_error(res)
+    assert (err["module"], err["type"], err["message"]) == ("dataio", "InputError", message)
+
+
 def test_line_breaks_quoting_and_bom_give_identical_outputs(synth_dir, tmp_path):
     # one data set written four ways; region r05 is renamed, and only the
     # quoted variant can carry a comma in its name, so that variant's

@@ -24,7 +24,7 @@ from eigenspot import (
     read_report,
     run_sst_hotspot,
     write_geojson,
-    write_report,
+    write_json,
 )
 from eigenspot.dataio import (
     report_from_dict,
@@ -604,6 +604,72 @@ def test_parse_centroids():
         )
 
 
+# Each reader's messages, in the order its checks run. The numbers are csv
+# record numbers, counting the header, blank records and records that span
+# lines as one each.
+ADJACENCY_ERRORS = [
+    ("A,B,C\n", False, "adjacency row 1 must have exactly two columns"),
+    ("A,B\nC\n", False, "adjacency row 2 must have exactly two columns"),
+    ("A,B\n,,\nQ,Q,Q\n", False, "adjacency row 3 must have exactly two columns"),
+    ("A,B\nB,Q\n", False, "unknown region 'Q' at adjacency row 2"),
+    ("Q,A\n", False, "unknown region 'Q' at adjacency row 1"),
+    ("A,B\n\nC,C\n", False, "self-pair 'C' rejected at adjacency row 3"),
+    ("Q,Q\n", False, "unknown region 'Q' at adjacency row 1"),
+    ("a,b\nA,B\nB,Q\n", True, "unknown region 'Q' at adjacency row 3"),
+    ("a,b\n", False, "unknown region 'a' at adjacency row 1"),
+    # the header is the first record, even a blank one
+    ("\na,b\n", True, "unknown region 'a' at adjacency row 2"),
+    ('A,"B"\n" \n ",""\n\n  \nB,Q\n', False, "unknown region 'Q' at adjacency row 5"),
+    ('"A,B",C\n', False, "unknown region 'A,B' at adjacency row 1"),
+]
+
+
+@pytest.mark.parametrize("text, header, message", ADJACENCY_ERRORS)
+def test_parse_adjacency_messages(text, header, message):
+    with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+        parse_adjacency(io.StringIO(text), ("A", "B", "C"), header=header)
+
+
+def test_parse_adjacency_strips_cells_and_skips_blank_rows(tmp_path):
+    path = tmp_path / "adjacency.csv"
+    path.write_text(' A , B \n\n   \n , \n"C" ,"\tA"\r\n', newline="")
+    adj = parse_adjacency(path, ("A", "B", "C")).adjacency
+    assert adj.astype(int).tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    adj = parse_adjacency(io.StringIO("x,y\nA,B\n"), ("A", "B", "C"), header=True).adjacency
+    assert adj.sum() == 2 and adj[0, 1]
+
+
+CENTROID_ERRORS = [
+    ("region,x,y\nA,0\n", "centroid row 2 must be region,x,y"),
+    ("region,x,y\nA,0,0\n\nB,1,1,1\n", "centroid row 4 must be region,x,y"),
+    ("region,x,y\nQ,0,0\n", "unknown region 'Q' at centroid row 2"),
+    ("region,x,y\nQ,x,y\n", "unknown region 'Q' at centroid row 2"),
+    ("region,x,y\nA,0,0\n , \nB,1,y\n", "non-numeric coordinate at centroid row 4"),
+    ("region,x,y\nA,0,0\nA,x,0\n", "region 'A' listed twice in centroids"),
+    ("region,x,y\nA,0,0\nB,1,1\n", "missing centroids for region(s): ['C']"),
+    ("region,x,y\nB,1,1\n", "missing centroids for region(s): ['A', 'C']"),
+    ("", "missing centroids for region(s): ['A', 'B', 'C']"),
+    # the header is the first record, even a blank one
+    ("\nregion,x,y\n", "unknown region 'region' at centroid row 2"),
+    ('region,x,y\n"A\n",0,0\nB,1,1\n"C",x,1\n', "non-numeric coordinate at centroid row 4"),
+]
+
+
+@pytest.mark.parametrize("text, message", CENTROID_ERRORS)
+def test_parse_centroids_messages(text, message):
+    with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+        parse_centroids(io.StringIO(text), ("A", "B", "C"))
+
+
+def test_parse_centroids_strips_cells_and_skips_blank_rows(tmp_path):
+    path = tmp_path / "centroids.csv"
+    path.write_text('region,x,y\n A , 0.5 ,1\n\n  \n , ,\n"C",-2, 3e1\r\n"B" ,"7",8\n', newline="")
+    coords = parse_centroids(path, ("A", "B", "C"))
+    assert coords.tolist() == [[0.5, 1.0], [7.0, 8.0], [-2.0, 30.0]]
+    coords = parse_centroids(io.StringIO("A,1,2\n"), ("A",), header=False)
+    assert coords.tolist() == [[1.0, 2.0]]
+
+
 # ---------------------------------------------------------------------------
 # stable JSON
 
@@ -642,11 +708,11 @@ def example_report(rng):
 def test_report_roundtrip_structural_and_byte_stable(tmp_path, rng):
     report = example_report(rng)
     path = tmp_path / "report.json"
-    write_report(report, path)
+    write_json(report_to_dict(report), path)
     back = read_report(path)
     assert report_to_dict(back) == json.loads(path.read_text())
     path2 = tmp_path / "report2.json"
-    write_report(back, path2)
+    write_json(report_to_dict(back), path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -677,7 +743,7 @@ def test_scan_result_roundtrip_with_labels(tmp_path, rng):
     )
     res = monte_carlo_p(res, replications=9, seed=2)
     path = tmp_path / "scan.json"
-    write_report(res, path, alpha=0.05, top=10)
+    write_json(scan_to_dict(res, alpha=0.05, top=10), path)
     back = read_report(path)
     assert back.c_total == res.c_total
     assert len(back.cylinders) == 10
@@ -733,6 +799,45 @@ def test_json_readers_reject_malformed_documents(tmp_path, read):
         read(path)
     with pytest.raises(InputError, match=r"^input is not valid JSON: "):
         read(io.StringIO("[1,"))
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (read_report, [], "malformed report document: 'list' object has no attribute 'get'"),
+        (read_report, {"schema": "hotspot-report/1"}, "malformed report document: 'space'"),
+        (read_report, {"schema": "scan-result/1", "regions": None}, "malformed scan document: 'cylinders'"),
+        (report_from_dict, {"schema": "hotspot-report/1", "space": []}, "malformed report document: "),
+        (scan_from_dict, "scan", "malformed scan document: 'str' object has no attribute 'get'"),
+        (tensor_from_dict, {"schema": "count-tensor/1"}, "malformed tensor document: 'modes'"),
+        (RegionGeometry.from_geojson, [], "malformed GeoJSON document: 'list' object has no attribute 'get'"),
+        (
+            RegionGeometry.from_geojson,
+            {"type": "FeatureCollection", "features": [{"properties": {"region": "A", "centroid": [1]}}]},
+            "malformed GeoJSON document: not enough values to unpack",
+        ),
+        (load_schema, {"modes": [{"name": "x"}]}, "malformed schema document: 'kind'"),
+        (load_schema, [], "malformed schema document: list indices must be integers"),
+        (
+            load_schema,
+            {"modes": [{"name": "r", "kind": "space", "columns": [["r"]]}, *SCHEMA_MODES[1:]]},
+            "malformed schema document: unhashable type: 'list'",
+        ),
+    ],
+)
+def test_documents_of_the_wrong_shape_are_input_errors(read, doc, message):
+    if read in (read_report, RegionGeometry.from_geojson, load_schema):
+        doc = io.StringIO(json.dumps(doc))
+    with pytest.raises(InputError, match="^" + re.escape(message)) as exc:
+        read(doc)
+    assert exc.value.module == "dataio"
+
+
+def test_write_json_writes_to_stdout_by_default(capsys, tmp_path):
+    write_json({"a": [1, 0.5]})
+    assert capsys.readouterr().out == '{"a":[1,0.5]}\n'
+    write_json({"a": "b\nc"}, tmp_path / "doc.json")
+    assert (tmp_path / "doc.json").read_bytes() == b'{"a":"b\\nc"}\n'
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from eigenspot import (
     read_report,
     scan,
     score,
-    write_report,
+    write_json,
 )
 from eigenspot import stscan
+from eigenspot.dataio import scan_to_dict
 from eigenspot.stscan import _count_bounds, _llr, _scores, expected_baseline
 
 
@@ -661,7 +662,7 @@ def test_monte_carlo_validation(tmp_path, monkeypatch):
     ):
         with pytest.raises(InputError, match="scan"):
             monte_carlo_p(partial, replications=9, seed=1)
-    write_report(res, tmp_path / "scan.json")
+    write_json(scan_to_dict(res), tmp_path / "scan.json")
     back = read_report(tmp_path / "scan.json")
     assert back.baseline is None
     with pytest.raises(InputError, match="scan"):
