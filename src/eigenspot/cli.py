@@ -9,6 +9,7 @@ defaults to a fixed constant rather than the clock.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -285,10 +286,8 @@ def synth(
     time_names = data.population.modes[1].categories
 
     def write_counts(path: Path, matrix: np.ndarray) -> None:
-        lines = ["region,time,count"]
-        for i, r in enumerate(region_names):
-            for j, t in enumerate(time_names):
-                lines.append(f"{r},{t},{format(matrix[i, j], '.12g')}")
+        cells = zip(itertools.product(region_names, time_names), matrix.ravel().tolist())
+        lines = ["region,time,count", *(f"{r},{t},{format(v, '.12g')}" for (r, t), v in cells)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     write_counts(out / "population.csv", data.population.values)

@@ -95,6 +95,11 @@ class RecordSchema:
         cols = self.flat_columns()
         if len(set(cols)) != len(cols):
             raise InputError("schema maps a column twice", module="dataio")
+        if not isinstance(self.count_column, (str, type(None))):
+            raise InputError(
+                f"count column must be a string, not {type(self.count_column).__name__}",
+                module="dataio",
+            )
         if self.count_column in cols:
             # the column's values would be read both as categories and as counts
             raise InputError(

@@ -71,8 +71,9 @@ class CylinderFamily(Sequence[ScanCylinder]):
     Disk ``d`` is ``orders[centers[d], :sizes[d]]``: a center's nested disks
     are prefixes of its one order row, center first. Cylinder ``i`` is disk
     ``i // W`` over window ``i % W``, and the per-cylinder arrays follow that
-    index. The sequence runs in ``order`` (the ranking, once scanned),
-    builds :class:`ScanCylinder` rows on access and slices to views.
+    index. ``maxima`` holds the sorted replica maxima, which price each row's
+    p-value as it is built. The sequence runs in ``order`` (the ranking, once
+    scanned), builds :class:`ScanCylinder` rows on access and slices to views.
     """
 
     orders: np.ndarray
@@ -83,7 +84,7 @@ class CylinderFamily(Sequence[ScanCylinder]):
     counts: np.ndarray | None = None
     baselines: np.ndarray | None = None
     scores: np.ndarray | None = None
-    p_values: np.ndarray | None = None
+    maxima: np.ndarray | None = None
     order: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -101,12 +102,16 @@ class CylinderFamily(Sequence[ScanCylinder]):
         disk, window = np.divmod(self.order, self.t0.size)
         disks = zip(self.centers[disk].tolist(), self.sizes[disk].tolist())
         spans = zip(self.t0[window].tolist(), self.t1[window].tolist())
-        arrays = (self.counts, self.baselines, self.scores, self.p_values)
         columns = [
-            itertools.repeat(default) if a is None else a[self.order].tolist()
-            for a, default in zip(arrays, (0.0, 0.0, 0.0, None))
+            itertools.repeat(0.0) if a is None else a[self.order].tolist()
+            for a in (self.counts, self.baselines, self.scores)
         ]
-        for (c, k), span, *values in zip(disks, spans, *columns):
+        priced = itertools.repeat(None)
+        if self.maxima is not None:
+            # (1 + #{maxima >= score}) / (R + 1): integers, then one division
+            r = self.maxima.size + 1
+            priced = ((r - np.searchsorted(self.maxima, self.scores[self.order])) / r).tolist()
+        for (c, k), span, *values in zip(disks, spans, *columns, priced):
             yield ScanCylinder(c, tuple(self.orders[c, :k].tolist()), span, *values)
 
     def cell_sums(self, matrix: np.ndarray) -> np.ndarray:
@@ -520,9 +525,10 @@ def scan(
     the Poisson statistic is defined on; their disk sums are then exact.
     Every disk crossed with every window is scored, whatever ranking the
     family carries. Ties sort the smaller member set first, then the lower
-    center index, then the earlier window, which makes the ordering total
-    and the output deterministic. The result keeps a read-only copy of the
-    baseline, which :func:`monte_carlo_p` draws its replicas from.
+    center index, then the earlier window: every cylinder is listed in that
+    order and one stable sort by score runs over the list, so the ordering
+    is total and the output deterministic. The result keeps a read-only
+    copy of the baseline, which :func:`monte_carlo_p` draws replicas from.
     """
     cases_m = np.asarray(cases, dtype=float)
     base_m = np.array(baseline, dtype=float)
@@ -554,12 +560,13 @@ def scan(
     counts = counts.ravel()
     baselines = fam.cell_sums(base_m)
     scores = _scores(counts, baselines, c_total, b_total, elevated_only)
-    disk, window = np.divmod(np.arange(scores.size), fam.t0.size)
-    keys = (fam.t1[window], fam.t0[window], fam.centers[disk], fam.sizes[disk])
-    order = np.lexsort((*keys, -scores))
+    # every cylinder in tie order, disk-major; a stable sort by score keeps it among equals
+    windows = np.lexsort((fam.t1, fam.t0))
+    layout = (np.lexsort((fam.centers, fam.sizes))[:, None] * fam.t0.size + windows).ravel()
+    order = layout[np.argsort(-scores[layout], kind="stable")]
     return ScanResult(
         cylinders=dataclasses.replace(
-            fam, counts=counts, baselines=baselines, scores=scores, p_values=None, order=order
+            fam, counts=counts, baselines=baselines, scores=scores, maxima=None, order=order
         ),
         c_total=c_total,
         b_total=b_total,
@@ -571,7 +578,7 @@ def scan(
 
 
 def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResult:
-    """Attach Monte Carlo p-values to a result from :func:`scan`.
+    """Attach Monte Carlo p-values to a result from :func:`scan`, as sorted replica ``maxima``.
 
     Replica case matrices are multinomial redistributions of the observed
     total over all cells with probabilities proportional to the baseline
@@ -628,15 +635,10 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
             )
         maxima[i] = best
 
-    del bounds  # one value per cylinder; freed before the p-values are built
     maxima.sort()
-    # (1 + #{maxima >= score}) / (R + 1), written into one array
-    p_values = np.searchsorted(maxima, fam.scores, side="left").astype(float)
-    np.subtract(replications + 1, p_values, out=p_values)
-    p_values /= replications + 1
     return dataclasses.replace(
         result,
-        cylinders=dataclasses.replace(fam, p_values=p_values),
+        cylinders=dataclasses.replace(fam, maxima=maxima),
         replications=replications,
         seed=seed,
     )

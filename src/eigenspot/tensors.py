@@ -217,14 +217,7 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
             if resid <= threshold:
                 converged = True
                 break
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                # v lies in the nullspace of the deflated matrix
-                lam = 0.0
-                resid = 0.0
-                converged = True
-                break
-            v = w / nw
+            v = w / float(np.linalg.norm(w))  # w = 0 has a residual of 0, accepted above
         if not converged:
             raise ConvergenceError(
                 f"power iteration did not converge within {DEFAULT_MAX_ITER} iterations "

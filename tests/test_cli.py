@@ -218,10 +218,15 @@ def one_line_error(res):
 @pytest.mark.parametrize(
     "text, message",
     [
-        (b'{"modes": [', "is not valid JSON: Expecting value: line 1 column 12 (char 11)"),
-        (b'\xff\xfe{"modes": []}', "is not UTF-8 text: byte 0xff at offset 0"),
+        (b'{"modes": [', "{schema} is not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+        (b'\xff\xfe{"modes": []}', "{schema} is not UTF-8 text: byte 0xff at offset 0"),
+        (
+            b'{"modes": [{"name": "region", "kind": "space", "columns": ["region"]}, '
+            b'{"name": "time", "kind": "time", "columns": ["time"]}], "count_column": ["count"]}',
+            "count column must be a string, not list",
+        ),
     ],
-    ids=["truncated", "utf-16-mark"],
+    ids=["truncated", "utf-16-mark", "count-column-list"],
 )
 @pytest.mark.parametrize("command", ["detect", "build"])
 def test_malformed_schema_exits_2(synth_dir, tmp_path, text, message, command):
@@ -233,7 +238,7 @@ def test_malformed_schema_exits_2(synth_dir, tmp_path, text, message, command):
     else:
         args = ["build", "--input", str(synth_dir / "cases.csv"), "--schema", str(schema)]
     err = one_line_error(run_cli(args))
-    assert err["module"] == "dataio" and err["message"] == f"{schema} {message}"
+    assert err["module"] == "dataio" and err["message"] == message.format(schema=schema)
 
 
 @pytest.fixture(scope="module")

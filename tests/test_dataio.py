@@ -823,6 +823,8 @@ def test_json_readers_reject_malformed_documents(tmp_path, read):
             {"modes": [{"name": "r", "kind": "space", "columns": [["r"]]}, *SCHEMA_MODES[1:]]},
             "malformed schema document: unhashable type: 'list'",
         ),
+        # a list count column is unhashable too, and would fail only when a file is parsed
+        (load_schema, {"modes": SCHEMA_MODES, "count_column": ["count"]}, "count column must be a string, not list"),
     ],
 )
 def test_documents_of_the_wrong_shape_are_input_errors(read, doc, message):

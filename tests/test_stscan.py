@@ -19,6 +19,7 @@ from eigenspot import (
     score,
     write_json,
 )
+from conftest import ring_adjacency
 from eigenspot import stscan
 from eigenspot.dataio import scan_to_dict
 from eigenspot.stscan import _count_bounds, _llr, _scores, expected_baseline
@@ -415,13 +416,38 @@ def test_scan_exact_ties_keep_documented_order():
     ]
 
 
-def test_scan_tie_ordering_is_total():
-    coords = np.array([[0.0, 0.0], [3.0, 0.0]])
-    m = np.full((2, 2), 5.0)
-    cands = enumerate_cylinders(times=2, coords=coords)
-    res = scan(m, m, cands)
-    keys = [(-c.score, len(c.members), c.center, c.window) for c in res.cylinders]
-    assert keys == sorted(keys)
+def repeated_cells(layout):
+    # cases of 0-2 over a flat baseline: cylinders of one size and window
+    # length share their baselines exactly and often their counts, and the
+    # cold ones score 0 with elevated-only scoring
+    rng = np.random.default_rng(7)
+    coords, cases = rng.random((8, 2)), rng.integers(0, 3, size=(8, 5)).astype(float)
+    if layout == "rings":
+        return enumerate_cylinders(times=5, neighbors=ring_adjacency(8)), cases
+    fam = enumerate_cylinders(times=5, coords=coords)
+    if layout == "reversed":
+        # disks in reverse center order, windows in reverse triu order
+        fam = CylinderFamily(
+            fam.orders, fam.centers[::-1], fam.sizes[::-1], fam.t0[::-1], fam.t1[::-1]
+        )
+    return fam, cases
+
+
+@pytest.mark.parametrize("elevated_only", [True, False])
+@pytest.mark.parametrize("layout", ["flat-pair", "centroids", "rings", "reversed"])
+def test_scan_tie_ordering_is_total(layout, elevated_only):
+    if layout == "flat-pair":
+        cases = np.full((2, 2), 5.0)
+        cands = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0], [3.0, 0.0]]))
+    else:
+        cands, cases = repeated_cells(layout)
+    res = scan(cases, expected_baseline(cases, np.ones(cases.shape)), cands, elevated_only)
+    rows = list(res.cylinders)
+    assert len({c.score for c in rows}) <= len(rows) // 4  # ties are the rule here
+    ranked = sorted(rows, key=lambda c: (-c.score, len(c.members), c.center, c.window))
+    assert [(c.center, c.members, c.window) for c in rows] == [
+        (c.center, c.members, c.window) for c in ranked
+    ]
 
 
 def test_scan_validation():
@@ -594,14 +620,14 @@ def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
                     elevated_only).max()
             for draw in draws
         ]
-        expected = [(1 + sum(m >= s for m in maxima)) / 20 for s in res.cylinders.scores]
+        expected = [(1 + sum(m >= c.score for m in maxima)) / 20 for c in res.cylinders]
         for floor, block in itertools.product((stscan._FLOOR, 0.25, 1.0), (1 << 20, 4096, 1)):
             monkeypatch.setattr(stscan, "_FLOOR", floor)
             monkeypatch.setattr(stscan, "_BLOCK", block)
             assert (len(cands.blocks()) > 1) == (block == 1)
             floors.clear()
             out = monte_carlo_p(res, replications=19, seed=4)
-            assert out.cylinders.p_values.tolist() == expected
+            assert [c.p_value for c in out.cylinders] == expected
             if baseline is pop:
                 assert not floors  # every maximum is 0 or below, so nothing is pruned
             else:
@@ -628,8 +654,9 @@ def test_monte_carlo_scores_few_cylinders_after_the_first_replica(
 
 def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
     # a replica sums one block of centers at a time and keeps only its
-    # maximum score: the default budget holds this whole family in one
-    # block, a 4096-value budget leaves little beyond the p-values
+    # maximum score, and the result keeps only the sorted maxima: the default
+    # budget holds this whole family in one block, and a 4096-value budget
+    # stays below one per-cylinder float array (about 0.3 of one)
     import tracemalloc
 
     coords, cases, pop = grid_instance(41, n=40, times=12)
@@ -637,7 +664,7 @@ def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
     cands = enumerate_cylinders(times=12, coords=coords)
     assert len(cands) == 124_800
     res = scan(cases, baseline, cands)
-    for block, bound in ((1 << 20, 12), (4096, 3)):
+    for block, bound in ((1 << 20, 12), (4096, 1)):
         monkeypatch.setattr(stscan, "_BLOCK", block)
         tracemalloc.start()
         try:
@@ -679,15 +706,15 @@ def test_monte_carlo_draws_from_the_scanned_baseline():
     baseline = expected_baseline(cases, pop)
     res = scan(cases, baseline, cands)
     assert not res.baseline.flags.writeable and not np.shares_memory(res.baseline, baseline)
-    expected = monte_carlo_p(res, replications=19, seed=6).cylinders.p_values.tolist()
+    expected = [c.p_value for c in monte_carlo_p(res, replications=19, seed=6).cylinders]
     baseline[0] *= 40.0  # the caller's array changes; the scanned copy does not
-    assert monte_carlo_p(res, replications=19, seed=6).cylinders.p_values.tolist() == expected
+    assert [c.p_value for c in monte_carlo_p(res, replications=19, seed=6).cylinders] == expected
     # region 0 and time 0 carry no baseline, so no replica puts a case there
     half = np.array([[0.0, 0.0], [0.0, 2.0]])
     two = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0], [1.0, 0.0]]))
     for elevated_only in (True, False):
         out = monte_carlo_p(scan(half, half, two, elevated_only), replications=9, seed=1)
-        assert out.cylinders.p_values.tolist() == [1.0] * len(two)
+        assert [c.p_value for c in out.cylinders] == [1.0] * len(two)
 
 
 def test_family_rows_slices_and_significant_prefix():
