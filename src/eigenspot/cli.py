@@ -136,6 +136,9 @@ def detect(
     geometry_path: str | None,
 ) -> None:
     """Run the eigenvector-matching detector and write its report."""
+    if geojson_path is not None and geometry_path is None:
+        raise InputError("--geojson needs --geometry", module="cli")
+    geometry = None if geojson_path is None else dataio.RegionGeometry.from_geojson(geometry_path)
     schema = dataio.load_schema(schema_path)
     cases_t, population_t, unknown = dataio.ingest_pair(cases, population, schema)
     _warn("unknown_categories", unknown)
@@ -149,10 +152,7 @@ def detect(
         likely_threshold=likely_threshold,
     )
     dataio.write_json(dataio.report_to_dict(report), out_path)
-    if geojson_path is not None:
-        if geometry_path is None:
-            raise InputError("--geojson needs --geometry", module="cli")
-        geometry = dataio.RegionGeometry.from_geojson(geometry_path)
+    if geometry is not None:
         _warn("geometry_missing", dataio.write_geojson(report, geometry, geojson_path))
 
 

@@ -942,18 +942,6 @@ class RegionGeometry:
         return cls(geometries=geoms, centroids=centroids or None)
 
 
-def _region_role(report: HotspotReport, region: str) -> str:
-    if region in report.spatial.sc:
-        return "center"
-    if region in report.spatial.likely_cluster:
-        return "likely"
-    if any(region in m for m in report.clusters_first.clusters.values()):
-        return "first"
-    if any(region in m for m in report.clusters_second.clusters.values()):
-        return "second"
-    return "none"
-
-
 def write_geojson(
     report: HotspotReport,
     geometry: RegionGeometry,
@@ -961,30 +949,40 @@ def write_geojson(
 ) -> tuple[str, ...]:
     """Emit one feature per region with ds, role, and cluster membership.
 
-    Regions without geometry are skipped so a partial geometry file still
-    yields usable output; returns the skipped regions in report order.
+    A region's role is the strongest of center, likely, first and second
+    it holds, or "none". Regions without geometry are skipped so a partial
+    geometry file still yields usable output; returns the skipped regions
+    in report order.
     """
+    second = report.clusters_second.clusters
+    roles: dict[str, str] = {}
+    for role, regions in (
+        ("second", itertools.chain.from_iterable(second.values())),
+        ("first", itertools.chain.from_iterable(report.clusters_first.clusters.values())),
+        ("likely", report.spatial.likely_cluster),
+        ("center", report.spatial.sc),
+    ):
+        roles.update(dict.fromkeys(regions, role))
+    in_clusters: defaultdict[str, list[str]] = defaultdict(list)
+    for center, members in second.items():
+        for region in set(members):
+            in_clusters[region].append(center)
     features = []
     skipped = []
-    for region in report.ds.categories:
+    for region, value in zip(report.ds.categories, report.ds.entries.tolist()):
         geom = geometry.geometries.get(region)
         if geom is None:
             skipped.append(region)
             continue
-        clusters = [
-            center
-            for center, members in report.clusters_second.clusters.items()
-            if region in members
-        ]
         features.append(
             {
                 "type": "Feature",
                 "geometry": geom,
                 "properties": {
                     "region": region,
-                    "ds": report.ds.value(region),
-                    "role": _region_role(report, region),
-                    "clusters": clusters,
+                    "ds": value,
+                    "role": roles.get(region, "none"),
+                    "clusters": in_clusters.get(region, []),
                 },
             }
         )

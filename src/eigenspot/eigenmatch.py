@@ -210,29 +210,27 @@ def element_diff(
     )
 
 
-def _descending(diff: DiffVector) -> list[int]:
-    """Indices sorted by descending entry; exact ties keep index order."""
-    return list(np.argsort(-diff.entries, kind="stable"))
-
-
 def _threshold_tiers(
     diff: DiffVector,
-) -> tuple[list[str], list[str], list[str], float, list[str], list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
     """Shared center/tier split used by both axes.
 
     Returns (positives, centers, remainder, std_remainder, tier1, tier2),
-    each list in descending entry order.
+    each an index array in descending entry order, exact ties by index.
     """
     entries = diff.entries
-    cats = diff.categories
-    order = _descending(diff)
-    positives = [cats[i] for i in order if entries[i] > ZERO_TOL]
-    centers = [s for s in positives if diff.value(s) > diff.std_all]
-    remainder = [s for s in positives if s not in centers]
-    std_rem = population_std([diff.value(s) for s in remainder])
-    tier1 = [s for s in remainder if diff.value(s) >= std_rem]
-    tier2 = [s for s in remainder if diff.value(s) < std_rem]
-    return positives, centers, remainder, std_rem, tier1, tier2
+    order = np.argsort(-entries, kind="stable")
+    positives = order[entries[order] > ZERO_TOL]
+    is_center = entries[positives] > diff.std_all
+    centers, remainder = positives[is_center], positives[~is_center]
+    std_rem = population_std(entries[remainder])
+    low = entries[remainder] < std_rem
+    return positives, centers, remainder, std_rem, remainder[~low], remainder[low]
+
+
+def _labels(names: tuple[str, ...], indices: np.ndarray) -> tuple[str, ...]:
+    """The names at the given indices, in index-array order."""
+    return tuple(names[i] for i in indices.tolist())
 
 
 def _largest_tight_window(
@@ -274,16 +272,17 @@ def partition_spatial(
         raise InputError("partition_spatial needs a space-axis vector", module="eigenmatch")
     sl, sc, st, std_st, s1, s2 = _threshold_tiers(ds)
     bound = std_st if likely_threshold == "st" else ds.std_all
-    likely = _largest_tight_window(s1, [ds.value(s) for s in s1], bound)
+    tier1_values = ds.entries[s1].tolist()
+    sl, sc, st, s1, s2 = (_labels(ds.categories, ix) for ix in (sl, sc, st, s1, s2))
     return SpatialPartition(
         ds=ds,
-        sl=tuple(sl),
-        sc=tuple(sc),
-        st=tuple(st),
-        s1=tuple(s1),
-        s2=tuple(s2),
+        sl=sl,
+        sc=sc,
+        st=st,
+        s1=s1,
+        s2=s2,
         std_st=std_st,
-        likely_cluster=likely,
+        likely_cluster=_largest_tight_window(s1, tier1_values, bound),
     )
 
 
@@ -312,11 +311,11 @@ def grow_first_priority(part: SpatialPartition, nb: NeighborMatrix) -> ClusterSe
     their clusters.
     """
     idx = _region_index(part.ds.categories, nb)
-    clusters: dict[str, tuple[str, ...]] = {}
-    for center in part.sc:
-        members = [center]
-        members += [s for s in part.s1 if nb.adjacency[idx[s], idx[center]]]
-        clusters[center] = tuple(members)
+    touches = nb.adjacency[np.ix_([idx[c] for c in part.sc], [idx[s] for s in part.s1])]
+    clusters = {
+        center: (center, *_labels(part.s1, np.flatnonzero(row)))
+        for center, row in zip(part.sc, touches)
+    }
     return ClusterSet(clusters=clusters, kind="first")
 
 
@@ -332,14 +331,12 @@ def grow_second_priority(
     if first.kind != "first":
         raise InputError("expected a first-priority cluster set", module="eigenmatch")
     idx = _region_index(part.ds.categories, nb)
+    s2 = np.array([idx[x] for x in part.s2], dtype=np.intp)
     clusters: dict[str, tuple[str, ...]] = {}
     for center, base in first.clusters.items():
-        added = [
-            x
-            for x in part.s2
-            if any(nb.adjacency[idx[x], idx[m]] for m in base)
-        ]
-        clusters[center] = base + tuple(added)
+        # the adjacency is symmetric; gathering whole base rows is the cheaper read
+        touches = nb.adjacency[np.ix_([idx[m] for m in base], s2)].any(axis=0)
+        clusters[center] = base + _labels(part.s2, np.flatnonzero(touches))
     return ClusterSet(clusters=clusters, kind="second")
 
 
@@ -354,7 +351,7 @@ def partition_temporal(
     if dt.axis != "time":
         raise InputError("partition_temporal needs a time-axis vector", module="eigenmatch")
     _, tc, _, _, t1, _ = _threshold_tiers(dt)
-    return tuple(tc), tuple(t1)
+    return _labels(dt.categories, tc), _labels(dt.categories, t1)
 
 
 def temporal_intervals(

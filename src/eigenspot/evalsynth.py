@@ -145,6 +145,8 @@ def generate(cfg: SynthConfig) -> SynthData:
         raise InputError("relative risk must be at least 1", module="evalsynth")
     if cfg.growth < 0:
         raise InputError("growth must be non-negative", module="evalsynth")
+    if cfg.seed < 0:
+        raise InputError(f"seed must be non-negative, got {cfg.seed}", module="evalsynth")
     t0, t1 = cfg.window
     if cfg.injected_regions and not (0 <= t0 <= t1 < cfg.times):
         raise InputError(f"window {cfg.window} outside 0..{cfg.times - 1}", module="evalsynth")

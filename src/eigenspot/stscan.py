@@ -601,6 +601,8 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
         raise InputError("Monte Carlo p-values need a result from scan()", module="stscan")
     if replications < 1:
         raise InputError("need at least one replication", module="stscan")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}", module="stscan")
 
     c_total, b_total, elevated_only = result.c_total, result.b_total, result.elevated_only
     base_m = result.baseline

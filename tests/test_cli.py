@@ -337,10 +337,36 @@ def test_line_breaks_quoting_and_bom_give_identical_outputs(synth_dir, tmp_path)
 
 
 def test_detect_geojson_needs_geometry(synth_dir, tmp_path):
-    res = run_cli(detect_args(synth_dir, ["--geojson", str(tmp_path / "x.geojson")]))
+    out = tmp_path / "report.json"
+    gj = tmp_path / "x.geojson"
+    res = run_cli(detect_args(synth_dir, ["--out", str(out), "--geojson", str(gj)]))
     assert res.returncode == 2
     err = json.loads(res.stderr.splitlines()[-1])
     assert err["error"]["module"] == "cli"
+    # the flags are checked before any input is read, so nothing is written
+    assert not out.exists() and not gj.exists()
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        '{"type": "Feature"}',
+        '{"type": "FeatureCollection", "features": [{"properties": {"id": "r00"}}]}',
+        '{"type": "FeatureCollection", "features": [',
+    ],
+    ids=["not-a-collection", "no-region-property", "truncated"],
+)
+def test_detect_malformed_geometry_writes_nothing(synth_dir, tmp_path, geometry):
+    geo_path = tmp_path / "regions.geojson"
+    geo_path.write_text(geometry)
+    out = tmp_path / "report.json"
+    gj = tmp_path / "report.geojson"
+    res = run_cli(
+        detect_args(synth_dir, ["--out", str(out), "--geojson", str(gj), "--geometry", str(geo_path)])
+    )
+    assert res.returncode == 2, res.stderr
+    assert json.loads(res.stderr.splitlines()[-1])["error"]["module"] == "dataio"
+    assert not out.exists() and not gj.exists()
 
 
 def test_detect_geojson_output(synth_dir, tmp_path):
@@ -444,6 +470,20 @@ def test_scan_cylinder_combinatorics_single_region(tmp_path):
         ("t0", "t0"), ("t0", "t1"), ("t0", "t2"),
         ("t1", "t1"), ("t1", "t2"), ("t2", "t2"),
     ]
+
+
+@pytest.mark.parametrize("command", ["scan", "synth"])
+def test_negative_seed_exits_2_and_writes_nothing(synth_dir, tmp_path, command):
+    out = tmp_path / "out"
+    if command == "scan":
+        args = scan_args(synth_dir, ["--replications", "9", "--seed", "-1", "--out", str(out)])
+    else:
+        args = ["synth", "--regions", "4", "--times", "3", "--seed", "-1", "--out-dir", str(out)]
+    res = run_cli(args)
+    assert res.returncode == 2, res.stderr
+    (line,) = res.stderr.splitlines()
+    assert "seed" in json.loads(line)["error"]["message"]
+    assert not out.exists()
 
 
 def test_scan_requires_geometry_source(synth_dir):

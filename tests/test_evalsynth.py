@@ -103,6 +103,8 @@ def test_generate_rejects_bad_configs():
         generate(SynthConfig(regions=4, times=3, injected_regions=("r09",), window=(0, 1), relative_risk=2.0))
     with pytest.raises(InputError):
         generate(SynthConfig(regions=4, times=3, injected_regions=("r00",), window=(0, 5), relative_risk=2.0))
+    with pytest.raises(InputError, match="seed"):
+        generate(SynthConfig(regions=4, times=3, seed=-1))
 
 
 def test_generate_rejects_disconnected_injection():

@@ -682,6 +682,8 @@ def test_monte_carlo_validation(tmp_path, monkeypatch):
     res = scan(m, m, cands, elevated_only=False)
     with pytest.raises(InputError):
         monte_carlo_p(res, replications=0, seed=1)
+    with pytest.raises(InputError, match="seed"):
+        monte_carlo_p(res, replications=9, seed=-1)
     # the result must carry the scanned family and baseline, not rows read back
     for partial in (
         dataclasses.replace(res, cylinders=tuple(res.cylinders)),
