@@ -138,6 +138,7 @@ def detect(
     """Run the eigenvector-matching detector and write its report."""
     if geojson_path is not None and geometry_path is None:
         raise InputError("--geojson needs --geometry", module="cli")
+    parsed_ranks = _parse_ranks(ranks)
     geometry = None if geojson_path is None else dataio.RegionGeometry.from_geojson(geometry_path)
     schema = dataio.load_schema(schema_path)
     cases_t, population_t, unknown = dataio.ingest_pair(cases, population, schema)
@@ -148,7 +149,7 @@ def detect(
         population_t,
         cases_t,
         neighbors,
-        ranks=_parse_ranks(ranks),
+        ranks=parsed_ranks,
         likely_threshold=likely_threshold,
     )
     dataio.write_json(dataio.report_to_dict(report), out_path)
@@ -193,6 +194,12 @@ def scan_cmd(
     out_path: str | None,
 ) -> None:
     """Run the space-time scan baseline and write ranked cylinders."""
+    # every option is checked before any input is read
+    if centroids is None and adjacency is None:
+        raise InputError("supply --centroids or --adjacency", module="cli")
+    stscan.check_max_fraction(max_fraction)
+    stscan.check_replications(replications, seed)
+    dataio.check_scan_options(alpha, top)
     schema = dataio.load_schema(schema_path)
     cases_t, population_t, unknown = dataio.ingest_pair(cases, population, schema)
     _warn("unknown_categories", unknown)
@@ -202,14 +209,11 @@ def scan_cmd(
     cases_m = _space_time_matrix(cases_t)
     baseline_m = stscan.expected_baseline(cases_m, _space_time_matrix(population_t))
 
-    coords = None
-    neighbors = None
+    coords = neighbors = None
     if centroids is not None:
         coords = dataio.parse_centroids(centroids, space_cats)
-    elif adjacency is not None:
-        neighbors = dataio.parse_adjacency(adjacency, space_cats, header=adjacency_header)
     else:
-        raise InputError("supply --centroids or --adjacency", module="cli")
+        neighbors = dataio.parse_adjacency(adjacency, space_cats, header=adjacency_header)
 
     candidates = stscan.enumerate_cylinders(
         times=len(time_cats),
@@ -346,21 +350,7 @@ def eval_cmd(
     report = dataio.read_report(detect_path)
     if not isinstance(report, dataio.HotspotReport):
         raise InputError("--detect must point at a hotspot report", module="cli")
-    scan_doc = dataio.read_json(scan_path)
-    scan_result = dataio.scan_from_dict(scan_doc)
-    with dataio.malformed("scan"):
-        if "alpha" in scan_doc:
-            # the ranked list is cut at --top; the clusters were chosen from
-            # every cylinder at the document's alpha
-            if scan_doc["alpha"] != alpha:
-                raise InputError(
-                    f"--alpha {alpha} differs from the scan's alpha {scan_doc['alpha']}",
-                    module="cli",
-                )
-            if scan_doc["significant"]:
-                scan_result = dataio.scan_from_dict(
-                    {**scan_doc, "cylinders": scan_doc["significant"]}
-                )
+    scan_result = dataio.scan_from_dict(dataio.read_json(scan_path))
     truth_doc = dataio.read_json(truth_path)
     try:
         reference = tuple(truth_doc["regions"])

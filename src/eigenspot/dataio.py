@@ -792,19 +792,21 @@ def _cylinder_to_dict(
     }
 
 
+def check_scan_options(alpha: float | None, top: int | None) -> None:
+    """Reject a negative ``top`` or an ``alpha`` outside (0, 1], as :func:`scan_to_dict` does."""
+    if top is not None and top < 0:
+        raise InputError(f"top must be non-negative, got {top}", module="dataio")
+    if alpha is not None and not 0 < alpha <= 1:
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}", module="dataio")
+
+
 def scan_to_dict(
     result: ScanResult,
     alpha: float | None = None,
     top: int | None = None,
 ) -> dict[str, Any]:
-    """Scan result as a document; ``top`` truncates the ranked list.
-
-    ``top`` must be non-negative and ``alpha`` lie in (0, 1].
-    """
-    if top is not None and top < 0:
-        raise InputError(f"top must be non-negative, got {top}", module="dataio")
-    if alpha is not None and not 0 < alpha <= 1:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}", module="dataio")
+    """Scan result as a document; ``top`` truncates the ranked list."""
+    check_scan_options(alpha, top)
     cyls = result.cylinders if top is None else result.cylinders[:top]
     doc: dict[str, Any] = {
         "schema": SCAN_SCHEMA,
@@ -832,6 +834,8 @@ def scan_to_dict(
 
 @malformed("scan")
 def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
+    """Read a scan document back, with the ``significant`` clusters it
+    recorded at its ``alpha`` if it has one."""
     if doc.get("schema") != SCAN_SCHEMA:
         raise InputError(
             f"expected schema {SCAN_SCHEMA!r}, got {doc.get('schema')!r}",
@@ -839,29 +843,27 @@ def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
         )
     regions = tuple(doc["regions"]) if doc.get("regions") else None
     times = tuple(doc["times"]) if doc.get("times") else None
-    r_index = {r: i for i, r in enumerate(regions)} if regions else None
-    t_index = {t: i for i, t in enumerate(times)} if times else None
+    # labels when the document names regions and times, else the indices themselves
+    region_id = {r: i for i, r in enumerate(regions)}.__getitem__ if regions else int
+    time_id = {t: i for i, t in enumerate(times)}.__getitem__ if times else int
 
-    def region_id(v: Any) -> int:
-        return r_index[v] if r_index else int(v)
-
-    def time_id(v: Any) -> int:
-        return t_index[v] if t_index else int(v)
-
-    cyls = tuple(
-        ScanCylinder(
-            center=region_id(c["center"]),
-            members=tuple(region_id(m) for m in c["members"]),
-            window=(time_id(c["window"][0]), time_id(c["window"][1])),
-            count=float(c["c"]),
-            baseline=float(c["b"]),
-            score=float(c["score"]),
-            p_value=None if c["p_value"] is None else float(c["p_value"]),
+    def rows(key: str) -> tuple[ScanCylinder, ...]:
+        return tuple(
+            ScanCylinder(
+                center=region_id(c["center"]),
+                members=tuple(region_id(m) for m in c["members"]),
+                window=(time_id(c["window"][0]), time_id(c["window"][1])),
+                count=float(c["c"]),
+                baseline=float(c["b"]),
+                score=float(c["score"]),
+                p_value=None if c["p_value"] is None else float(c["p_value"]),
+            )
+            for c in doc[key]
         )
-        for c in doc["cylinders"]
-    )
+
+    recorded = "alpha" in doc
     return ScanResult(
-        cylinders=cyls,
+        cylinders=rows("cylinders"),
         c_total=float(doc["c_total"]),
         b_total=float(doc["b_total"]),
         elevated_only=bool(doc["elevated_only"]),
@@ -869,6 +871,8 @@ def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
         seed=doc["seed"],
         regions=regions,
         times=times,
+        alpha=float(doc["alpha"]) if recorded else None,
+        clusters=rows("significant") if recorded else (),
     )
 
 
@@ -915,10 +919,9 @@ def read_report(source: Any) -> HotspotReport | ScanResult:
 
 @dataclass(frozen=True)
 class RegionGeometry:
-    """Region polygons (GeoJSON geometry objects) and optional centroids."""
+    """Region polygons (GeoJSON geometry objects) by region id."""
 
     geometries: Mapping[str, Mapping[str, Any]]
-    centroids: Mapping[str, tuple[float, float]] | None = None
 
     @classmethod
     @malformed("GeoJSON")
@@ -927,7 +930,6 @@ class RegionGeometry:
         if doc.get("type") != "FeatureCollection":
             raise InputError("expected a GeoJSON FeatureCollection", module="dataio")
         geoms: dict[str, Mapping[str, Any]] = {}
-        centroids: dict[str, tuple[float, float]] = {}
         for feat in doc.get("features", []):
             props = feat.get("properties") or {}
             rid = props.get(id_property)
@@ -936,10 +938,7 @@ class RegionGeometry:
                     f"feature without the {id_property!r} property", module="dataio"
                 )
             geoms[str(rid)] = feat.get("geometry")
-            if "centroid" in props:
-                x, y = props["centroid"]
-                centroids[str(rid)] = (float(x), float(y))
-        return cls(geometries=geoms, centroids=centroids or None)
+        return cls(geometries=geoms)
 
 
 def write_geojson(

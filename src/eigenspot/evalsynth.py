@@ -231,14 +231,9 @@ def scan_detected(result: ScanResult, alpha: float = 0.05) -> frozenset[str]:
     Falls back to the top-ranked cylinder when no p-values are attached
     or nothing clears the threshold, and is empty when there is no cylinder.
     """
-
-    def names(members: Iterable[int]) -> Iterable[str]:
-        if result.regions is not None:
-            return (result.regions[m] for m in members)
-        return (str(m) for m in members)
-
+    name = str if result.regions is None else result.regions.__getitem__
     kept = result.significant_clusters(alpha) or result.cylinders[:1]
-    return frozenset(m for cyl in kept for m in names(cyl.members))
+    return frozenset(name(m) for cyl in kept for m in cyl.members)
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,6 +181,9 @@ class ScanResult:
     times: tuple[str, ...] | None = None
     # read-only copy of the scanned baseline matrix, for the replicas; None when read back
     baseline: np.ndarray | None = None
+    # when read back: the document's alpha and the significant clusters it recorded at it
+    alpha: float | None = None
+    clusters: tuple[ScanCylinder, ...] = ()
 
     @property
     def top(self) -> ScanCylinder:
@@ -198,8 +201,16 @@ class ScanResult:
 
         Nested disks make thousands of cylinders significant around one
         hot block; the conventional report keeps a cylinder only when its
-        region set is disjoint from every better one already kept.
+        region set is disjoint from every better one already kept. A result
+        read back with an ``alpha`` gives the clusters its document recorded,
+        chosen from every cylinder, and raises :class:`InputError` at any other.
         """
+        if self.alpha is not None:
+            if alpha != self.alpha:
+                raise InputError(
+                    f"alpha {alpha} differs from the scan's alpha {self.alpha}", module="stscan"
+                )
+            return self.clusters
         kept: list[ScanCylinder] = []
         covered: set[int] = set()
         significant = self.significant(alpha)
@@ -328,6 +339,12 @@ def _disks_from_adjacency(nb: NeighborMatrix) -> tuple[np.ndarray, list[list[int
     return order, disk_sizes
 
 
+def check_max_fraction(max_fraction: float) -> None:
+    """Reject a disk cap outside (0, 0.5], as :func:`enumerate_cylinders` does."""
+    if not 0 < max_fraction <= 0.5:
+        raise InputError("max_fraction must lie in (0, 0.5]", module="stscan")
+
+
 def enumerate_cylinders(
     times: int,
     coords: np.ndarray | None = None,
@@ -348,8 +365,7 @@ def enumerate_cylinders(
     """
     if times < 1:
         raise InputError("need at least one time step", module="stscan")
-    if not 0 < max_fraction <= 0.5:
-        raise InputError("max_fraction must lie in (0, 0.5]", module="stscan")
+    check_max_fraction(max_fraction)
     if coords is None and neighbors is None:
         raise InputError(
             "supply region coordinates or an adjacency matrix", module="stscan"
@@ -577,6 +593,14 @@ def scan(
     )
 
 
+def check_replications(replications: int, seed: int) -> None:
+    """Reject fewer than one replication or a negative seed, as :func:`monte_carlo_p` does."""
+    if replications < 1:
+        raise InputError("need at least one replication", module="stscan")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}", module="stscan")
+
+
 def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResult:
     """Attach Monte Carlo p-values to a result from :func:`scan`, as sorted replica ``maxima``.
 
@@ -599,10 +623,7 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
     fam = result.cylinders
     if result.baseline is None or not isinstance(fam, CylinderFamily) or fam.scores is None:
         raise InputError("Monte Carlo p-values need a result from scan()", module="stscan")
-    if replications < 1:
-        raise InputError("need at least one replication", module="stscan")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}", module="stscan")
+    check_replications(replications, seed)
 
     c_total, b_total, elevated_only = result.c_total, result.b_total, result.elevated_only
     base_m = result.baseline

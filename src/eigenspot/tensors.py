@@ -268,11 +268,6 @@ class EigenModel:
     eigenvectors: tuple[np.ndarray, ...]
     fits: tuple[float, ...]
 
-    @property
-    def headline_fit(self) -> float:
-        """Worst per-mode fit; a single conservative quality number."""
-        return min(self.fits)
-
     def first_vector(self, mode: int) -> np.ndarray:
         return self.eigenvectors[mode][0]
 

@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from eigenspot.dataio import read_report
+from eigenspot.errors import InputError
+from eigenspot.evalsynth import scan_detected
+
 CLI = [sys.executable, "-m", "eigenspot"]
 
 
@@ -486,6 +490,44 @@ def test_negative_seed_exits_2_and_writes_nothing(synth_dir, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra, module, message",
+    [
+        ("scan", ["--top", "-1"], "dataio", "top must be non-negative, got -1"),
+        ("scan", ["--alpha", "2"], "dataio", "alpha must lie in (0, 1], got 2.0"),
+        ("scan", ["--replications", "0"], "stscan", "need at least one replication"),
+        ("scan", ["--seed", "-1"], "stscan", "seed must be non-negative, got -1"),
+        ("scan", ["--max-fraction", "0.7"], "stscan", "max_fraction must lie in (0, 0.5]"),
+        ("scan", None, "cli", "supply --centroids or --adjacency"),
+        ("detect", ["--ranks", "0"], "cli", "ranks must be positive"),
+        ("detect", ["--ranks", "2,two"], "cli", "ranks must be a comma list of integers: '2,two'"),
+        ("detect", ["--geojson", "GEOJSON"], "cli", "--geojson needs --geometry"),
+    ],
+)
+def test_bad_options_are_rejected_before_input_is_read(
+    synth_dir, tmp_path, command, extra, module, message
+):
+    # the cases file is bad too, and its error would come first were it read first
+    for name in ("population.csv", "centroids.csv", "adjacency.csv", "schema.json"):
+        shutil.copy(synth_dir / name, tmp_path)
+    lines = (synth_dir / "cases.csv").read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",many"
+    (tmp_path / "cases.csv").write_text("\n".join(lines) + "\n")
+    out, gj = tmp_path / "out.json", tmp_path / "out.geojson"
+    if command == "detect":
+        args = detect_args(tmp_path, [a.replace("GEOJSON", str(gj)) for a in extra])
+    elif extra is None:  # no --centroids and no --adjacency
+        args = scan_args(tmp_path)[:7]
+    else:
+        args = scan_args(tmp_path, ["--replications", "9", *extra])
+    res = run_cli([*args, "--out", str(out)])
+    assert res.returncode == 2, res.stderr
+    (line,) = res.stderr.splitlines()
+    err = json.loads(line)["error"]
+    assert (err["type"], err["module"], err["message"]) == ("InputError", module, message)
+    assert not out.exists() and not gj.exists()
+
+
 def test_scan_requires_geometry_source(synth_dir):
     res = run_cli(
         [
@@ -695,6 +737,19 @@ def test_eval_counts_significant_clusters_ranked_below_top(synth_dir, tmp_path):
     res = run_cli(eval_args + ["--alpha", "0.01"])
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"]["type"] == "InputError"
+
+    # a document read back answers with the clusters it recorded, so the
+    # benchmark's reading (read_report, then scan_detected) agrees with eval
+    back = read_report(scan_out)
+    recorded = back.significant_clusters(scan_doc["alpha"])
+    assert [(c.center, c.members, c.window) for c in recorded] == [
+        (back.regions.index(c["center"]), tuple(map(back.regions.index, c["members"])),
+         tuple(map(back.times.index, c["window"])))
+        for c in scan_doc["significant"]
+    ]
+    assert sorted(scan_detected(back, scan_doc["alpha"])) == row["detected"]
+    with pytest.raises(InputError, match="differs from the scan's alpha"):
+        back.significant_clusters(0.01)
 
 
 def test_eval_scan_without_cylinders_gives_zero_row(synth_dir, tmp_path):

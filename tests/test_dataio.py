@@ -35,6 +35,7 @@ from eigenspot.dataio import (
     tensor_to_dict,
 )
 from eigenspot import enumerate_cylinders, monte_carlo_p, scan
+from eigenspot.stscan import expected_baseline
 from conftest import columns_of, make_tensor, records_from_columns, ring_adjacency
 
 SCHEMA_2D = RecordSchema(
@@ -753,6 +754,32 @@ def test_scan_result_roundtrip_with_labels(tmp_path, rng):
         assert a.p_value == b.p_value
 
 
+def test_scan_document_reads_back_with_its_recorded_clusters():
+    # two hot blocks far apart: the second block's cluster ranks below --top 1
+    coords = np.array([[float(i), 0.0] for i in range(8)])
+    pop = np.full((8, 4), 100.0)
+    cases = np.full((8, 4), 20.0)
+    cases[1, :2] += 60.0
+    cases[6, 2:] += 40.0
+    fam = enumerate_cylinders(times=4, coords=coords)
+    res = monte_carlo_p(scan(cases, expected_baseline(cases, pop), fam), 99, seed=3)
+    clusters = [(c.members, c.window) for c in res.significant_clusters(0.05)]
+    assert len(clusters) >= 2
+    back = scan_from_dict(scan_to_dict(res, alpha=0.05, top=1))
+    assert len(back.cylinders) == 1 and back.alpha == 0.05
+    assert [(c.members, c.window) for c in back.significant_clusters(0.05)] == clusters
+    for alpha in (0.01, 0.5):
+        with pytest.raises(InputError, match="differs from the scan's alpha 0.05") as exc:
+            back.significant_clusters(alpha)
+        assert exc.value.module == "stscan"
+    # without an alpha the document records no clusters; they come from its rows, at any alpha
+    back = scan_from_dict(scan_to_dict(res))
+    assert (back.alpha, back.clusters) == (None, ())
+    for alpha in (0.01, 0.05):
+        got = [(c.members, c.window) for c in back.significant_clusters(alpha)]
+        assert got == [(c.members, c.window) for c in res.significant_clusters(alpha)]
+
+
 def test_scan_result_roundtrip_without_labels():
     cyl_doc = scan_to_dict(
         scan(
@@ -813,8 +840,8 @@ def test_json_readers_reject_malformed_documents(tmp_path, read):
         (RegionGeometry.from_geojson, [], "malformed GeoJSON document: 'list' object has no attribute 'get'"),
         (
             RegionGeometry.from_geojson,
-            {"type": "FeatureCollection", "features": [{"properties": {"region": "A", "centroid": [1]}}]},
-            "malformed GeoJSON document: not enough values to unpack",
+            {"type": "FeatureCollection", "features": [{"properties": "A"}]},
+            "malformed GeoJSON document: 'str' object has no attribute 'get'",
         ),
         (load_schema, {"modes": [{"name": "x"}]}, "malformed schema document: 'kind'"),
         (load_schema, [], "malformed schema document: list indices must be integers"),
@@ -904,7 +931,11 @@ def test_region_geometry_from_geojson(tmp_path):
     path.write_text(json.dumps(doc))
     geo = RegionGeometry.from_geojson(path)
     assert "A" in geo.geometries
-    assert geo.centroids == {"A": (0.5, 0.5)}
+    # a centroid property is not read, whatever it holds
+    for centroid in ("here", [1]):
+        doc["features"][0]["properties"]["centroid"] = centroid
+        path.write_text(json.dumps(doc))
+        assert RegionGeometry.from_geojson(path).geometries == {"A": square(0, 0)}
     path.write_text(json.dumps({"type": "Feature"}))
     with pytest.raises(InputError):
         RegionGeometry.from_geojson(path)

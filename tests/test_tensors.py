@@ -243,7 +243,7 @@ def test_decompose_rank_one_tensor():
     model = decompose(t, ranks=(1, 1, 1))
     assert np.allclose(model.first_vector(0), u / np.linalg.norm(u), atol=1e-9)
     assert model.fits[0] == pytest.approx(1.0, abs=1e-12)
-    assert model.headline_fit == pytest.approx(1.0, abs=1e-12)
+    assert min(model.fits) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decompose_matches_oracle_per_mode(rng):
