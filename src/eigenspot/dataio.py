@@ -170,9 +170,14 @@ def load_schema(source: Any) -> RecordSchema:
 _BLOCK = 1 << 18
 _CHUNK = 1 << 14
 
-# the ASCII characters that str.strip removes; it also removes some non-ASCII
-# ones, such as "\xa0" and "\u3000"
-_SPACES = "".join(c for c in map(chr, range(128)) if not c.strip())
+# _MASKS[k] keeps the first k bytes of a little-endian word, k = 0..8
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# the odd multiplier and the shift that mix a long field's words into its key
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_SHIFT = np.uint64(29)
+
+# a chunk's column: its distinct stripped values, and each record's index into them
+Column = tuple[list[str], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -237,32 +242,104 @@ def _open_lines(source: Any) -> Iterator[TextIO]:
     yield io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="")
 
 
-def _stripped(flat: list[str], text: str) -> list[str]:
-    """``flat`` with every field stripped, or as it is when ``text``, which
-    holds every character of its fields, holds none that :meth:`str.strip`
-    removes."""
-    if text.isascii() and not any(map(text.__contains__, _SPACES)):
-        return flat
-    return list(map(str.strip, flat))
+def _numbering() -> defaultdict[str, int]:
+    """A dict that gives each new key the next number, from 0."""
+    numbers: defaultdict[str, int] = defaultdict()
+    numbers.default_factory = numbers.__len__
+    return numbers
 
 
-def _tokenize(fh: TextIO) -> Iterator[tuple[list[list[str]], np.ndarray]]:
-    """Split a file's records into whole, stripped fields, a chunk at a time.
+def _stripped(raw: list[str], index: np.ndarray) -> Column:
+    """A column of distinct values ``raw``, with every value stripped and
+    the values that strip to one string merged."""
+    values = list(map(str.strip, raw))
+    if values == raw:
+        return raw, index
+    merged = _numbering()
+    remap = np.fromiter(map(merged.__getitem__, values), np.intp, len(values))
+    return list(merged), remap[index]
 
-    Yields ``(fields, lengths)`` per chunk, the header being the first record
-    of the first chunk: ``fields[j]`` holds field ``j`` of each record, with a
-    record's missing trailing fields read as ``""``, and ``lengths`` each
-    record's own field count. ``fh`` must end lines as a file opened with
-    newline="" does, and fields are stripped of surrounding whitespace only in
-    a chunk that holds whitespace or non-ASCII text (see :func:`_stripped`).
+
+def _indexed(fields: list[str]) -> Column:
+    """The column of ``fields``, from one dict pass."""
+    seen = _numbering()
+    index = np.fromiter(map(seen.__getitem__, fields), np.intp, len(fields))
+    return _stripped(list(seen), index)
+
+
+def _byte_columns(buf: bytes, starts: np.ndarray, stops: np.ndarray) -> list[Column] | None:
+    """The columns of a plain chunk, whose UTF-8 bytes are ``buf`` and whose
+    field ``j`` of record ``i`` is ``buf[starts[i, j]:stops[i, j]]``; None when
+    two different fields of a column share a key.
+
+    A field of at most 8 bytes is keyed on those bytes, read as one
+    little-endian word, and a longer one on its length and the sum of its
+    words, each mixed with its place. Each column's fields are grouped by
+    key, and only one field of each group is decoded. A longer field is
+    checked word by word against that field of its group, so the work on
+    long fields grows with their bytes.
+    """
+    # words[i] is the word of the 8 bytes at offset i, read unaligned
+    words = np.ndarray((len(buf) + 1,), "<u8", buf + bytes(8), strides=(1,))
+    sizes = stops - starts
+    keys = words[starts]
+    keys &= _MASKS[np.minimum(sizes, 8)]
+    columns = []
+    for start, stop, size, key in zip(starts.T, stops.T, sizes.T, keys.T):
+        long = np.flatnonzero(size > 8)
+        if long.size:
+            # the words of the long fields one after another: word k of a
+            # field is at its start + offset, offset = 8k
+            count = (size[long] + 7) // 8
+            begin = np.cumsum(count) - count
+            place = np.arange(begin[-1] + count[-1]) - np.repeat(begin, count)
+            offset = 8 * place
+            mask = _MASKS[np.minimum(np.repeat(size[long], count) - offset, 8)]
+            part = words[np.repeat(start[long], count) + offset] & mask
+            mixed = (part ^ place.astype(np.uint64) * _MIX) * _MIX
+            mixed ^= mixed >> _SHIFT
+            mixed = (np.add.reduceat(mixed, begin) ^ size[long].astype(np.uint64)) * _MIX
+            key[long] = mixed ^ mixed >> _SHIFT
+        distinct, group = np.unique(key, return_inverse=True)
+        first = np.empty(distinct.size, dtype=np.intp)
+        first[group] = np.arange(group.size)  # a field of each group
+        if long.size:
+            to = first[group]  # the decoded field with each field's key
+            if (size[to] != size).any():
+                return None
+            # of equal size, so with the same words masked alike
+            if ((words[np.repeat(start[to[long]], count) + offset] & mask) != part).any():
+                return None
+        raw = [
+            buf[a:b].decode("utf-8", "surrogatepass")
+            for a, b in zip(start[first].tolist(), stop[first].tolist())
+        ]
+        columns.append(_stripped(raw, group))
+    return columns
+
+
+def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
+    """Split a file's records into columns of whole, stripped fields, a chunk at a time.
+
+    Yields ``(columns, lengths)`` per chunk, the header being the first
+    record of the first chunk: ``columns[j]`` is field ``j`` of each record
+    as ``(values, index)``, the field of record ``i`` being
+    ``values[index[i]]``, with ``values`` the chunk's distinct stripped
+    values of the field and a record's missing trailing fields read as
+    ``""``; ``lengths`` is each record's own field count.
+    ``fh`` must end lines as a file opened with newline="" does.
 
     The file is read ``_BLOCK`` characters at a time, and a chunk is the
     whole lines read so far: a record longer than a block waits for the
     blocks that end it. A chunk with no ``"`` character, no NUL (which
     ``csv`` rejects before Python 3.11) and no lone CR, whose every line has
-    the header's field count, is split on commas. From the first chunk that
-    is not, the rest of the file is read by :mod:`csv`, ``_CHUNK`` records at
-    a time, whose records may quote commas and line breaks.
+    the header's field count, is plain: its fields are cut from its UTF-8
+    bytes at the commas and line ends and grouped by their bytes (see
+    :func:`_byte_columns`), so that Python decodes and strips only each
+    column's distinct values. From the first chunk that is not plain, the
+    rest of the file is read by :mod:`csv`, ``_CHUNK`` records at a time,
+    whose records may quote commas and line breaks, and each column of a
+    chunk is grouped in one dict pass.
     """
     width = 0  # the header's field count
     text = ""  # the text read and not yet split
@@ -283,24 +360,27 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[list[str]], np.ndarray]]:
                 continue
             return  # every chunk was split
         lines, text = text[:end], text[end:]
-        # each line's comma count, from the offsets of its commas and of its end
-        data = np.frombuffer(lines.encode("utf-8", "surrogatepass"), np.uint8)
-        ends = np.flatnonzero(data == ord("\n")) if block else [data.size]
-        commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
+        # the UTF-8 bytes of the lines, each ending in a line break
+        buf = lines.encode("utf-8", "surrogatepass") + (b"" if block else b"\n")
+        data = np.frombuffer(buf, np.uint8)
+        stops = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # each field's end
+        ends = data[stops] == ord("\n")
         del data
-        width = width or int(commas[0]) + 1
-        if (commas != width - 1).any():
+        width = width or int(ends.argmax()) + 1
+        height = stops.size // width
+        columns = None
+        # each line has the header's field count when every width-th field
+        # ends a line and no other does
+        if stops.size == height * width and ends[width - 1 :: width].all() and ends.sum() == height:
+            shape = (height, width)
+            starts = np.concatenate(([0], stops[:-1] + 1))
+            columns = _byte_columns(buf, starts.reshape(shape), stops.reshape(shape))
+        if columns is None:
             text = lines + text
             break
-        joined = lines.replace("\n", ",")
-        del lines
-        flat = joined.split(",")
-        if block:
-            flat.pop()  # the "" after the last line break
-        flat = _stripped(flat, joined)
-        del joined
-        yield [flat[j::width] for j in range(width)], np.full(len(flat) // width, width)
-        del flat  # before the next block is read
+        del lines, buf, stops, ends
+        yield columns, np.full(height, width)
+        del columns  # before the next block is read
     # csv needs whole lines, and a CR that ends the text may begin a CRLF
     records = csv.reader(itertools.chain(io.StringIO(text + fh.readline(), newline=""), fh))
     del text
@@ -314,24 +394,22 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[list[str]], np.ndarray]]:
             rows = list(map(list.__add__, rows, fill))
         flat = list(itertools.chain.from_iterable(rows))
         del rows
-        flat = _stripped(flat, "".join(flat))
-        yield [flat[j::full] for j in range(full)], lengths
+        yield [_indexed(flat[j::full]) for j in range(full)], lengths
         del flat
 
 
-def _blank_rows(fields: Sequence[Sequence[str]]) -> np.ndarray:
-    """Mask of the records whose every field is ``""``."""
-    blank = np.ones(len(fields[0]), dtype=bool)
-    for field in fields:
-        if not blank.any():
-            break
-        cells = field if blank.all() else itertools.compress(field, blank.tolist())
-        blank[blank] = np.fromiter(map(operator.not_, cells), dtype=bool)
+def _blank_rows(columns: Sequence[Column], n: int) -> np.ndarray:
+    """Mask of the ``n`` records whose every field is ``""``."""
+    if not all("" in values for values, _ in columns):
+        return np.zeros(n, dtype=bool)
+    blank = np.ones(n, dtype=bool)
+    for values, index in columns:
+        blank &= index == values.index("")
     return blank
 
 
 def _chunk_counts(
-    raw: Sequence[str] | None,
+    raw: Column | None,
     lengths: np.ndarray,
     row_at: np.ndarray,
     last_col: int,
@@ -339,9 +417,10 @@ def _chunk_counts(
     """The counts (``raw``, or 1.0 each when None) of a chunk's non-blank rows,
     numbered ``row_at``, of ``lengths`` fields each, or the chunk's first error.
 
-    Each check runs over whole columns and records its first failure as
-    (row, rank, message); min() then takes the first row in file order and,
-    within it, the lowest rank.
+    Each check runs over the distinct count values, and its result reaches
+    the rows through their index; a check records its first failing row as
+    (row, rank, message), and min() then takes the first row in file order
+    and, within it, the lowest rank.
     """
     errors: list[tuple[int, int, str]] = []
     short = np.flatnonzero(lengths <= last_col)
@@ -350,14 +429,22 @@ def _chunk_counts(
     if raw is None:
         counts = np.ones(len(row_at))
     else:
-        parsed: list[float] = []  # on a failure, holds the counts before the failing one
-        try:
-            parsed.extend(map(float, raw))
-        except ValueError:
-            at = len(parsed)
-            errors.append((at, 1, f"non-numeric count {raw[at]!r} at row {row_at[at]}"))
-        counts = np.array(parsed, dtype=float)
-        bad = np.flatnonzero((counts < 0) | ~np.isfinite(counts))
+        distinct, index = raw
+        parsed = np.zeros(len(distinct))
+        numeric = np.ones(len(distinct), dtype=bool)
+        for i, v in enumerate(distinct):
+            try:
+                parsed[i] = float(v)
+            except ValueError:
+                numeric[i] = False
+        failed = np.flatnonzero(~numeric[index])
+        if failed.size:
+            at = failed[0]
+            errors.append(
+                (at, 1, f"non-numeric count {distinct[index[at]]!r} at row {row_at[at]}")
+            )
+        counts = parsed[index]
+        bad = np.flatnonzero(((parsed < 0) | ~np.isfinite(parsed))[index])
         if bad.size:
             errors.append(
                 (bad[0], 2, f"count must be finite and non-negative at row {row_at[bad[0]]}")
@@ -365,6 +452,18 @@ def _chunk_counts(
     if errors:
         raise InputError(min(errors)[2], module="dataio")
     return counts
+
+
+def _codes(numbers: defaultdict[str, int], column: Column) -> np.ndarray:
+    """A column's file-wide codes, ``numbers`` numbering its values in first
+    appearance over the file."""
+    values, index = column
+    first = np.full(len(values), index.size)
+    np.minimum.at(first, index, np.arange(index.size))
+    seen = np.argsort(first)[: np.count_nonzero(first < index.size)]  # in first appearance
+    lookup = np.zeros(len(values), dtype=np.intp)
+    lookup[seen] = [numbers[values[i]] for i in seen.tolist()]
+    return lookup[index]
 
 
 def _header_columns(header: list[str], schema: RecordSchema) -> tuple[list[int], int | None]:
@@ -402,55 +501,55 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
     """
     cols = schema.flat_columns()
     explicit = {c: set(v).__contains__ for c, v in (schema.categories or {}).items()}
-    # value -> code: a value not seen before takes the next code
-    index = {c: defaultdict() for c in cols}
-    for c in cols:
-        index[c].default_factory = index[c].__len__
+    numbers = {c: _numbering() for c in cols}  # value -> code, in first appearance
     codes: dict[str, list[np.ndarray]] = {c: [np.zeros(0, np.intp)] for c in cols}
     counts = [np.zeros(0)]
     outside: dict[str, set[str]] = {c: set() for c in explicit}
     rows = 0
     record = 0  # records read before the chunk; the header is record 1
     with _open_lines(source) as fh:
-        for fields, lengths in _tokenize(fh):
+        for columns, lengths in _tokenize(fh):
             if not record:  # the first chunk starts with the header
                 col_idx, count_idx = _header_columns(
-                    [f[0] for f in fields[: lengths[0]]], schema
+                    [values[index[0]] for values, index in columns[: lengths[0]]], schema
                 )
-                fields, lengths, record = [f[1:] for f in fields], lengths[1:], 1
-            live = ~_blank_rows(fields)
+                columns = [(values, index[1:]) for values, index in columns]
+                lengths, record = lengths[1:], 1
+            live = ~_blank_rows(columns, len(lengths))
             row_at = np.flatnonzero(live) + record + 1
-            # the fields read below, of the non-blank rows
-            used = {i: fields[i] for i in (*col_idx, count_idx) if i is not None}
+            # the columns read below, of the non-blank rows
+            used = {i: columns[i] for i in (*col_idx, count_idx) if i is not None}
             if not live.all():
-                select = live.tolist()
-                used = {i: list(itertools.compress(f, select)) for i, f in used.items()}
+                used = {i: (values, index[live]) for i, (values, index) in used.items()}
             chunk_counts = _chunk_counts(
                 None if count_idx is None else used[count_idx],
                 lengths[live], row_at, max(col_idx),
             )
-            values = {c: used[i] for c, i in zip(cols, col_idx)}
+            kept = {c: used[i] for c, i in zip(cols, col_idx)}
             record += len(lengths)
             rows += len(row_at)
 
             excluded = np.zeros(len(row_at), dtype=bool)
             for c, allowed in explicit.items():
-                out = ~np.fromiter(map(allowed, values[c]), dtype=bool, count=len(row_at))
-                if out.any():
-                    outside[c].update(itertools.compress(values[c], out.tolist()))
-                    excluded |= out
+                values, index = kept[c]
+                out = ~np.fromiter(map(allowed, values), bool, len(values))
+                out_rows = out[index]
+                if out_rows.any():
+                    hit = np.zeros(len(values), dtype=bool)
+                    hit[index[out_rows]] = True
+                    outside[c].update(itertools.compress(values, hit.tolist()))
+                    excluded |= out_rows
             if excluded.any():
-                keep = (~excluded).tolist()
-                values = {c: tuple(itertools.compress(v, keep)) for c, v in values.items()}
+                kept = {c: (values, index[~excluded]) for c, (values, index) in kept.items()}
             counts.append(chunk_counts[~excluded])
-            for c, v in values.items():
-                codes[c].append(np.fromiter(map(index[c].__getitem__, v), np.intp, len(v)))
-            del fields, used, values, v  # before the next chunk is read
+            for c, column in kept.items():
+                codes[c].append(_codes(numbers[c], column))
+            del columns, used, kept  # before the next chunk is read
     if not record:
         raise InputError("empty input: no header row", module="dataio")
     return ParsedRecords(
         codes={c: np.concatenate(codes.pop(c)) for c in cols},  # frees each column's parts
-        categories={c: tuple(index[c]) for c in cols},
+        categories={c: tuple(numbers[c]) for c in cols},
         counts=np.concatenate(counts),
         unknown={c: tuple(sorted(outside[c])) for c in sorted(outside) if outside[c]},
         rows=rows,
@@ -824,7 +923,10 @@ def scan_to_dict(
     }
     if alpha is not None:
         doc["alpha"] = alpha
-        doc["significant_total"] = len(result.significant(alpha))
+        # a read-back result holds only the rows its document kept
+        doc["significant_total"] = (
+            len(result.significant(alpha)) if result.alpha is None else result.significant_total
+        )
         doc["significant"] = [
             _cylinder_to_dict(c, result.regions, result.times)
             for c in result.significant_clusters(alpha)
@@ -834,8 +936,8 @@ def scan_to_dict(
 
 @malformed("scan")
 def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
-    """Read a scan document back, with the ``significant`` clusters it
-    recorded at its ``alpha`` if it has one."""
+    """Read a scan document back, with the ``significant`` clusters and the
+    ``significant_total`` it recorded at its ``alpha`` if it has one."""
     if doc.get("schema") != SCAN_SCHEMA:
         raise InputError(
             f"expected schema {SCAN_SCHEMA!r}, got {doc.get('schema')!r}",
@@ -873,6 +975,7 @@ def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
         times=times,
         alpha=float(doc["alpha"]) if recorded else None,
         clusters=rows("significant") if recorded else (),
+        significant_total=int(doc["significant_total"]) if recorded else None,
     )
 
 

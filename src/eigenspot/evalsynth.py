@@ -122,8 +122,13 @@ def _grid_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     cols = (n + rows - 1) // rows
     i = np.arange(n)
     coords = np.column_stack((i % cols, i // cols)).astype(float)
-    x, y = coords.T
-    return coords, np.abs(x - x[:, None]) + np.abs(y - y[:, None]) == 1
+    adj = np.zeros((n, n), dtype=bool)
+    # the cells with a right neighbour in their row, and those with one below
+    right = i[(i % cols < cols - 1) & (i + 1 < n)]
+    down = i[i + cols < n]
+    for a, step in ((right, 1), (down, cols)):
+        adj[a, a + step] = adj[a + step, a] = True
+    return coords, adj
 
 
 def _geometric_layout(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -181,9 +181,11 @@ class ScanResult:
     times: tuple[str, ...] | None = None
     # read-only copy of the scanned baseline matrix, for the replicas; None when read back
     baseline: np.ndarray | None = None
-    # when read back: the document's alpha and the significant clusters it recorded at it
+    # when read back: the document's alpha, and the significant clusters and
+    # the count of significant cylinders it recorded at it
     alpha: float | None = None
     clusters: tuple[ScanCylinder, ...] = ()
+    significant_total: int | None = None
 
     @property
     def top(self) -> ScanCylinder:

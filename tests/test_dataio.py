@@ -780,6 +780,24 @@ def test_scan_document_reads_back_with_its_recorded_clusters():
         assert got == [(c.members, c.window) for c in res.significant_clusters(alpha)]
 
 
+def test_cut_scan_document_writes_back_its_recorded_total():
+    # the document keeps one row of many significant cylinders; read back and
+    # written again, it records the same total, not a recount of its one row
+    coords = np.array([[float(i), 0.0] for i in range(8)])
+    pop = np.full((8, 4), 100.0)
+    cases = np.full((8, 4), 20.0)
+    cases[1, :2] += 60.0
+    fam = enumerate_cylinders(times=4, coords=coords)
+    res = monte_carlo_p(scan(cases, expected_baseline(cases, pop), fam), 99, seed=3)
+    for top in (1, 0, None):
+        doc = scan_to_dict(res, alpha=0.05, top=top)
+        assert doc["significant_total"] > 1
+        again = scan_to_dict(scan_from_dict(doc), alpha=doc["alpha"], top=doc["top"])
+        assert dumps_stable(again) == dumps_stable(doc)
+    with pytest.raises(InputError, match="differs from the scan's alpha"):
+        scan_to_dict(scan_from_dict(doc), alpha=0.5)
+
+
 def test_scan_result_roundtrip_without_labels():
     cyl_doc = scan_to_dict(
         scan(

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,8 +111,11 @@ def outcome(parse, text, schema):
 
 # "\xa0", "\u3000" and "\x1c" are whitespace to str.strip too
 PADDED = ["\xa0B", "A\u3000", "\x1cC"]
-REGIONS = ["A", "B", " C ", "Z", "A, B", "x\ny", 'q"t', "", *PADDED]
-YEARS = ["1990", "1991", "\t1992", "1993 ", "zz"]
+# values longer than 8 bytes that share their first 8, one padded, and
+# multibyte UTF-8 values
+WIDE = ["Bernalillo County", "Bernalillo Count", "Bernalillo County\xa0", "Zürich", "東京都", "東京都府"]
+REGIONS = ["A", "B", " C ", "Z", "A, B", "x\ny", 'q"t', "", *PADDED, *WIDE]
+YEARS = ["1990", "1991", "\t1992", "1993 ", "zz", "2014-01-05", "2014-01-12", " 2014-01-05"]
 AGES = ["young", "old", "mid"]
 COUNTS = ["1", "2.5", " 3 ", "0", "-0", "1e3", "1_0", "", "lots", "-1", "nan", "inf", "-inf", "0x1"]
 # characters that make a field need quoting
@@ -155,7 +159,7 @@ def random_text(rnd):
     messy = rnd.random() < 0.5
     quote_all = messy and rnd.random() < 0.3
     pools = {
-        "region": REGIONS if messy else ["A", "B", " C ", "Z", "", *PADDED],
+        "region": REGIONS if messy else ["A", "B", " C ", "Z", "", *PADDED, *WIDE],
         "year": YEARS, "count": COUNTS,
         "age": AGES, "sex": ["f", "m"], "note": ["", "ok", "a, b", "n/a"] if messy else ["", "ok"],
     }
@@ -173,6 +177,8 @@ def random_text(rnd):
                 # mostly clean values, so that most texts parse without error
                 if h == "count":
                     value = rnd.choice(COUNTS) if rnd.random() < 0.1 else str(rnd.randrange(5))
+                    if rnd.random() < 0.05:  # 12 digits
+                        value = str(rnd.randrange(10**11, 10**12))
                 elif h == "region":
                     value = rnd.choice(pool) if rnd.random() < 0.3 else rnd.choice("ABC")
                 elif h == "year":
@@ -308,16 +314,122 @@ def test_block_boundaries_match_reference(monkeypatch, case, chunk):
     assert outcome(parse_records, text, SCHEMA) == outcome(reference_parse_records, text, SCHEMA)
 
 
+def decoded(columns):
+    """A chunk's columns as lists of their fields."""
+    return [[values[i] for i in index] for values, index in columns]
+
+
 def test_tokenize_yields_the_whole_lines_of_each_block(monkeypatch):
     # the header comes in the first chunk; the second, padded with non-ASCII
-    # whitespace, is stripped
+    # whitespace, is stripped, and each column holds its distinct values once
     small_chunks(monkeypatch, 2, len(CLEAN))
     text = CLEAN + "\xa0A,1,1\nB,\u30001,2\n"
     chunks = list(dataio._tokenize(io.StringIO(text, newline="")))
-    assert [fields for fields, _ in chunks] == [
+    assert [decoded(columns) for columns, _ in chunks] == [
         [["region", "A", "B"], ["year", "1", "1"], ["count", "1", "2"]],
         [["A", "B"], ["1", "1"], ["1", "2"]],
     ]
+    assert [sorted(values) for values, _ in chunks[1][0]] == [["A", "B"], ["1"], ["1", "2"]]
+
+
+def test_fields_longer_than_a_word_stay_exact():
+    # fields that share their first 8 bytes, multibyte fields and a padded
+    # long field that strips to another, in one plain chunk
+    text = (
+        "region,year,count\n"
+        "Bernalillo County,2014-01-05,1\nBernalillo Count,2014-01-12,2\n"
+        "\u3000Bernalillo County,2014-01-05,3\n東京都,2014-01-05,4\nZürich,2014-01-12,5\n"
+    )
+    [(columns, _)] = dataio._tokenize(io.StringIO(text, newline=""))
+    assert [sorted(values) for values, _ in columns[:2]] == [
+        sorted(["region", "Bernalillo County", "Bernalillo Count", "東京都", "Zürich"]),
+        ["2014-01-05", "2014-01-12", "year"],
+    ]
+    assert decoded(columns)[0][1:] == [
+        "Bernalillo County", "Bernalillo Count", "Bernalillo County", "東京都", "Zürich"
+    ]
+    assert outcome(parse_records, text, SCHEMA) == outcome(reference_parse_records, text, SCHEMA)
+
+
+def line_list(rnd, rows):
+    """A clean line list: no quotes, no lone CR, every line of the header's width."""
+    regions = ["r001", "Bernalillo County", "Bernalillo Count", "Zürich", "東京都", "\xa0r002"]
+    weeks = ["2014-01-05", "2014-01-12", "w03 "]
+    lines = ["region,week,sex,count"]
+    for _ in range(rows):
+        count = str(rnd.randrange(10**11, 10**12)) if rnd.random() < 0.1 else str(rnd.randrange(9))
+        lines.append(",".join([rnd.choice(regions), rnd.choice(weeks), rnd.choice("FM"), count]))
+    return "\r\n".join(lines)  # CRLF, and no line break after the last line
+
+
+LINE_LIST = RecordSchema(
+    modes=(ModeSpec("region", "space", ("region",)), ModeSpec("week", "time", ("week",)),
+           ModeSpec("sex", "attribute", ("sex",))),
+    count_column="count",
+)
+
+
+@pytest.mark.parametrize("block", [None, 7, 100])
+def test_clean_line_list_never_reaches_csv(monkeypatch, block):
+    text = line_list(random.Random(5), 300)
+    expected = outcome(reference_parse_records, text, LINE_LIST)
+    assert expected[0] == "ok"
+    if block:
+        small_chunks(monkeypatch, 2, block)
+
+    def refuse(*args):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(dataio.csv, "reader", refuse)
+    assert outcome(parse_records, text, LINE_LIST) == expected
+
+
+# long regions of two lengths; then only long weeks, all of one length
+COLLIDING = [
+    line_list(random.Random(6), 300),
+    "region,week,sex,count\n" + "".join(f"r{i},2014-01-{5 + i % 2 * 7:02},F,1\n" for i in range(50)),
+]
+
+
+@pytest.mark.parametrize("text", COLLIDING, ids=["sizes", "words"])
+def test_a_key_collision_sends_the_chunk_to_csv(monkeypatch, text):
+    # with a zero multiplier every field longer than 8 bytes keys to 0, so
+    # two different long values collide, of different sizes or of one; the
+    # chunk, and the rest of the file, then go through csv with the same result
+    expected = outcome(reference_parse_records, text, LINE_LIST)
+    monkeypatch.setattr(dataio, "_MIX", np.uint64(0))
+    calls = []
+    reader = dataio.csv.reader
+    monkeypatch.setattr(dataio.csv, "reader", lambda *a: calls.append(a) or reader(*a))
+    assert outcome(parse_records, text, LINE_LIST) == expected
+    assert len(calls) == 1
+
+
+def test_a_long_note_costs_memory_in_its_bytes(monkeypatch):
+    # three 100 KB notes, two alike and one that differs in its last byte,
+    # among 5,000 short rows of one plain chunk: keying and checking them
+    # takes memory in their bytes, not in rows times the longest field
+    rnd = random.Random(7)
+    note = "".join(rnd.choice("abcdefgh ") for _ in range(100_000))
+    lines = ["region,week,sex,count,note"]
+    for i in range(5_000):
+        text = {100: note, 2_000: note, 4_000: note[:-1] + "!"}.get(i, "n")
+        lines.append(f"r{i % 50},w{i % 7},{'FM'[i % 2]},{i % 9},{text}")
+    text = "\n".join(lines) + "\n"
+    expected = outcome(reference_parse_records, text, LINE_LIST)
+
+    def refuse(*args):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(dataio.csv, "reader", refuse)
+    tracemalloc.start()
+    try:
+        got = outcome(parse_records, text, LINE_LIST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 16 * 2**20, peak
 
 
 def test_first_error_in_file_order_wins():
@@ -334,8 +446,9 @@ def test_csv_reads_the_rest_of_the_file_as_it_goes(monkeypatch):
     small_chunks(monkeypatch, 10, 100)
     text = "region,year,count\n" + '"A",1,1\n' * 1000
     fh = io.StringIO(text, newline="")
-    fields, lengths = next(dataio._tokenize(fh))
-    assert fields[0] == ["region"] + ["A"] * 9 and len(lengths) == 10
+    columns, lengths = next(dataio._tokenize(fh))
+    assert decoded(columns)[0] == ["region"] + ["A"] * 9 and len(lengths) == 10
+    assert columns[0][0] == ["region", "A"]
     assert fh.tell() < len(text) // 10
 
 
