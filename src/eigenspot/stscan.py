@@ -31,7 +31,8 @@ import numpy as np
 from .errors import InputError
 from .eigenmatch import NeighborMatrix
 
-# values one block of disk sums may gather; bounds the replica loop's working set
+# values one block of disk sums may hold, its gathered time prefixes or its
+# window counts, whichever is more; bounds the replica loop's working set
 _BLOCK = 1 << 20
 
 # integers below this, and sums of them that stay below it, are exact in float64
@@ -140,23 +141,21 @@ class CylinderFamily(Sequence[ScanCylinder]):
                 out[np.ix_(disks, wins)] = sums.reshape(disks.size, wins.size)
         return out.ravel()
 
-    def window_sums(self, matrix: np.ndarray) -> np.ndarray:
-        """Each region's sum over each window (regions × windows), from its time prefix sums."""
-        cum = np.zeros((matrix.shape[0], matrix.shape[1] + 1))
-        np.cumsum(matrix, axis=1, out=cum[:, 1:])
-        return cum[:, self.t1 + 1] - cum[:, self.t0]
-
     def blocks(self) -> list[tuple[slice, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
-        """Runs of whole centers, each gathering at most ``_BLOCK`` values (or one center).
+        """Runs of whole centers, each holding at most ``_BLOCK`` values (or one center).
 
         A run is a stretch of consecutive disks around one center. Each block
         gives its disks, its centers' order rows step-major (steps × centers,
-        cut to its largest disk) and each disk's (step, center) in them.
+        cut to its largest disk) and each disk's (step, center) in them. A
+        center takes the larger of its gather of time prefix sums (its order
+        row × (T + 1)) and its window counts (at most one disk per step × W);
+        from two time steps on that is the counts, as W = T (T + 1) / 2.
         """
         centers = self.centers
         new_run = np.r_[True, centers[1:] != centers[:-1]]
         starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
-        per_block = max(1, _BLOCK // (self.orders.shape[1] * self.t0.size))
+        per_center = self.orders.shape[1] * max(self.t0.size, self.t1.max() + 2)  # W or T + 1
+        per_block = max(1, _BLOCK // per_center)
         bounds = [*starts[::per_block].tolist(), centers.size]
         out = []
         for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -406,21 +405,35 @@ def enumerate_cylinders(
     return CylinderFamily(orders[:, : sizes.max(initial=0)], centers, sizes, t0, t1)
 
 
-def _disk_sums(per_window: np.ndarray, blocks: list) -> Iterator[tuple[slice, np.ndarray]]:
-    """Per block of :meth:`CylinderFamily.blocks`: its disks and their sums over every window.
+def _disk_sums(
+    matrix: np.ndarray, total: float, fam: CylinderFamily, blocks: list
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Per block of :meth:`CylinderFamily.blocks`: its disks and their counts over every window.
 
-    ``per_window`` holds region sums per window (:meth:`CylinderFamily.window_sums`).
-    A block gathers them along its order rows (steps × centers × windows),
-    adds each step into the next and reads disk ``d`` at step
-    ``sizes[d] - 1``. Every sum adds its terms one at a time in row order,
-    so on integer values with a total below 2**53 it is exact and equals a
-    sum in any other order.
+    ``matrix`` holds whole numbers that add up to ``total``. Each region's
+    time prefix sums (regions × (T + 1), zero first column) are integers,
+    int32 when ``total`` is below 2**31 and int64 otherwise, so no sum a
+    disk reads can overflow. A block gathers them along its order rows
+    (steps × centers × (T + 1)), adds each step into the next, reads disk
+    ``d``'s prefix row at step ``sizes[d] - 1`` and forms each window
+    ``(t0, t1)`` as ``prefix[t1 + 1] - prefix[t0]``, disks × windows in the
+    family's order, in the prefixes' type. Integer sums are exact, so each
+    count equals a sum in any other order. Steps past a row's last disk
+    repeat its center and may wrap; no disk reads them.
     """
+    whole = np.int32 if total < 2**31 else np.int64
+    prefix = np.zeros((matrix.shape[0], matrix.shape[1] + 1), whole)
+    np.cumsum(matrix, axis=1, dtype=whole, out=prefix[:, 1:])
     for disks, rows, at in blocks:
-        nested = per_window.take(rows, axis=0)
+        nested = prefix.take(rows, axis=0)
         for j in range(1, len(nested)):
             np.add(nested[j - 1], nested[j], out=nested[j])
-        yield disks, nested[at]
+        # window-major, so that each window is one subtraction of whole rows
+        ends = nested[at].T.copy()
+        del nested
+        counts = ends[fam.t1 + 1]
+        counts -= ends[fam.t0]
+        yield disks, np.ascontiguousarray(counts.T)
 
 
 def _scores(
@@ -471,20 +484,30 @@ def _count_bounds(
     """
     n, bt = c_total, b_total
     target = tau - 1e-12 * (abs(tau) + n + bt)
-    rest = bt - baselines
+    # in place where it can be: a replica's peak memory is often here
     with np.errstate(invalid="ignore", over="ignore"):
-        spread = np.where((baselines > 0) & (rest > 0), baselines * rest, np.nan)
-        half = np.sqrt(spread * (bt * (n + target) - n * n)) / bt
+        rest = bt - baselines
+        half = baselines * rest
+        half[~((baselines > 0) & (rest > 0))] = np.nan
+        del rest
+        half *= bt * (n + target) - n * n
+        np.sqrt(half, out=half)
+        half /= bt
         mid = baselines * (n / bt)
-        margin = 1e-9 * (mid + half)
-        lo, hi = mid - half + margin, mid + half - margin
+        margin = mid + half
+        margin *= 1e-9
+        lo = mid - half
+        lo += margin
+        hi = np.add(mid, half, out=mid)
+        hi -= margin
     lo[~np.isfinite(lo)] = -np.inf
     hi[~np.isfinite(hi)] = -np.inf
     return lo, hi
 
 
 def _replica_max(
-    per_window: np.ndarray,
+    draw: np.ndarray,
+    fam: CylinderFamily,
     blocks: list,
     baselines: np.ndarray,
     c_total: float,
@@ -494,14 +517,14 @@ def _replica_max(
 ) -> float:
     """One replica's maximum score, block by block; with ``bounds``, over the counts they keep.
 
-    ``per_window`` holds the replica's region sums per window and
-    ``baselines`` the family's (disks × windows). ``bounds`` holds one
-    ``(lo, hi)`` per block from :func:`_count_bounds`, over the block's
-    cylinders, with ``lo`` None for the upper bound alone; a count is kept
-    when ``C >= hi`` or ``C <= lo``.
+    ``draw`` is the replica's case matrix and ``baselines`` the family's
+    (disks × windows). ``bounds`` holds one ``(lo, hi)`` per block from
+    :func:`_count_bounds`, over the block's cylinders and rounded to whole
+    counts, with ``lo`` None for the upper bound alone; a count is kept when
+    ``C >= hi`` or ``C <= lo``.
     """
     best = -math.inf
-    for b, (disks, counts) in enumerate(_disk_sums(per_window, blocks)):
+    for b, (disks, counts) in enumerate(_disk_sums(draw, c_total, fam, blocks)):
         c, base = counts.ravel(), baselines[disks].ravel()
         if bounds is not None:
             lo, hi = bounds[b]
@@ -573,7 +596,7 @@ def scan(
 
     fam = candidates
     counts = np.empty((fam.sizes.size, fam.t0.size))
-    for disks, sums in _disk_sums(fam.window_sums(cases_m), fam.blocks()):
+    for disks, sums in _disk_sums(cases_m, c_total, fam, fam.blocks()):
         counts[disks] = sums
     counts = counts.ravel()
     baselines = fam.cell_sums(base_m)
@@ -609,11 +632,13 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
     Replica case matrices are multinomial redistributions of the observed
     total over all cells with probabilities proportional to the baseline
     the result was scanned against, so a replica puts no case where that
-    baseline is zero. Replica streams are spawned per replica index from
-    the seed, so the outcome does not depend on evaluation order. A replica
-    sums one block of centers at a time (:meth:`CylinderFamily.blocks`) and
-    keeps only its maximum score; the draws are integers, so its sums are
-    exact.
+    baseline is zero. Replica ``i`` draws from ``SeedSequence(seed,
+    spawn_key=(i,))``, the stream ``SeedSequence(seed).spawn(replications)[i]``
+    gives, made in its turn: the outcome does not depend on evaluation
+    order, and no stream is held past its replica. A replica sums one block
+    of centers at a time (:meth:`CylinderFamily.blocks`) from its integer
+    time prefixes, which is exact (:func:`_disk_sums`), and keeps only its
+    maximum score.
 
     The first replica is scored in full and sets a floor of ``_FLOOR`` times
     its maximum. Later replicas score only the counts that can reach the
@@ -632,23 +657,28 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
     probs = (base_m / b_total).ravel()
     blocks = fam.blocks()
     baselines = fam.baselines.reshape(-1, fam.t0.size)
-    streams = np.random.SeedSequence(seed).spawn(replications)
     maxima = np.empty(replications)
     tau, bounds = math.nan, None  # the floor (NaN before the first replica) and its bounds
     totals = (c_total, b_total, elevated_only)
-    for i, ss in enumerate(streams):
-        draw = np.random.default_rng(ss).multinomial(int(c_total), probs).reshape(base_m.shape)
-        per_window = fam.window_sums(draw)
+    whole = np.int32 if c_total + 1 < 2**31 else np.int64  # the type of the count thresholds
+    for i in range(replications):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        draw = rng.multinomial(int(c_total), probs).reshape(base_m.shape)
         best = math.nan
         if tau > 0:
             if bounds is None:
                 bounds = []
                 for disks, _, _ in blocks:
                     lo, hi = _count_bounds(baselines[disks].ravel(), c_total, b_total, tau)
+                    # counts are whole: C >= hi exactly when C >= ceil(hi), and C <= lo
+                    # when C <= floor(lo); -1 and N + 1 stand for anything past an end
+                    hi = np.clip(np.ceil(hi, out=hi), -1, c_total + 1, out=hi).astype(whole)
+                    if not elevated_only:
+                        lo = np.clip(np.floor(lo, out=lo), -1, c_total + 1, out=lo).astype(whole)
                     bounds.append((None if elevated_only else lo, hi))
-            best = _replica_max(per_window, blocks, baselines, *totals, bounds)
+            best = _replica_max(draw, fam, blocks, baselines, *totals, bounds)
         if not best >= tau:
-            best = _replica_max(per_window, blocks, baselines, *totals)
+            best = _replica_max(draw, fam, blocks, baselines, *totals)
             if not best >= tau:
                 tau, bounds = _FLOOR * best, None
         if not math.isfinite(best):

@@ -286,6 +286,29 @@ def two_component_rings():
     return cands, cases, pop
 
 
+def large_counts():
+    # cells near 1e9 put the case total above 2**31, so disk sums run in
+    # int64, over ring disks whose padded order rows are summed too; the raw
+    # population stays far above the case total
+    cands, cases, pop = two_component_rings()
+    cases, pop = cases * 5e7, pop * 1e9
+    assert cases.sum() >= 2**31
+    return cands, cases, pop
+
+
+def padded_near_the_int32_limit():
+    # nearly every case in region 10, a triangle center whose order row
+    # repeats it twice past its last disk: below a total of 2**31 (here, and
+    # scaled by 0.37) the running sums over that padding pass 2**31 and wrap
+    # in int32, where no disk reads them
+    cands, cases, pop = two_component_rings()
+    cases = np.zeros_like(cases)
+    cases[10] = (2**31 - 100) // cases.shape[1]
+    cases[0, 0] = 7.0
+    assert cases.sum() < 2**31 and list(cands.orders[10, 3:]) == [10, 10]
+    return cands, cases, pop
+
+
 def test_scan_equal_matrices_all_zero_scores():
     coords = np.array([[0.0, 0.0], [1.0, 0.0]])
     m = np.array([[4.0, 4.0], [4.0, 4.0]])
@@ -376,7 +399,9 @@ def test_scan_sums_follow_cell_order(bufsize):
 @pytest.mark.parametrize("scale", [1000, 0.37])
 @pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("bufsize", [None, 16])
-@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
+@pytest.mark.parametrize(
+    "instance", [centroid_disks, two_component_rings, large_counts, padded_near_the_int32_limit]
+)
 def test_observed_counts_equal_cell_sums_bit_for_bit(instance, bufsize, block, scale, monkeypatch):
     # case counts take the blocked running sums along each order row; they
     # are exact, so they equal the cell-order sums whatever numpy's buffer,
@@ -586,7 +611,7 @@ def test_count_bounds_leave_out_no_count_that_reaches_the_floor(total, ratio, sh
         assert lo == hi == -math.inf
 
 
-@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
+@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings, large_counts])
 def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
     # replica counts come from window prefix sums and running sums along each
     # center's order row, one block of centers at a time, and only the
@@ -653,10 +678,13 @@ def test_monte_carlo_scores_few_cylinders_after_the_first_replica(
 
 
 def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
-    # a replica sums one block of centers at a time and keeps only its
-    # maximum score, and the result keeps only the sorted maxima: the default
-    # budget holds this whole family in one block, and a 4096-value budget
-    # stays below one per-cylinder float array (about 0.3 of one)
+    # a replica sums one block of centers at a time from integer time
+    # prefixes and keeps only its maximum score, and the result keeps only
+    # the sorted maxima. The default budget holds this whole family in one
+    # block, whose scoring peaks at 4.91 per-cylinder float arrays; a
+    # 4096-value budget peaks at 0.235 of one (numpy 2.4). The bounds leave
+    # about 10% over those, and sit below the 6.14 and 0.29 that float64
+    # sums of every region over every window took
     import tracemalloc
 
     coords, cases, pop = grid_instance(41, n=40, times=12)
@@ -664,7 +692,7 @@ def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
     cands = enumerate_cylinders(times=12, coords=coords)
     assert len(cands) == 124_800
     res = scan(cases, baseline, cands)
-    for block, bound in ((1 << 20, 12), (4096, 1)):
+    for block, bound in ((1 << 20, 5.4), (4096, 0.26)):
         monkeypatch.setattr(stscan, "_BLOCK", block)
         tracemalloc.start()
         try:
@@ -673,6 +701,29 @@ def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < bound * len(cands) * np.dtype(float).itemsize
+
+
+def test_monte_carlo_streams_are_made_as_they_are_used():
+    # replica i draws from SeedSequence(seed, spawn_key=(i,)), the stream
+    # SeedSequence(seed).spawn(replications)[i] gives, made in its turn:
+    # spawning every stream up front held about 370 bytes per replication
+    # (1.5 MB here) for the whole run. What is left is the sorted maxima,
+    # 8 bytes per replication (32 KB here), under a bound that does not
+    # grow with the replication count
+    import tracemalloc
+
+    one = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0]]))
+    m = np.array([[3.0, 5.0]])
+    res = scan(m, m, one, elevated_only=False)
+    monte_carlo_p(res, replications=1, seed=7)  # first-call set-up, outside the trace
+    tracemalloc.start()
+    try:
+        out = monte_carlo_p(res, replications=4000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.cylinders.maxima.size == 4000
+    assert peak < 256 * 1024
 
 
 def test_monte_carlo_validation(tmp_path, monkeypatch):
