@@ -9,6 +9,7 @@ defaults to a fixed constant rather than the clock.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import sys
@@ -363,5 +364,22 @@ def eval_cmd(
         evalsynth.write_comparison(table, csv_destination=csv_path)
 
 
+def run() -> None:
+    """The program entry of ``python -m eigenspot`` and the ``eigenspot`` script.
+
+    Runs :func:`main` as a command line, then freezes the objects the run
+    made, however it ended (click exits on success, on a usage error and
+    after ``--help``; :func:`_fail` exits 2 or 3), so that interpreter exit
+    skips the collector's passes over what the OS is about to reclaim. Exit
+    handlers, stream flushes and reference-count teardown still run, and
+    every output file is closed before ``main`` returns. In-process callers
+    of ``main`` keep the default collector.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

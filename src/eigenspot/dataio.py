@@ -318,6 +318,27 @@ def _byte_columns(buf: bytes, starts: np.ndarray, stops: np.ndarray) -> list[Col
     return columns
 
 
+def _csv_chunks(
+    records: Iterator[list[str]], width: int
+) -> Iterator[tuple[list[Column], np.ndarray]]:
+    """Records read by :mod:`csv` as ``(columns, lengths)``, ``_CHUNK`` at a
+    time, each chunk padded to the header's field count ``width`` (the first
+    record's when 0) or to its longest record, and each column grouped in
+    one dict pass."""
+    while rows := list(itertools.islice(records, _CHUNK)):
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        width = width or int(lengths[0])
+        full = max(width, int(lengths.max()))
+        pad = full - lengths
+        if pad.any():
+            fill = map(operator.mul, itertools.repeat([""]), pad.tolist())
+            rows = list(map(list.__add__, rows, fill))
+        flat = list(itertools.chain.from_iterable(rows))
+        del rows
+        yield [_indexed(flat[j::full]) for j in range(full)], lengths
+        del flat
+
+
 def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
     """Split a file's records into columns of whole, stripped fields, a chunk at a time.
 
@@ -336,29 +357,46 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
     the header's field count, is plain: its fields are cut from its UTF-8
     bytes at the commas and line ends and grouped by their bytes (see
     :func:`_byte_columns`), so that Python decodes and strips only each
-    column's distinct values. From the first chunk that is not plain, the
-    rest of the file is read by :mod:`csv`, ``_CHUNK`` records at a time,
-    whose records may quote commas and line breaks, and each column of a
-    chunk is grouped in one dict pass.
+    column's distinct values. A chunk whose only obstacle is a ``"`` is read
+    by :mod:`csv` alone when its last line break ends a record, and the next
+    chunk is tried as plain again. From any other chunk that is not plain,
+    the rest of the file is read by :mod:`csv` (see :func:`_csv_chunks`),
+    whose records may quote commas and line breaks.
     """
     width = 0  # the header's field count
     text = ""  # the text read and not yet split
     while True:
         block = fh.read(_BLOCK)
         text += block
-        if '"' in text or "\0" in text:
+        if "\0" in text:
             break
+        quoted = '"' in text
         if "\r" in text:
-            text = text.replace("\r\n", "\n")
-            cr = text.find("\r")
-            if cr >= 0 and (cr < len(text) - 1 or not block):
+            lf = text.replace("\r\n", "\n")
+            cr = lf.find("\r")
+            if cr >= 0 and (cr < len(lf) - 1 or not block):
                 break  # a lone CR: one that ends the block may begin a CRLF
+            if not quoted:  # a quoted field keeps its CRLF
+                text = lf
         # the last record of a file may lack a line break
         end = text.rfind("\n") + 1 if block else len(text)
         if not end:
             if block:
                 continue
             return  # every chunk was split
+        if quoted:
+            if not block:
+                break
+            # the line 'x"' after the cut is a record of its own when the cut
+            # ends a record; inside a quoted field, its quote ends that field
+            rows = list(csv.reader(io.StringIO(text[:end] + 'x"\n', newline="")))
+            if rows.pop() != ['x"']:
+                break
+            text = text[end:]
+            width = width or len(rows[0])
+            yield from _csv_chunks(iter(rows), width)
+            del rows
+            continue
         lines, text = text[:end], text[end:]
         # the UTF-8 bytes of the lines, each ending in a line break
         buf = lines.encode("utf-8", "surrogatepass") + (b"" if block else b"\n")
@@ -384,18 +422,7 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
     # csv needs whole lines, and a CR that ends the text may begin a CRLF
     records = csv.reader(itertools.chain(io.StringIO(text + fh.readline(), newline=""), fh))
     del text
-    while rows := list(itertools.islice(records, _CHUNK)):
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        width = width or int(lengths[0])
-        full = max(width, int(lengths.max()))
-        pad = full - lengths
-        if pad.any():
-            fill = map(operator.mul, itertools.repeat([""]), pad.tolist())
-            rows = list(map(list.__add__, rows, fill))
-        flat = list(itertools.chain.from_iterable(rows))
-        del rows
-        yield [_indexed(flat[j::full]) for j in range(full)], lengths
-        del flat
+    yield from _csv_chunks(records, width)
 
 
 def _blank_rows(columns: Sequence[Column], n: int) -> np.ndarray:

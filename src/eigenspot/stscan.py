@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .eigenmatch import NeighborMatrix
@@ -129,11 +130,13 @@ class CylinderFamily(Sequence[ScanCylinder]):
         # bincount, not np.unique, which imports numpy.ma on every call
         for k in np.flatnonzero(np.bincount(self.sizes)).tolist():
             disks = np.flatnonzero(self.sizes == k)
-            rows = self.orders[self.centers[disks], :k]
+            slab = matrix[self.orders[self.centers[disks], :k]]  # disks × k × T
             for w in np.flatnonzero(np.bincount(widths)).tolist():
                 wins = np.flatnonzero(widths == w)
-                steps = (self.t0[wins, None] + np.arange(w))[None, :, None, :]
-                cells = matrix[rows[:, None, :, None], steps].reshape(-1, k, w)
+                # each (disk, window) block of k × w cells, copied once and
+                # contiguous, in the order a per-cylinder sum reads them
+                windows = sliding_window_view(slab, w, axis=2).transpose(0, 2, 1, 3)
+                cells = windows[np.arange(disks.size)[:, None], self.t0[wins]].reshape(-1, k, w)
                 step = k if w in (1, matrix.shape[1]) else max(1, np.getbufsize() // w)
                 sums = cells[:, :step].sum(axis=(1, 2))
                 for s in range(step, k, step):

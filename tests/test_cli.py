@@ -1,10 +1,16 @@
+import ast
+import gc
+import importlib
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from eigenspot import cli
 from eigenspot.dataio import read_report
 from eigenspot.errors import InputError
 from eigenspot.evalsynth import scan_detected
@@ -950,3 +956,64 @@ def test_bad_ranks_flag(synth_dir):
     assert res.returncode == 2
     err = json.loads(res.stderr.splitlines()[-1])
     assert err["error"]["module"] == "cli"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("command", ["detect", "scan"])
+def test_stdout_holds_the_bytes_out_writes(synth_dir, tmp_path, command):
+    args = (detect_args if command == "detect" else scan_args)(synth_dir)
+    if command == "scan":
+        args += ["--replications", "19"]
+    printed = subprocess.run(CLI + args, capture_output=True)
+    written = subprocess.run(CLI + args + ["--out", str(tmp_path / "out.json")], capture_output=True)
+    assert printed.returncode == written.returncode == 0, printed.stderr
+    assert written.stdout == b""
+    assert printed.stdout == (tmp_path / "out.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make_args, code",
+    [
+        (lambda data, out: ["--help"], 0),
+        (lambda data, out: ["scan", "--no-such-option"], 2),  # a click usage error
+        (lambda data, out: detect_args(data, ["--ranks", "2,two"]), 2),  # _fail
+        (lambda data, out: detect_args(data, ["--out", str(out)]), 0),
+    ],
+    ids=["help", "usage", "input-error", "detect"],
+)
+def test_program_entry_freezes_the_collector_however_it_ends(synth_dir, tmp_path, make_args, code):
+    # an exit handler registered before the program runs after its exit
+    # path, and sees the run's objects frozen
+    args = make_args(synth_dir, tmp_path / "report.json")
+    script = (
+        "import atexit, gc, runpy\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "runpy.run_module('eigenspot', run_name='__main__', alter_sys=True)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True
+    )
+    assert res.returncode == code, res.stderr
+    assert res.stdout.splitlines()[-1] == "True"
+
+
+def test_in_process_main_keeps_the_collector(tmp_path):
+    before = gc.get_freeze_count()
+    args = ["synth", "--regions", "4", "--times", "3", "--out-dir", str(tmp_path)]
+    assert cli.main(args, standalone_mode=False) is None
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_calls_the_program_entry():
+    # pyproject.toml is read as text: tomllib is new in Python 3.11
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^eigenspot = "([\w.]+):(\w+)"$', text, re.M).groups()
+    target = getattr(importlib.import_module(module), name)
+    # the function the main guard of __main__.py calls
+    source = (ROOT / "src" / "eigenspot" / "__main__.py").read_text(encoding="utf-8")
+    [guard] = [node for node in ast.parse(source).body if isinstance(node, ast.If)]
+    [call] = [node.value for node in guard.body if isinstance(node, ast.Expr)]
+    main_module = importlib.import_module("eigenspot.__main__")
+    assert target is getattr(main_module, call.func.id) is cli.run

@@ -473,3 +473,71 @@ def test_rows_past_the_first_chunk(monkeypatch, quote):
     rows[bad - 2][2] = "x"
     with pytest.raises(InputError, match=rf"^non-numeric count 'x' at row {bad}$"):
         parse_records(io.StringIO(text()), SCHEMA)
+
+
+def plain_rows(bad=None):
+    """200 records with no quote, the one at index ``bad`` with a bad count."""
+    return "".join(f"{'AB'[i % 2]},{i % 3},{'x' if i == bad else i % 4}\n" for i in range(200))
+
+
+ROWS = plain_rows()
+
+
+def csv_records(monkeypatch):
+    """The records each call of csv.reader yields from here on, a list per call."""
+    calls = []
+    reader = dataio.csv.reader
+
+    def spy(*args):
+        calls.append([])
+        for record in reader(*args):
+            calls[-1].append(record)
+            yield record
+
+    monkeypatch.setattr(dataio.csv, "reader", spy)
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    '"region",year,count\n' + ROWS,
+    'region,year,count\n"A",1,1\n' + ROWS,
+    # a quoted line break wholly inside the first block
+    'region,year,count\n"A\nB",1,1\n' + ROWS,
+    # row numbers after the quoted chunk count the records of the whole file
+    '"region",year,count\n' + plain_rows(bad=150),
+], ids=["header", "first-row", "line-break", "bad-row"])
+def test_one_quoted_chunk_reaches_csv_alone(monkeypatch, text):
+    # the chunk that holds the quotes goes through csv, and the rest of the
+    # file, which has none, takes the plain path again
+    expected = outcome(reference_parse_records, text, SCHEMA)
+    small_chunks(monkeypatch, 2, 64)
+    calls = csv_records(monkeypatch)
+    assert outcome(parse_records, text, SCHEMA) == expected
+    [records] = calls
+    assert len(records) <= 64 // 6 + 1
+
+
+def test_a_quoted_line_break_across_a_cut_sends_the_rest_to_csv(monkeypatch):
+    # the first block ends inside the quoted "A\nB", so its last line break
+    # does not end a record, and csv reads the file from that block on
+    text = CLEAN + '"A\nB",1,1\n' + ROWS
+    expected = outcome(reference_parse_records, text, SCHEMA)
+    small_chunks(monkeypatch, 2, len(CLEAN) + 3)
+    calls = csv_records(monkeypatch)
+    assert outcome(parse_records, text, SCHEMA) == expected
+    assert len(calls[-1]) == 3 + 1 + 200
+
+
+@pytest.mark.parametrize("field", ['B"', 'B"x', 'B"""'], ids=["end", "middle", "three"])
+def test_a_literal_quote_in_an_unquoted_field(monkeypatch, field):
+    # a quote that does not start a field is a character of it: the block
+    # holds an odd count of quotes, yet its cut ends a record, so only that
+    # chunk goes through csv
+    text = "region,year,count\n" + field + ",1,1\n" + ROWS
+    expected = outcome(reference_parse_records, text, SCHEMA)
+    assert expected[0] == "ok"
+    small_chunks(monkeypatch, 2, 64)
+    calls = csv_records(monkeypatch)
+    assert outcome(parse_records, text, SCHEMA) == expected
+    [records] = calls
+    assert len(records) <= 64 // 6 + 1
