@@ -5,138 +5,92 @@ cases tensor, and a region adjacency): an eigenvector-element-matching
 detector that works on tensors of any order, and a space-time scan
 statistic baseline with Monte Carlo significance. A synthesis and
 evaluation harness compares the two.
+
+The public names below, and the submodules, are imported on first use
+(PEP 562), so a command imports only the modules it runs.
 """
 
-from .errors import (
-    ConvergenceError,
-    DegenerateModeError,
-    EigenspotError,
-    InputError,
-    NumericalError,
-)
-from .tensors import (
-    CountTensor,
-    EigenModel,
-    ModeLabel,
-    canonicalize_sign,
-    decompose,
-    default_ranks,
-    gram_eigen,
-    top_eigenpairs,
-    unfold,
-)
-from .eigenmatch import (
-    ClusterSet,
-    DiffVector,
-    HotspotReport,
-    NeighborMatrix,
-    SpatialPartition,
-    TemporalResult,
-    element_diff,
-    grow_first_priority,
-    grow_second_priority,
-    partition_spatial,
-    partition_temporal,
-    population_std,
-    run_sst_hotspot,
-    sign_correct,
-    temporal_intervals,
-)
-from .stscan import (
-    CylinderFamily,
-    ScanCylinder,
-    ScanResult,
-    enumerate_cylinders,
-    monte_carlo_p,
-    scan,
-    score,
-)
-from .dataio import (
-    ModeSpec,
-    RecordSchema,
-    RegionGeometry,
-    build_tensor,
-    dumps_stable,
-    ingest_pair,
-    load_schema,
-    parse_adjacency,
-    parse_centroids,
-    parse_records,
-    read_report,
-    write_geojson,
-    write_json,
-)
-from .evalsynth import (
-    ComparisonTable,
-    InjectedTruth,
-    Metrics,
-    SynthConfig,
-    SynthData,
-    compare,
-    generate,
-    precision_recall_f1,
-    write_comparison,
-)
+import importlib
+from typing import Any
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EigenspotError",
-    "InputError",
-    "NumericalError",
-    "ConvergenceError",
-    "DegenerateModeError",
-    "CountTensor",
-    "ModeLabel",
-    "EigenModel",
-    "unfold",
-    "gram_eigen",
-    "top_eigenpairs",
-    "decompose",
-    "default_ranks",
-    "canonicalize_sign",
-    "NeighborMatrix",
-    "DiffVector",
-    "SpatialPartition",
-    "ClusterSet",
-    "TemporalResult",
-    "HotspotReport",
-    "population_std",
-    "sign_correct",
-    "element_diff",
-    "partition_spatial",
-    "grow_first_priority",
-    "grow_second_priority",
-    "partition_temporal",
-    "temporal_intervals",
-    "run_sst_hotspot",
-    "CylinderFamily",
-    "ScanCylinder",
-    "ScanResult",
-    "score",
-    "enumerate_cylinders",
-    "scan",
-    "monte_carlo_p",
-    "ModeSpec",
-    "RecordSchema",
-    "RegionGeometry",
-    "load_schema",
-    "parse_records",
-    "build_tensor",
-    "parse_adjacency",
-    "parse_centroids",
-    "write_json",
-    "read_report",
-    "write_geojson",
-    "dumps_stable",
-    "ingest_pair",
-    "Metrics",
-    "SynthConfig",
-    "SynthData",
-    "InjectedTruth",
-    "ComparisonTable",
-    "precision_recall_f1",
-    "generate",
-    "compare",
-    "write_comparison",
-]
+#: Each public name and the submodule that defines it, in ``__all__`` order.
+_SOURCES = {
+    "EigenspotError": "errors",
+    "InputError": "errors",
+    "NumericalError": "errors",
+    "ConvergenceError": "errors",
+    "DegenerateModeError": "errors",
+    "CountTensor": "tensors",
+    "ModeLabel": "tensors",
+    "EigenModel": "tensors",
+    "unfold": "tensors",
+    "gram_eigen": "tensors",
+    "top_eigenpairs": "tensors",
+    "decompose": "tensors",
+    "default_ranks": "tensors",
+    "canonicalize_sign": "tensors",
+    "NeighborMatrix": "eigenmatch",
+    "DiffVector": "eigenmatch",
+    "SpatialPartition": "eigenmatch",
+    "ClusterSet": "eigenmatch",
+    "TemporalResult": "eigenmatch",
+    "HotspotReport": "eigenmatch",
+    "population_std": "eigenmatch",
+    "sign_correct": "eigenmatch",
+    "element_diff": "eigenmatch",
+    "partition_spatial": "eigenmatch",
+    "grow_first_priority": "eigenmatch",
+    "grow_second_priority": "eigenmatch",
+    "partition_temporal": "eigenmatch",
+    "temporal_intervals": "eigenmatch",
+    "run_sst_hotspot": "eigenmatch",
+    "CylinderFamily": "stscan",
+    "ScanCylinder": "stscan",
+    "ScanResult": "stscan",
+    "score": "stscan",
+    "enumerate_cylinders": "stscan",
+    "scan": "stscan",
+    "monte_carlo_p": "stscan",
+    "ModeSpec": "dataio",
+    "RecordSchema": "dataio",
+    "RegionGeometry": "dataio",
+    "load_schema": "dataio",
+    "parse_records": "dataio",
+    "build_tensor": "dataio",
+    "parse_adjacency": "dataio",
+    "parse_centroids": "dataio",
+    "write_json": "dataio",
+    "read_report": "dataio",
+    "write_geojson": "dataio",
+    "dumps_stable": "dataio",
+    "ingest_pair": "dataio",
+    "Metrics": "evalsynth",
+    "SynthConfig": "evalsynth",
+    "SynthData": "evalsynth",
+    "InjectedTruth": "evalsynth",
+    "ComparisonTable": "evalsynth",
+    "precision_recall_f1": "evalsynth",
+    "generate": "evalsynth",
+    "compare": "evalsynth",
+    "write_comparison": "evalsynth",
+}
+_SUBMODULES = frozenset({"cli", *_SOURCES.values()})
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's module, or a submodule, on first access."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -18,7 +18,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import dataio, evalsynth, stscan
+# stscan and evalsynth are imported inside the commands that run them, so
+# that detect compiles neither; run_sst_hotspot stays a module attribute,
+# which bench/tracer.py patches
+from . import __version__, dataio
 from .eigenmatch import run_sst_hotspot
 from .errors import EigenspotError, InputError, NumericalError
 
@@ -87,7 +90,7 @@ def _space_time_matrix(tensor) -> np.ndarray:
 
 
 @click.group()
-@click.version_option(package_name="eigenspot")
+@click.version_option(__version__, prog_name="eigenspot")
 def main() -> None:
     """Spatiotemporal hotspot detection from labeled count data."""
 
@@ -195,6 +198,8 @@ def scan_cmd(
     out_path: str | None,
 ) -> None:
     """Run the space-time scan baseline and write ranked cylinders."""
+    from . import stscan
+
     # every option is checked before any input is read
     if centroids is None and adjacency is None:
         raise InputError("supply --centroids or --adjacency", module="cli")
@@ -267,6 +272,8 @@ def synth(
     out_dir: str,
 ) -> None:
     """Generate a synthetic scenario and write its input files."""
+    from . import evalsynth
+
     try:
         t0, t1 = (int(part) for part in window.split(":"))
     except ValueError:
@@ -348,6 +355,8 @@ def eval_cmd(
     csv_path: str | None,
 ) -> None:
     """Compare a detector report and a scan result against a truth file."""
+    from . import evalsynth
+
     report = dataio.read_report(detect_path)
     if not isinstance(report, dataio.HotspotReport):
         raise InputError("--detect must point at a hotspot report", module="cli")

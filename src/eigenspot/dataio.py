@@ -25,7 +25,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence, TextIO
 
 import csv
 
@@ -40,8 +40,10 @@ from .eigenmatch import (
     SpatialPartition,
     TemporalResult,
 )
-from .stscan import ScanCylinder, ScanResult
 from .tensors import CountTensor, ModeKind, ModeLabel
+
+if TYPE_CHECKING:  # the scan is imported only to read a scan document back
+    from .stscan import ScanCylinder, ScanResult
 
 
 REPORT_SCHEMA = "hotspot-report/1"
@@ -965,6 +967,8 @@ def scan_to_dict(
 def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
     """Read a scan document back, with the ``significant`` clusters and the
     ``significant_total`` it recorded at its ``alpha`` if it has one."""
+    from .stscan import ScanCylinder, ScanResult
+
     if doc.get("schema") != SCAN_SCHEMA:
         raise InputError(
             f"expected schema {SCAN_SCHEMA!r}, got {doc.get('schema')!r}",

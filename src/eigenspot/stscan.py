@@ -24,13 +24,15 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .eigenmatch import NeighborMatrix
+
+if TYPE_CHECKING:
+    from .eigenmatch import NeighborMatrix
 
 # values one block of disk sums may hold, its gathered time prefixes or its
 # window counts, whichever is more; bounds the replica loop's working set

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import eigenspot
 from eigenspot import cli
 from eigenspot.dataio import read_report
 from eigenspot.errors import InputError
@@ -566,32 +567,54 @@ def test_scan_deterministic_and_finds_block(synth_dir, tmp_path):
     assert top["p_value"] <= 0.05
 
 
-def test_scan_does_not_import_numpy_ma(synth_dir, tmp_path):
-    # np.unique imports numpy.ma on first use, about 17 ms of every scan run
+def loaded_modules(args):
+    """The modules imported by the end of a ``python -m eigenspot`` run of ``args``."""
     code = (
         "import runpy, sys\n"
         "try:\n"
         "    runpy.run_module('eigenspot', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert not exc.code, exc.code\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print(' '.join(sys.modules))\n"
     )
-    res = subprocess.run(
-        [
-            sys.executable, "-c", code,
-            "scan",
-            "--cases", str(synth_dir / "cases.csv"),
-            "--population", str(synth_dir / "population.csv"),
-            "--schema", str(synth_dir / "schema.json"),
-            "--centroids", str(synth_dir / "centroids.csv"),
-            "--replications", "9",
-            "--out", str(tmp_path / "scan.json"),
-        ],
-        capture_output=True,
-        text=True,
-    )
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def test_scan_does_not_import_numpy_ma(synth_dir, tmp_path):
+    # np.unique imports numpy.ma on first use, about 17 ms of every scan run
+    args = scan_args(synth_dir, ["--replications", "9", "--out", str(tmp_path / "scan.json")])
+    assert "numpy.ma" not in loaded_modules(args)
+
+
+COMMON = {"eigenspot", "eigenspot.cli", "eigenspot.dataio", "eigenspot.eigenmatch",
+          "eigenspot.errors", "eigenspot.tensors"}
+
+
+@pytest.mark.parametrize(
+    "make_args, modules",
+    [
+        (lambda data, out: detect_args(data, ["--out", str(out)]), COMMON),
+        (lambda data, out: scan_args(data, ["--replications", "9", "--out", str(out)]),
+         COMMON | {"eigenspot.stscan"}),
+        (lambda data, out: [
+            "scan",
+            "--cases", str(data / "cases.csv"),
+            "--population", str(data / "population.csv"),
+            "--schema", str(data / "schema.json"),
+            "--adjacency", str(data / "adjacency.csv"),
+            "--replications", "9",
+            "--out", str(out),
+        ], COMMON | {"eigenspot.stscan"}),
+        (lambda data, out: ["--help"], COMMON),
+    ],
+    ids=["detect", "scan-centroids", "scan-adjacency", "help"],
+)
+def test_a_command_imports_only_the_modules_it_runs(synth_dir, tmp_path, make_args, modules):
+    # detect never needs the scan or the synth harness, nor scan the harness
+    loaded = loaded_modules(make_args(synth_dir, tmp_path / "out.json"))
+    assert {m for m in loaded if m.split(".")[0] == "eigenspot"} == modules
 
 
 def test_scan_rejects_fractional_case_counts(tmp_path):
@@ -1004,6 +1027,29 @@ def test_in_process_main_keeps_the_collector(tmp_path):
     args = ["synth", "--regions", "4", "--times", "3", "--out-dir", str(tmp_path)]
     assert cli.main(args, standalone_mode=False) is None
     assert gc.get_freeze_count() == before
+
+
+def test_version_needs_no_installed_metadata():
+    # a source checkout run through PYTHONPATH has no package metadata
+    script = (
+        "import importlib.metadata as metadata, runpy\n"
+        "def missing(name):\n"
+        "    raise metadata.PackageNotFoundError(name)\n"
+        "metadata.version = metadata.distribution = missing\n"
+        "runpy.run_module('eigenspot', run_name='__main__', alter_sys=True)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script, "--version"], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"eigenspot, version {eigenspot.__version__}\n"
+
+
+def test_pyproject_version_is_the_package_version():
+    # read as text: tomllib is new in Python 3.11
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    [version] = re.findall(r'^version = "([^"]+)"$', text, re.M)
+    assert version == eigenspot.__version__
 
 
 def test_console_script_calls_the_program_entry():
