@@ -167,10 +167,9 @@ def load_schema(source: Any) -> RecordSchema:
     )
 
 
-# the chunk bound: the plain path reads _BLOCK characters at a time and csv
-# _CHUNK records, and no field string outlives its chunk
+# the chunk bound: the file is read _BLOCK characters at a time, and no
+# field string outlives its chunk
 _BLOCK = 1 << 18
-_CHUNK = 1 << 14
 
 # _MASKS[k] keeps the first k bytes of a little-endian word, k = 0..8
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
@@ -227,21 +226,6 @@ def read_json(source: Any) -> Any:
         except json.JSONDecodeError as exc:
             name = source if isinstance(source, (str, Path)) else getattr(fh, "name", "input")
             raise InputError(f"{name} is not valid JSON: {exc}", module="dataio") from None
-
-
-@contextmanager
-def _open_lines(source: Any) -> Iterator[TextIO]:
-    """Open ``source`` so that its lines end at LF, CRLF and lone CR, as :mod:`csv` expects."""
-    if isinstance(source, (str, Path)):
-        with _open_text(source) as fh:  # opened with newline=""
-            yield fh
-        return
-    # a stream may translate or keep line breaks, so read it back as a file
-    # opened with newline="" is; the UTF-8 bytes take a quarter of the memory
-    # of an io.StringIO copy
-    with _open_text(source) as fh:
-        data = io.BytesIO(fh.read().encode("utf-8", "surrogatepass"))
-    yield io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="")
 
 
 def _numbering() -> defaultdict[str, int]:
@@ -320,25 +304,19 @@ def _byte_columns(buf: bytes, starts: np.ndarray, stops: np.ndarray) -> list[Col
     return columns
 
 
-def _csv_chunks(
-    records: Iterator[list[str]], width: int
-) -> Iterator[tuple[list[Column], np.ndarray]]:
-    """Records read by :mod:`csv` as ``(columns, lengths)``, ``_CHUNK`` at a
-    time, each chunk padded to the header's field count ``width`` (the first
-    record's when 0) or to its longest record, and each column grouped in
-    one dict pass."""
-    while rows := list(itertools.islice(records, _CHUNK)):
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        width = width or int(lengths[0])
-        full = max(width, int(lengths.max()))
-        pad = full - lengths
-        if pad.any():
-            fill = map(operator.mul, itertools.repeat([""]), pad.tolist())
-            rows = list(map(list.__add__, rows, fill))
-        flat = list(itertools.chain.from_iterable(rows))
-        del rows
-        yield [_indexed(flat[j::full]) for j in range(full)], lengths
-        del flat
+def _csv_columns(rows: list[list[str]], width: int) -> tuple[list[Column], np.ndarray]:
+    """One chunk's records read by :mod:`csv` as ``(columns, lengths)``,
+    padded to the header's field count ``width`` or to the longest record,
+    and each column grouped in one dict pass."""
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    full = max(width, int(lengths.max()))
+    pad = full - lengths
+    if pad.any():
+        fill = map(operator.mul, itertools.repeat([""]), pad.tolist())
+        rows = list(map(list.__add__, rows, fill))
+    flat = list(itertools.chain.from_iterable(rows))
+    del rows
+    return [_indexed(flat[j::full]) for j in range(full)], lengths
 
 
 def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
@@ -349,82 +327,80 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
     as ``(values, index)``, the field of record ``i`` being
     ``values[index[i]]``, with ``values`` the chunk's distinct stripped
     values of the field and a record's missing trailing fields read as
-    ``""``; ``lengths`` is each record's own field count.
-    ``fh`` must end lines as a file opened with newline="" does.
+    ``""``; ``lengths`` is each record's own field count. LF, CRLF and a
+    lone CR each end a line, so a stream reads alike whether it keeps or
+    translates its line breaks.
 
     The file is read ``_BLOCK`` characters at a time, and a chunk is the
-    whole lines read so far: a record longer than a block waits for the
-    blocks that end it. A chunk with no ``"`` character, no NUL (which
-    ``csv`` rejects before Python 3.11) and no lone CR, whose every line has
-    the header's field count, is plain: its fields are cut from its UTF-8
-    bytes at the commas and line ends and grouped by their bytes (see
-    :func:`_byte_columns`), so that Python decodes and strips only each
-    column's distinct values. A chunk whose only obstacle is a ``"`` is read
-    by :mod:`csv` alone when its last line break ends a record, and the next
-    chunk is tried as plain again. From any other chunk that is not plain,
-    the rest of the file is read by :mod:`csv` (see :func:`_csv_chunks`),
-    whose records may quote commas and line breaks.
+    text read so far up to its last LF, or up to a later CR that does not
+    end the text (one that does may begin a CRLF): a record longer than a
+    block waits for the blocks that end it. A chunk with no ``"``
+    character, no NUL (which ``csv`` rejects before Python 3.11) and no
+    lone CR, whose every line has the header's field count, is plain: its
+    fields are cut from its UTF-8 bytes at the commas and line ends and
+    grouped by their bytes (see :func:`_byte_columns`), so that Python
+    decodes and strips only each column's distinct values. Any other chunk
+    is read by :mod:`csv` alone, whose records may quote commas and line
+    breaks; when its cut lies inside a quoted field, the next block is read
+    into the same chunk. Either way, the next chunk is tried as plain again.
     """
     width = 0  # the header's field count
     text = ""  # the text read and not yet split
     while True:
         block = fh.read(_BLOCK)
         text += block
-        if "\0" in text:
-            break
-        quoted = '"' in text
-        if "\r" in text:
-            lf = text.replace("\r\n", "\n")
-            cr = lf.find("\r")
-            if cr >= 0 and (cr < len(lf) - 1 or not block):
-                break  # a lone CR: one that ends the block may begin a CRLF
-            if not quoted:  # a quoted field keeps its CRLF
-                text = lf
-        # the last record of a file may lack a line break
-        end = text.rfind("\n") + 1 if block else len(text)
+        if block:
+            end = text.rfind("\n") + 1
+            # or at a later CR, unless it ends the text: it may begin a CRLF
+            end = text.rfind("\r", end, len(text) - 1) + 1 or end
+        else:
+            end = len(text)  # the last record may lack a line break
         if not end:
             if block:
                 continue
             return  # every chunk was split
-        if quoted:
-            if not block:
-                break
-            # the line 'x"' after the cut is a record of its own when the cut
-            # ends a record; inside a quoted field, its quote ends that field
-            rows = list(csv.reader(io.StringIO(text[:end] + 'x"\n', newline="")))
-            if rows.pop() != ['x"']:
-                break
-            text = text[end:]
-            width = width or len(rows[0])
-            yield from _csv_chunks(iter(rows), width)
-            del rows
-            continue
         lines, text = text[:end], text[end:]
-        # the UTF-8 bytes of the lines, each ending in a line break
-        buf = lines.encode("utf-8", "surrogatepass") + (b"" if block else b"\n")
-        data = np.frombuffer(buf, np.uint8)
-        stops = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # each field's end
-        ends = data[stops] == ord("\n")
-        del data
-        width = width or int(ends.argmax()) + 1
-        height = stops.size // width
+        plain = '"' not in lines and "\0" not in lines
+        if plain and "\r" in lines:  # only here: a quoted field keeps its CRLF
+            lines = lines.replace("\r\n", "\n")
+            plain = "\r" not in lines
         columns = None
-        # each line has the header's field count when every width-th field
-        # ends a line and no other does
-        if stops.size == height * width and ends[width - 1 :: width].all() and ends.sum() == height:
-            shape = (height, width)
-            starts = np.concatenate(([0], stops[:-1] + 1))
-            columns = _byte_columns(buf, starts.reshape(shape), stops.reshape(shape))
-        if columns is None:
-            text = lines + text
-            break
-        del lines, buf, stops, ends
-        yield columns, np.full(height, width)
-        del columns  # before the next block is read
-    # csv needs whole lines, and a CR that ends the text may begin a CRLF
-    records = csv.reader(itertools.chain(io.StringIO(text + fh.readline(), newline=""), fh))
-    del text
-    yield from _csv_chunks(records, width)
+        if plain:
+            # the UTF-8 bytes of the lines, each ending in a line break
+            buf = lines.encode("utf-8", "surrogatepass") + (b"" if block else b"\n")
+            data = np.frombuffer(buf, np.uint8)
+            stops = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # each field's end
+            ends = data[stops] == ord("\n")
+            del data
+            width = width or int(ends.argmax()) + 1
+            height = stops.size // width
+            # each line has the header's field count when every width-th field
+            # ends a line and no other does
+            if stops.size == height * width and ends[width - 1 :: width].all() and ends.sum() == height:
+                shape = (height, width)
+                starts = np.concatenate(([0], stops[:-1] + 1))
+                columns = _byte_columns(buf, starts.reshape(shape), stops.reshape(shape))
+            del buf, stops, ends
+        if columns is not None:
+            del lines
+            yield columns, np.full(height, width)
+            del columns  # before the next block is read
+            continue
+        # the line 'x"' after the cut is a record of its own when the cut
+        # ends a record; inside a quoted field, its quote ends that field
+        try:
+            rows = list(csv.reader(io.StringIO(lines + ('x"\n' if block else ""), newline="")))
+        except csv.Error as exc:
+            raise InputError(f"malformed CSV: {exc}", module="dataio") from None
+        if block and rows.pop() != ['x"']:
+            text = lines + text  # read the next block into this chunk
+            continue
+        del lines
+        width = width or len(rows[0])
+        columns, lengths = _csv_columns(rows, width)
+        del rows
+        yield columns, lengths
+        del columns, lengths
 
 
 def _blank_rows(columns: Sequence[Column], n: int) -> np.ndarray:
@@ -536,7 +512,7 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
     outside: dict[str, set[str]] = {c: set() for c in explicit}
     rows = 0
     record = 0  # records read before the chunk; the header is record 1
-    with _open_lines(source) as fh:
+    with _open_text(source) as fh:
         for columns, lengths in _tokenize(fh):
             if not record:  # the first chunk starts with the header
                 col_idx, count_idx = _header_columns(
@@ -654,11 +630,14 @@ def _geometry_rows(source: Any, header: bool) -> Iterator[tuple[int, list[str]]]
     """A geometry file's records as (record number, stripped cells), without
     the first record when ``header`` is set and without blank records."""
     with _open_text(source) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [cell.strip() for cell in row]
-            if (header and lineno == 1) or not any(cells):
-                continue
-            yield lineno, cells
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                cells = [cell.strip() for cell in row]
+                if (header and lineno == 1) or not any(cells):
+                    continue
+                yield lineno, cells
+        except csv.Error as exc:
+            raise InputError(f"malformed CSV: {exc}", module="dataio") from None
 
 
 def parse_adjacency(
@@ -706,7 +685,8 @@ def parse_centroids(
     """Read region,x,y rows into an (n, 2) array aligned with ``regions``."""
     regions = tuple(regions)
     index = {r: i for i, r in enumerate(regions)}
-    coords = np.full((len(regions), 2), np.nan)
+    coords = np.zeros((len(regions), 2))
+    seen: set[str] = set()
     for lineno, row in _geometry_rows(source, header):
         if len(row) != 3:
             raise InputError(
@@ -717,17 +697,22 @@ def parse_centroids(
             raise InputError(
                 f"unknown region {r!r} at centroid row {lineno}", module="dataio"
             )
-        if not np.isnan(coords[index[r]]).all():
+        if r in seen:
             raise InputError(
                 f"region {r!r} listed twice in centroids", module="dataio"
             )
+        seen.add(r)
         try:
             coords[index[r]] = (float(row[1]), float(row[2]))
         except ValueError:
             raise InputError(
                 f"non-numeric coordinate at centroid row {lineno}", module="dataio"
             ) from None
-    missing = [r for r in regions if np.isnan(coords[index[r]]).any()]
+        if not np.isfinite(coords[index[r]]).all():
+            raise InputError(
+                f"non-finite coordinate at centroid row {lineno}", module="dataio"
+            )
+    missing = [r for r in regions if r not in seen]
     if missing:
         raise InputError(f"missing centroids for region(s): {missing}", module="dataio")
     return coords

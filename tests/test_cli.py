@@ -918,6 +918,19 @@ def test_input_that_is_not_utf8_exits_2(synth_dir, tmp_path, command, name):
     assert err["message"].endswith(f"{name}.csv is not UTF-8 text: byte 0xff at offset {at}")
 
 
+def test_a_csv_error_exits_2(synth_dir, tmp_path):
+    # csv refuses a quoted field over its field size limit; the same field
+    # unquoted would parse
+    cases = tmp_path / "cases.csv"
+    cases.write_text('region,time,count\n"' + "r" * 200_000 + '",t0,1\n', encoding="utf-8")
+    res = run_cli(["build", "--input", str(cases), "--schema", str(synth_dir / "schema.json")])
+    assert res.returncode == 2, res.stderr
+    [line] = res.stderr.splitlines()
+    err = json.loads(line)["error"]
+    assert (err["type"], err["module"]) == ("InputError", "dataio")
+    assert err["message"].startswith("malformed CSV: field larger than field limit")
+
+
 def test_numerical_failure_exits_3(synth_dir, tmp_path):
     # an all-zero cases file has no eigen-direction in any mode
     lines = ["region,time,count"]

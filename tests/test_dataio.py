@@ -631,6 +631,12 @@ def test_parse_adjacency_messages(text, header, message):
         parse_adjacency(io.StringIO(text), ("A", "B", "C"), header=header)
 
 
+def test_parse_adjacency_csv_error_is_an_input_error():
+    # a stream that keeps a lone CR hands csv a line with a break inside it
+    with pytest.raises(InputError, match="^malformed CSV: new-line character seen in unquoted field"):
+        parse_adjacency(io.StringIO("A,B\rB,C\n"), ("A", "B", "C"))
+
+
 def test_parse_adjacency_strips_cells_and_skips_blank_rows(tmp_path):
     path = tmp_path / "adjacency.csv"
     path.write_text(' A , B \n\n   \n , \n"C" ,"\tA"\r\n', newline="")
@@ -653,6 +659,9 @@ CENTROID_ERRORS = [
     # the header is the first record, even a blank one
     ("\nregion,x,y\n", "unknown region 'region' at centroid row 2"),
     ('region,x,y\n"A\n",0,0\nB,1,1\n"C",x,1\n', "non-numeric coordinate at centroid row 4"),
+    ("region,x,y\nA,inf,0\n", "non-finite coordinate at centroid row 2"),
+    ("region,x,y\nB,0,0\nA,nan,1\n", "non-finite coordinate at centroid row 3"),
+    ("region,x,y\nA,nan,nan\nA,1,2\n", "non-finite coordinate at centroid row 2"),
 ]
 
 

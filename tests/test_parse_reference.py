@@ -23,6 +23,13 @@ from eigenspot.dataio import _open_text
 
 
 def reference_parse_records(source, schema):
+    try:
+        return _reference_parse_records(source, schema)
+    except csv.Error as exc:  # before Python 3.11, csv rejects a NUL
+        raise InputError(f"malformed CSV: {exc}", module="dataio") from None
+
+
+def _reference_parse_records(source, schema):
     with _open_text(source) as fh:
         reader = csv.reader(fh)
         try:
@@ -98,15 +105,18 @@ def reference_parse_records(source, schema):
     )
 
 
+def summary(p):
+    """What a ParsedRecords holds, in a form that compares with ==."""
+    return columns_of(p), p.categories, p.counts.dtype.str, p.counts.tobytes(), p.unknown, p.rows
+
+
 def outcome(parse, text, schema):
     # newline="" reads line breaks as a file opened by path does
     try:
         p = parse(io.StringIO(text, newline=""), schema)
     except Exception as exc:  # the error type and message are compared
         return ("error", type(exc).__name__, str(exc))
-    return (
-        "ok", columns_of(p), p.categories, p.counts.dtype.str, p.counts.tobytes(), p.unknown, p.rows
-    )
+    return ("ok", *summary(p))
 
 
 # "\xa0", "\u3000" and "\x1c" are whitespace to str.strip too
@@ -210,19 +220,18 @@ def test_random_texts_match_reference():
     assert min(seen.values()) > 800, seen
 
 
-def small_chunks(monkeypatch, records, chars):
-    monkeypatch.setattr(dataio, "_CHUNK", records)
+def small_blocks(monkeypatch, chars):
     monkeypatch.setattr(dataio, "_BLOCK", chars)
 
 
-@pytest.mark.parametrize("chunk, block", [(1, 1), (2, 16), (5, 64)], ids=["1", "2", "5"])
-def test_random_texts_match_reference_in_small_chunks(monkeypatch, chunk, block):
-    # chunks this small put chunk ends inside quoted fields and CRLFs, make
-    # records longer than a block, switch from the split path to csv mid-file,
-    # mix chunks that need stripping with chunks that do not and leave whole
-    # chunks blank, short or outside an explicit list
-    small_chunks(monkeypatch, chunk, block)
-    rnd = random.Random(chunk)
+@pytest.mark.parametrize("seed, block", [(1, 1), (2, 16), (5, 64)], ids=["1", "2", "5"])
+def test_random_texts_match_reference_in_small_chunks(monkeypatch, seed, block):
+    # blocks this small put chunk ends inside quoted fields and CRLFs, make
+    # records longer than a block, switch between the split path and csv
+    # mid-file, mix chunks that need stripping with chunks that do not and
+    # leave whole chunks blank, short or outside an explicit list
+    small_blocks(monkeypatch, block)
+    rnd = random.Random(seed)
     for _ in range(800):
         text = random_text(rnd)
         schema = random_schema(rnd)
@@ -272,7 +281,8 @@ def test_edge_cases_match_reference(text):
 
 @pytest.mark.parametrize("text", EDGE_CASES)
 def test_edge_cases_match_reference_in_chunks_of_two(monkeypatch, text):
-    small_chunks(monkeypatch, 2, 16)
+    # blocks of two characters
+    small_blocks(monkeypatch, 2)
     assert outcome(parse_records, text, SCHEMA) == outcome(reference_parse_records, text, SCHEMA)
 
 
@@ -306,11 +316,14 @@ BLOCK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case, chunk", [(c, k) for c in BLOCK_CASES for k in (1, 2)])
-def test_block_boundaries_match_reference(monkeypatch, case, chunk):
+@pytest.mark.parametrize("case, copies", [(c, k) for c in BLOCK_CASES for k in (1, 2)])
+def test_block_boundaries_match_reference(monkeypatch, case, copies):
+    # the text as marked, and with its records after the header twice, which
+    # puts the later cuts at other places in them
     marked, block = case
     text = marked.replace("|", "")
-    small_chunks(monkeypatch, chunk, block or marked.index("|"))
+    text += text.partition("\n")[2] * (copies - 1)
+    small_blocks(monkeypatch, block or marked.index("|"))
     assert outcome(parse_records, text, SCHEMA) == outcome(reference_parse_records, text, SCHEMA)
 
 
@@ -322,7 +335,7 @@ def decoded(columns):
 def test_tokenize_yields_the_whole_lines_of_each_block(monkeypatch):
     # the header comes in the first chunk; the second, padded with non-ASCII
     # whitespace, is stripped, and each column holds its distinct values once
-    small_chunks(monkeypatch, 2, len(CLEAN))
+    small_blocks(monkeypatch, len(CLEAN))
     text = CLEAN + "\xa0A,1,1\nB,\u30001,2\n"
     chunks = list(dataio._tokenize(io.StringIO(text, newline="")))
     assert [decoded(columns) for columns, _ in chunks] == [
@@ -375,7 +388,7 @@ def test_clean_line_list_never_reaches_csv(monkeypatch, block):
     expected = outcome(reference_parse_records, text, LINE_LIST)
     assert expected[0] == "ok"
     if block:
-        small_chunks(monkeypatch, 2, block)
+        small_blocks(monkeypatch, block)
 
     def refuse(*args):
         raise AssertionError("csv.reader called")
@@ -395,7 +408,7 @@ COLLIDING = [
 def test_a_key_collision_sends_the_chunk_to_csv(monkeypatch, text):
     # with a zero multiplier every field longer than 8 bytes keys to 0, so
     # two different long values collide, of different sizes or of one; the
-    # chunk, and the rest of the file, then go through csv with the same result
+    # chunk then goes through csv with the same result
     expected = outcome(reference_parse_records, text, LINE_LIST)
     monkeypatch.setattr(dataio, "_MIX", np.uint64(0))
     calls = []
@@ -440,25 +453,13 @@ def test_first_error_in_file_order_wins():
         parse_records(io.StringIO(text.replace(",x", ",1")), SCHEMA)
 
 
-def test_csv_reads_the_rest_of_the_file_as_it_goes(monkeypatch):
-    # from the first block with a quote, csv parses each chunk before the
-    # next is read, rather than the rest of the file at once
-    small_chunks(monkeypatch, 10, 100)
-    text = "region,year,count\n" + '"A",1,1\n' * 1000
-    fh = io.StringIO(text, newline="")
-    columns, lengths = next(dataio._tokenize(fh))
-    assert decoded(columns)[0] == ["region"] + ["A"] * 9 and len(lengths) == 10
-    assert columns[0][0] == ["region", "A"]
-    assert fh.tell() < len(text) // 10
-
-
 @pytest.mark.parametrize("quote", [False, True])
 def test_rows_past_the_first_chunk(monkeypatch, quote):
-    # three chunks' worth of rows: categories, unknown values and row numbers
-    # carry over from chunk to chunk, on the split path (blocks of 50 rows of
-    # 7 characters) and through csv (chunks of 50 records)
-    small_chunks(monkeypatch, 50, 50 * 7)
-    n = 2 * dataio._CHUNK + 20
+    # categories, unknown values and row numbers carry over from chunk to
+    # chunk, on the split path (three blocks of at most 50 rows of 7
+    # characters) and through csv (five blocks of at most 26 rows of 13)
+    small_blocks(monkeypatch, 50 * 7)
+    n = 120
     rows = [[("A", "B", "Z", "C")[i % 7 % 4], f"y{i % 3}", str(i % 5)] for i in range(n)]
 
     def text():
@@ -469,7 +470,7 @@ def test_rows_past_the_first_chunk(monkeypatch, quote):
     parsed = parse_records(io.StringIO(text()), SCHEMA)
     assert parsed.unknown == {"region": ("C", "Z")} and parsed.rows == n
     assert parsed.categories == {"region": ("A", "B"), "year": ("y0", "y1", "y2")}
-    bad = 2 * dataio._CHUNK + 7  # a data row in the third chunk
+    bad = 107  # a data row two blocks or more into the file
     rows[bad - 2][2] = "x"
     with pytest.raises(InputError, match=rf"^non-numeric count 'x' at row {bad}$"):
         parse_records(io.StringIO(text()), SCHEMA)
@@ -505,27 +506,68 @@ def csv_records(monkeypatch):
     'region,year,count\n"A\nB",1,1\n' + ROWS,
     # row numbers after the quoted chunk count the records of the whole file
     '"region",year,count\n' + plain_rows(bad=150),
-], ids=["header", "first-row", "line-break", "bad-row"])
+    # the other chunks that are not plain: a lone CR, a ragged row and a NUL
+    "region,year,count\rA,1,1\n" + ROWS,
+    "region,year,count\nA,1,1,9\n" + ROWS,
+    "region,year,count\nA\0,1,1\n" + ROWS,
+], ids=["header", "first-row", "line-break", "bad-row", "lone-cr", "ragged", "nul"])
 def test_one_quoted_chunk_reaches_csv_alone(monkeypatch, text):
-    # the chunk that holds the quotes goes through csv, and the rest of the
-    # file, which has none, takes the plain path again
+    # the chunk that is not plain goes through csv, and the rest of the
+    # file, which is, takes the plain path again
     expected = outcome(reference_parse_records, text, SCHEMA)
-    small_chunks(monkeypatch, 2, 64)
+    small_blocks(monkeypatch, 64)
     calls = csv_records(monkeypatch)
     assert outcome(parse_records, text, SCHEMA) == expected
     [records] = calls
     assert len(records) <= 64 // 6 + 1
 
 
-def test_a_quoted_line_break_across_a_cut_sends_the_rest_to_csv(monkeypatch):
+def test_each_chunk_that_is_not_plain_reaches_csv_alone(monkeypatch):
+    # every block of this file holds quotes: csv reads each chunk on its own,
+    # before the next block is read
+    small_blocks(monkeypatch, 100)
+    text = "region,year,count\n" + '"A",1,1\n' * 1000
+    fh = io.StringIO(text, newline="")
+    calls = csv_records(monkeypatch)
+    chunks = dataio._tokenize(fh)
+    columns, lengths = next(chunks)
+    assert decoded(columns)[0] == ["region"] + ["A"] * 10 and len(lengths) == 11
+    assert columns[0][0] == ["region", "A"]
+    assert fh.tell() == 100 and len(calls) == 1
+    rest = [len(lengths) for _, lengths in chunks]
+    assert sum(rest) == 990 and len(calls) == 1 + len(rest)
+    # a block's records and the line that checks the cut
+    assert max(map(len, calls)) <= 100 // 8 + 2
+
+
+def test_a_quoted_line_break_across_a_cut_reads_one_more_block(monkeypatch):
     # the first block ends inside the quoted "A\nB", so its last line break
-    # does not end a record, and csv reads the file from that block on
+    # does not end a record: the next block is read into the same chunk, csv
+    # reads the records of the two blocks, and the plain path resumes
     text = CLEAN + '"A\nB",1,1\n' + ROWS
     expected = outcome(reference_parse_records, text, SCHEMA)
-    small_chunks(monkeypatch, 2, len(CLEAN) + 3)
+    block = len(CLEAN) + 3
+    small_blocks(monkeypatch, block)
     calls = csv_records(monkeypatch)
     assert outcome(parse_records, text, SCHEMA) == expected
-    assert len(calls[-1]) == 3 + 1 + 200
+    assert len(calls) == 2
+    assert len(calls[1]) <= 2 * block // 6 + 1
+
+
+def test_a_stream_parses_as_its_path_does(monkeypatch, tmp_path):
+    # io.StringIO keeps its lone CRs and CRLFs, and TextIOWrapper with
+    # newline=None turns them into LFs; either stream is read by blocks, with
+    # no copy of its text, and gives the rows of the file read by path
+    text = "region,year,count\r\nA,1,1\rB,1,2\r\n\r\"B\",2,1\rZ,2,3\r\n" + ROWS.replace("\n", "\r")
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for block in (dataio._BLOCK, 5):
+        small_blocks(monkeypatch, block)
+        expected = summary(parse_records(path, SCHEMA))
+        assert expected[-1] == 204
+        assert summary(parse_records(io.StringIO(text), SCHEMA)) == expected
+        wrapper = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), "utf-8", newline=None)
+        assert summary(parse_records(wrapper, SCHEMA)) == expected
 
 
 @pytest.mark.parametrize("field", ['B"', 'B"x', 'B"""'], ids=["end", "middle", "three"])
@@ -536,7 +578,7 @@ def test_a_literal_quote_in_an_unquoted_field(monkeypatch, field):
     text = "region,year,count\n" + field + ",1,1\n" + ROWS
     expected = outcome(reference_parse_records, text, SCHEMA)
     assert expected[0] == "ok"
-    small_chunks(monkeypatch, 2, 64)
+    small_blocks(monkeypatch, 64)
     calls = csv_records(monkeypatch)
     assert outcome(parse_records, text, SCHEMA) == expected
     [records] = calls
