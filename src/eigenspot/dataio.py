@@ -628,16 +628,16 @@ def build_tensor(parsed: ParsedRecords, schema: RecordSchema) -> CountTensor:
 
 def _geometry_rows(source: Any, header: bool) -> Iterator[tuple[int, list[str]]]:
     """A geometry file's records as (record number, stripped cells), without
-    the first record when ``header`` is set and without blank records."""
+    the first record when ``header`` is set and without blank records; read
+    by :func:`_tokenize`, as record files are."""
+    record = 0  # records read before the chunk
     with _open_text(source) as fh:
-        try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                cells = [cell.strip() for cell in row]
-                if (header and lineno == 1) or not any(cells):
-                    continue
-                yield lineno, cells
-        except csv.Error as exc:
-            raise InputError(f"malformed CSV: {exc}", module="dataio") from None
+        for columns, lengths in _tokenize(fh):
+            rows = zip(*(map(values.__getitem__, index.tolist()) for values, index in columns))
+            for lineno, length, row in zip(itertools.count(record + 1), lengths.tolist(), rows):
+                if any(row) and not (header and lineno == 1):  # a padded cell is ""
+                    yield lineno, list(row[:length])
+            record += len(lengths)
 
 
 def parse_adjacency(

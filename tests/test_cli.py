@@ -567,6 +567,18 @@ def test_scan_deterministic_and_finds_block(synth_dir, tmp_path):
     assert top["p_value"] <= 0.05
 
 
+def test_scan_with_the_time_mode_first_writes_the_same_document(synth_dir, tmp_path):
+    schema = json.loads((synth_dir / "schema.json").read_text())
+    schema["modes"].reverse()
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    args = scan_args(synth_dir, ["--replications", "19"])
+    first = run_cli(args)
+    reversed_modes = run_cli(args + ["--schema", str(tmp_path / "schema.json")])
+    assert first.returncode == reversed_modes.returncode == 0, reversed_modes.stderr
+    assert [m["kind"] for m in schema["modes"]] == ["time", "space"]
+    assert reversed_modes.stdout == first.stdout
+
+
 def loaded_modules(args):
     """The modules imported by the end of a ``python -m eigenspot`` run of ``args``."""
     code = (
@@ -994,6 +1006,16 @@ def test_bad_ranks_flag(synth_dir):
     assert err["error"]["module"] == "cli"
 
 
+def test_ranks_flag_sets_the_ranks(synth_dir):
+    default = run_cli(detect_args(synth_dir))
+    same = run_cli(detect_args(synth_dir, ["--ranks", "2,2"]))
+    lower = run_cli(detect_args(synth_dir, ["--ranks", "1,1"]))
+    assert default.returncode == same.returncode == lower.returncode == 0, lower.stderr
+    assert '"ranks":[2,2]' in default.stdout
+    assert same.stdout == default.stdout
+    assert '"ranks":[1,1]' in lower.stdout
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -1010,16 +1032,20 @@ def test_stdout_holds_the_bytes_out_writes(synth_dir, tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "make_args, code",
+    "make_args, code, module",
     [
-        (lambda data, out: ["--help"], 0),
-        (lambda data, out: ["scan", "--no-such-option"], 2),  # a click usage error
-        (lambda data, out: detect_args(data, ["--ranks", "2,two"]), 2),  # _fail
-        (lambda data, out: detect_args(data, ["--out", str(out)]), 0),
+        (lambda data, out: ["--help"], 0, None),
+        (lambda data, out: ["scan", "--no-such-option"], 2, None),  # a click usage error
+        (lambda data, out: detect_args(data, ["--ranks", "2,two"]), 2, "cli"),  # _fail
+        (lambda data, out: detect_args(data, ["--out", str(out)]), 0, None),
+        # an OSError, here from opening --out in a missing directory
+        (lambda data, out: detect_args(data, ["--out", str(out.parent / "no" / "x.json")]), 2, "cli"),
     ],
-    ids=["help", "usage", "input-error", "detect"],
+    ids=["help", "usage", "input-error", "detect", "os-error"],
 )
-def test_program_entry_freezes_the_collector_however_it_ends(synth_dir, tmp_path, make_args, code):
+def test_program_entry_freezes_the_collector_however_it_ends(
+    synth_dir, tmp_path, make_args, code, module
+):
     # an exit handler registered before the program runs after its exit
     # path, and sees the run's objects frozen
     args = make_args(synth_dir, tmp_path / "report.json")
@@ -1033,6 +1059,9 @@ def test_program_entry_freezes_the_collector_however_it_ends(synth_dir, tmp_path
     )
     assert res.returncode == code, res.stderr
     assert res.stdout.splitlines()[-1] == "True"
+    if module is not None:  # _fail's one JSON line
+        (line,) = res.stderr.splitlines()
+        assert json.loads(line)["error"]["module"] == module
 
 
 def test_in_process_main_keeps_the_collector(tmp_path):

@@ -605,7 +605,7 @@ def test_parse_centroids():
         )
 
 
-# Each reader's messages, in the order its checks run. The numbers are csv
+# Each reader's messages, in the order its checks run. The numbers are
 # record numbers, counting the header, blank records and records that span
 # lines as one each.
 ADJACENCY_ERRORS = [
@@ -631,17 +631,35 @@ def test_parse_adjacency_messages(text, header, message):
         parse_adjacency(io.StringIO(text), ("A", "B", "C"), header=header)
 
 
-def test_parse_adjacency_csv_error_is_an_input_error():
-    # a stream that keeps a lone CR hands csv a line with a break inside it
-    with pytest.raises(InputError, match="^malformed CSV: new-line character seen in unquoted field"):
-        parse_adjacency(io.StringIO("A,B\rB,C\n"), ("A", "B", "C"))
+def test_parse_adjacency_csv_error_is_an_input_error(tmp_path):
+    # LF, CRLF and a lone CR each end a line, whether a stream keeps them or not
+    path = tmp_path / "adjacency.csv"
+    path.write_bytes(b"A,B\rB,C\n")
+    regions = ("A", "B", "C")
+    from_path = parse_adjacency(path, regions).adjacency
+    from_stream = parse_adjacency(io.StringIO("A,B\rB,C\n"), regions).adjacency
+    assert from_stream.tolist() == from_path.tolist()
+    assert from_stream.astype(int).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    # a quoted cell is read by csv, whose field limit still holds
+    text = 'A,"' + "B" * 200_000 + '"\n'
+    with pytest.raises(InputError, match="^malformed CSV: field larger than field limit"):
+        parse_adjacency(io.StringIO(text), regions)
 
 
 def test_parse_adjacency_strips_cells_and_skips_blank_rows(tmp_path):
     path = tmp_path / "adjacency.csv"
-    path.write_text(' A , B \n\n   \n , \n"C" ,"\tA"\r\n', newline="")
-    adj = parse_adjacency(path, ("A", "B", "C")).adjacency
-    assert adj.astype(int).tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    texts = [
+        ' A , B \n\n   \n , \n"C" ,"\tA"\r\n',
+        # lone CR, CRLF and every cell quoted
+        " A , B \r\r   \r , \rC ,\tA\r",
+        " A , B \r\n\r\n   \r\n , \r\nC ,\tA\r\n",
+        '" A "," B "\n\n"   "\n" "," "\n"C","\tA"\n',
+    ]
+    for text in texts:
+        path.write_text(text, newline="")
+        for source in (path, io.StringIO(text)):
+            adj = parse_adjacency(source, ("A", "B", "C")).adjacency
+            assert adj.astype(int).tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]], repr(text)
     adj = parse_adjacency(io.StringIO("x,y\nA,B\n"), ("A", "B", "C"), header=True).adjacency
     assert adj.sum() == 2 and adj[0, 1]
 
@@ -673,9 +691,19 @@ def test_parse_centroids_messages(text, message):
 
 def test_parse_centroids_strips_cells_and_skips_blank_rows(tmp_path):
     path = tmp_path / "centroids.csv"
-    path.write_text('region,x,y\n A , 0.5 ,1\n\n  \n , ,\n"C",-2, 3e1\r\n"B" ,"7",8\n', newline="")
-    coords = parse_centroids(path, ("A", "B", "C"))
-    assert coords.tolist() == [[0.5, 1.0], [7.0, 8.0], [-2.0, 30.0]]
+    texts = [
+        'region,x,y\n A , 0.5 ,1\n\n  \n , ,\n"C",-2, 3e1\r\n"B" ,"7",8\n',
+        # lone CR, CRLF and every cell quoted
+        "region,x,y\r A , 0.5 ,1\r\r  \r , ,\rC,-2, 3e1\rB ,7,8\r",
+        "region,x,y\r\n A , 0.5 ,1\r\n\r\n  \r\n , ,\r\nC,-2, 3e1\r\nB ,7,8\r\n",
+        '"region","x","y"\n" A "," 0.5 ","1"\n\n"  "\n" "," ",""\n"C","-2"," 3e1"\n'
+        '"B ","7","8"\n',
+    ]
+    for text in texts:
+        path.write_text(text, newline="")
+        for source in (path, io.StringIO(text)):
+            coords = parse_centroids(source, ("A", "B", "C"))
+            assert coords.tolist() == [[0.5, 1.0], [7.0, 8.0], [-2.0, 30.0]], repr(text)
     coords = parse_centroids(io.StringIO("A,1,2\n"), ("A",), header=False)
     assert coords.tolist() == [[1.0, 2.0]]
 
