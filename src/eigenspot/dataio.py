@@ -336,7 +336,8 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
     end the text (one that does may begin a CRLF): a record longer than a
     block waits for the blocks that end it. A chunk with no ``"``
     character, no NUL (which ``csv`` rejects before Python 3.11) and no
-    lone CR, whose every line has the header's field count, is plain: its
+    lone CR, whose every line has the field count of the file's first
+    line that is not blank (the header of a record file), is plain: its
     fields are cut from its UTF-8 bytes at the commas and line ends and
     grouped by their bytes (see :func:`_byte_columns`), so that Python
     decodes and strips only each column's distinct values. Any other chunk
@@ -344,7 +345,7 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
     breaks; when its cut lies inside a quoted field, the next block is read
     into the same chunk. Either way, the next chunk is tried as plain again.
     """
-    width = 0  # the header's field count
+    width = 0  # the field count of the first line that is not blank
     text = ""  # the text read and not yet split
     while True:
         block = fh.read(_BLOCK)
@@ -371,10 +372,13 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
             data = np.frombuffer(buf, np.uint8)
             stops = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # each field's end
             ends = data[stops] == ord("\n")
+            if not width:
+                # the first field end of the first line that is not blank
+                first = np.searchsorted(stops, np.argmax(data != ord("\n")))
+                width = int(ends[first:].argmax()) + 1
             del data
-            width = width or int(ends.argmax()) + 1
             height = stops.size // width
-            # each line has the header's field count when every width-th field
+            # each line has width fields when every width-th field
             # ends a line and no other does
             if stops.size == height * width and ends[width - 1 :: width].all() and ends.sum() == height:
                 shape = (height, width)
@@ -396,7 +400,7 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
             text = lines + text  # read the next block into this chunk
             continue
         del lines
-        width = width or len(rows[0])
+        width = width or next((len(row) for row in rows if row), 0)
         columns, lengths = _csv_columns(rows, width)
         del rows
         yield columns, lengths

@@ -35,6 +35,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
 _START_SEED = 0x51E9  # fixed seed for start vectors: deterministic solves
+# a sum of whole numbers whose magnitudes add up to less than this is exact
+# in any order of summation
+_EXACT_SUM = 2.0**53
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +186,9 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(values, vectors)`` with values sorted descending and
     vectors stacked row-wise, each unit norm and sign-canonicalized.
     Raises :class:`ConvergenceError` with the achieved residual if any
-    pair fails to converge within ``DEFAULT_MAX_ITER`` iterations.
+    pair fails to converge within ``DEFAULT_MAX_ITER`` iterations, and
+    :class:`InputError` on a non-finite matrix. The solve holds one copy of
+    the matrix, deflated in place, and one outer-product buffer.
     """
     a = np.array(sym, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -191,11 +196,14 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if not 1 <= r <= n:
         raise InputError(f"rank {r} out of range for {n}x{n} matrix", module="tensors")
-    a = (a + a.T) / 2.0  # enforce exact symmetry
+    if not np.isfinite(a).all():
+        raise InputError("matrix values must be finite", module="tensors")
+    a += a.T  # enforce exact symmetry
+    a /= 2.0
     threshold = DEFAULT_TOL * float(np.linalg.norm(a, "fro"))
 
     rng = np.random.default_rng(_START_SEED)
-    deflated = a.copy()
+    buf = np.empty_like(a)
     values: list[float] = []
     basis: list[np.ndarray] = []
 
@@ -209,7 +217,7 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         resid = np.inf
         converged = False
         for _ in range(DEFAULT_MAX_ITER):
-            w = deflated @ v
+            w = a @ v
             for u in basis:
                 w -= (u @ w) * u
             lam = float(v @ w)
@@ -228,7 +236,10 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         v = canonicalize_sign(v)
         values.append(lam)
         basis.append(v)
-        deflated -= lam * np.outer(v, v)
+        if len(basis) < r:  # deflate for the next pair
+            np.multiply.outer(v, v, out=buf)
+            buf *= lam
+            a -= buf
 
     order = np.argsort(-np.asarray(values), kind="stable")
     vals = np.asarray(values)[order]
@@ -239,8 +250,12 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 def gram_eigen(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of the Gram matrix M.Mt of an unfolding.
 
-    The Gram product is formed with a plain index-order contraction so
-    results do not depend on BLAS threading.
+    When M holds whole numbers and max|x|**2 times its column count is
+    below 2**53, every product and partial sum is an integer below 2**53,
+    so the Gram matrix is exact in any order of summation and comes from
+    one BLAS product; any other M goes through a plain index-order
+    contraction. Either way results do not depend on BLAS threading. A
+    non-finite M raises :class:`InputError`.
     """
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2:
@@ -249,7 +264,13 @@ def gram_eigen(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(
             f"rank {r} exceeds row count {mat.shape[0]}", module="tensors"
         )
-    gram = np.einsum("ij,kj->ik", mat, mat)
+    if not np.isfinite(mat).all():
+        raise InputError("matrix values must be finite", module="tensors")
+    peak = float(np.abs(mat).max(initial=0.0))
+    if peak * peak * mat.shape[1] < _EXACT_SUM and (np.trunc(mat) == mat).all():
+        gram = mat @ mat.T
+    else:
+        gram = np.einsum("ij,kj->ik", mat, mat)
     return top_eigenpairs(gram, r)
 
 

@@ -439,3 +439,38 @@ def test_cli_determinism_across_runs_and_threads(tmp_path):
         ok,
         f"4 runs x 2 artifacts byte-identical in {elapsed:.1f}s",
     )
+
+
+def test_cli_detect_determinism_across_threads_with_a_fractional_population(tmp_path):
+    # a population of 800.5 per cell takes the index-order Gram contraction,
+    # whole-number counts the BLAS product: both must not depend on threads
+    cli = [sys.executable, "-m", "eigenspot"]
+    data = tmp_path / "data"
+    synth = subprocess.run(
+        cli + ["synth", "--regions", "16", "--times", "6", "--baseline", "800.5",
+               "--case-rate", "0.03", "--risk", "2.5", "--inject", "r05,r06",
+               "--window", "2:4", "--seed", "7", "--out-dir", str(data)],
+        capture_output=True,
+        text=True,
+    )
+    assert synth.returncode == 0, synth.stderr
+    reports = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        rep = tmp_path / f"report_{threads}.json"
+        det = subprocess.run(
+            cli + ["detect", "--cases", str(data / "cases.csv"),
+                   "--population", str(data / "population.csv"),
+                   "--adjacency", str(data / "adjacency.csv"),
+                   "--schema", str(data / "schema.json"), "--out", str(rep)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert det.returncode == 0, det.stderr
+        reports.append(rep.read_bytes())
+    _verdict(
+        "determinism-fractional",
+        reports[0] == reports[1],
+        "reports at 1 and 4 BLAS threads byte-identical",
+    )

@@ -15,6 +15,7 @@ from eigenspot import (
     RecordSchema,
     RegionGeometry,
     build_tensor,
+    dataio,
     dumps_stable,
     ingest_pair,
     load_schema,
@@ -644,6 +645,26 @@ def test_parse_adjacency_csv_error_is_an_input_error(tmp_path):
     text = 'A,"' + "B" * 200_000 + '"\n'
     with pytest.raises(InputError, match="^malformed CSV: field larger than field limit"):
         parse_adjacency(io.StringIO(text), regions)
+
+
+def test_a_leading_blank_line_leaves_later_chunks_plain(monkeypatch):
+    # the field count comes from the first line that is not blank, so only
+    # the chunk holding the blank line goes through csv
+    monkeypatch.setattr(dataio, "_BLOCK", 64)
+    calls = []
+    csv_columns = dataio._csv_columns
+    monkeypatch.setattr(dataio, "_csv_columns", lambda *args: calls.append(1) or csv_columns(*args))
+    regions = tuple(f"r{i}" for i in range(200))
+    text = "".join(f"r{i},r{i + 1}\n" for i in range(199))
+    expected = parse_adjacency(io.StringIO(text), regions).adjacency
+    assert not calls
+    for lead in ("\n", '\n"r0",r1\n'):  # a plain or a quoted first chunk
+        calls.clear()
+        adj = parse_adjacency(io.StringIO(lead + text), regions).adjacency
+        assert len(calls) <= 1 and adj.tolist() == expected.tolist()
+    # record 1 is the blank line, 2 to 200 the pairs
+    with pytest.raises(InputError, match="^unknown region 'q' at adjacency row 201$"):
+        parse_adjacency(io.StringIO("\n" + text + "r0,q\n"), regions)
 
 
 def test_parse_adjacency_strips_cells_and_skips_blank_rows(tmp_path):

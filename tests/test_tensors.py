@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from eigenspot import (
     top_eigenpairs,
     unfold,
 )
+from eigenspot.tensors import _START_SEED, DEFAULT_MAX_ITER, DEFAULT_TOL
 from conftest import make_tensor
 
 
@@ -229,6 +233,116 @@ def test_top_eigenpairs_zero_matrix():
     assert np.allclose(vals, 0.0)
     assert abs(np.linalg.norm(vecs[0]) - 1.0) <= 1e-12
     assert abs(vecs[0] @ vecs[1]) <= 1e-10
+
+
+def reference_top_eigenpairs(sym, r):
+    """The solver as it was before it symmetrized and deflated its copy in
+    place: a fresh n x n array per step."""
+    a = np.array(sym, dtype=float)
+    n = a.shape[0]
+    a = (a + a.T) / 2.0
+    threshold = DEFAULT_TOL * float(np.linalg.norm(a, "fro"))
+    rng = np.random.default_rng(_START_SEED)
+    deflated = a.copy()
+    values, basis = [], []
+    for _ in range(r):
+        v = rng.standard_normal(n)
+        for u in basis:
+            v -= (u @ v) * u
+        v /= np.linalg.norm(v)
+        for _ in range(DEFAULT_MAX_ITER):
+            w = deflated @ v
+            for u in basis:
+                w -= (u @ w) * u
+            lam = float(v @ w)
+            if float(np.linalg.norm(w - lam * v)) <= threshold:
+                break
+            v = w / float(np.linalg.norm(w))
+        else:
+            raise AssertionError("the reference did not converge")
+        v = canonicalize_sign(v)
+        values.append(lam)
+        basis.append(v)
+        deflated -= lam * np.outer(v, v)
+    order = np.argsort(-np.asarray(values), kind="stable")
+    return np.asarray(values)[order], np.vstack([basis[i] for i in order])
+
+
+def solve_outcome(solve, *args):
+    """A solve's (values, vectors) as bytes, or its error's type and message."""
+    try:
+        vals, vecs = solve(*args)
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+    return vals.tobytes(), vecs.tobytes()
+
+
+def test_top_eigenpairs_matches_the_reference_bit_for_bit_and_keeps_its_argument(rng):
+    for n, r in [(1, 1), (2, 2), (7, 3), (30, 2), (64, 4)]:
+        m = rng.standard_normal((n, n + 3))
+        sym = m @ m.T + 1e-3 * rng.standard_normal((n, n))  # symmetrized by the solve
+        before = sym.copy()
+        assert solve_outcome(top_eigenpairs, sym, r) == solve_outcome(reference_top_eigenpairs, sym, r)
+        assert sym.tobytes() == before.tobytes()
+
+
+def test_top_eigenpairs_holds_two_matrices_at_its_peak(rng):
+    n = 600
+    m = rng.integers(0, 5, (n, 40)).astype(float)
+    sym = m @ m.T
+    tracemalloc.start()
+    try:
+        top_eigenpairs(sym, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * n * n * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_an_input_error_before_any_work(bad):
+    # the suite turns a RuntimeWarning from any iteration into an error
+    with pytest.raises(InputError, match="^matrix values must be finite$"):
+        top_eigenpairs(np.full((3, 3), bad), 1)
+    m = np.ones((3, 4))
+    m[1, 2] = bad
+    with pytest.raises(InputError, match="^matrix values must be finite$"):
+        gram_eigen(m, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 70),
+    near_bound=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_whole_number_gram_equals_the_index_order_contraction(rows, cols, near_bound, seed, data):
+    # with max|x|**2 * columns below 2**53 every partial sum is exact, so
+    # the BLAS product gives the contraction's bits
+    peak = math.isqrt((2**53 - 1) // cols) if near_bound else 50
+    assert peak * peak * cols < 2**53
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-peak, peak + 1, (rows, cols)).astype(float)
+    m[rng.integers(rows), rng.integers(cols)] = rng.choice([-peak, peak])
+    r = data.draw(st.integers(1, rows))
+    expected = solve_outcome(top_eigenpairs, np.einsum("ij,kj->ik", m, m), r)
+    assert solve_outcome(gram_eigen, m, r) == expected
+
+
+def test_gram_eigen_contracts_by_index_order_unless_the_sum_is_exact(monkeypatch):
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(1) or einsum(*args))
+    gram_eigen(np.array([[3.0, -1.0, 0.0], [2.0, 5.0, -4.0]]), 1)
+    assert not calls  # whole numbers, far below the bound
+    gram_eigen(np.array([[3.0, -1.0, 0.5], [2.0, 5.0, -4.0]]), 1)
+    assert len(calls) == 1  # a fraction
+    gram_eigen(np.array([[2.0**26, -(2.0**26)]]), 1)
+    assert len(calls) == 2  # max|x|**2 * columns is 2**53
+    gram_eigen(np.array([[2.0**26 - 1, -(2.0**26) + 1]]), 1)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
