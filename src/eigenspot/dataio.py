@@ -304,12 +304,12 @@ def _byte_columns(buf: bytes, starts: np.ndarray, stops: np.ndarray) -> list[Col
     return columns
 
 
-def _csv_columns(rows: list[list[str]], width: int) -> tuple[list[Column], np.ndarray]:
+def _csv_columns(rows: list[list[str]]) -> tuple[list[Column], np.ndarray]:
     """One chunk's records read by :mod:`csv` as ``(columns, lengths)``,
-    padded to the header's field count ``width`` or to the longest record,
-    and each column grouped in one dict pass."""
+    padded to the chunk's longest record, and each column grouped in one
+    dict pass."""
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    full = max(width, int(lengths.max()))
+    full = int(lengths.max())
     pad = full - lengths
     if pad.any():
         fill = map(operator.mul, itertools.repeat([""]), pad.tolist())
@@ -327,25 +327,24 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
     as ``(values, index)``, the field of record ``i`` being
     ``values[index[i]]``, with ``values`` the chunk's distinct stripped
     values of the field and a record's missing trailing fields read as
-    ``""``; ``lengths`` is each record's own field count. LF, CRLF and a
-    lone CR each end a line, so a stream reads alike whether it keeps or
-    translates its line breaks.
+    ``""`` up to the chunk's widest record; ``lengths`` is each record's
+    own field count. LF, CRLF and a lone CR each end a line, so a stream
+    reads alike whether it keeps or translates its line breaks.
 
     The file is read ``_BLOCK`` characters at a time, and a chunk is the
     text read so far up to its last LF, or up to a later CR that does not
     end the text (one that does may begin a CRLF): a record longer than a
     block waits for the blocks that end it. A chunk with no ``"``
     character, no NUL (which ``csv`` rejects before Python 3.11) and no
-    lone CR, whose every line has the field count of the file's first
-    line that is not blank (the header of a record file), is plain: its
-    fields are cut from its UTF-8 bytes at the commas and line ends and
-    grouped by their bytes (see :func:`_byte_columns`), so that Python
-    decodes and strips only each column's distinct values. Any other chunk
-    is read by :mod:`csv` alone, whose records may quote commas and line
-    breaks; when its cut lies inside a quoted field, the next block is read
-    into the same chunk. Either way, the next chunk is tried as plain again.
+    lone CR, whose every line has the field count of the chunk's own first
+    line, is plain: its fields are cut from its UTF-8 bytes at the commas
+    and line ends and grouped by their bytes (see :func:`_byte_columns`),
+    so that Python decodes and strips only each column's distinct values.
+    Any other chunk is read by :mod:`csv` alone, whose records may quote
+    commas and line breaks; when its cut lies inside a quoted field, the
+    next block is read into the same chunk. Only the text not yet split
+    passes from one chunk to the next, which is judged by its own lines.
     """
-    width = 0  # the field count of the first line that is not blank
     text = ""  # the text read and not yet split
     while True:
         block = fh.read(_BLOCK)
@@ -372,11 +371,8 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
             data = np.frombuffer(buf, np.uint8)
             stops = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # each field's end
             ends = data[stops] == ord("\n")
-            if not width:
-                # the first field end of the first line that is not blank
-                first = np.searchsorted(stops, np.argmax(data != ord("\n")))
-                width = int(ends[first:].argmax()) + 1
             del data
+            width = int(ends.argmax()) + 1  # the field count of the chunk's first line
             height = stops.size // width
             # each line has width fields when every width-th field
             # ends a line and no other does
@@ -400,8 +396,7 @@ def _tokenize(fh: TextIO) -> Iterator[tuple[list[Column], np.ndarray]]:
             text = lines + text  # read the next block into this chunk
             continue
         del lines
-        width = width or next((len(row) for row in rows if row), 0)
-        columns, lengths = _csv_columns(rows, width)
+        columns, lengths = _csv_columns(rows)
         del rows
         yield columns, lengths
         del columns, lengths
@@ -522,12 +517,15 @@ def parse_records(source: Any, schema: RecordSchema) -> ParsedRecords:
                 col_idx, count_idx = _header_columns(
                     [values[index[0]] for values, index in columns[: lengths[0]]], schema
                 )
+                read = [i for i in (*col_idx, count_idx) if i is not None]
                 columns = [(values, index[1:]) for values, index in columns]
                 lengths, record = lengths[1:], 1
+            if len(columns) <= max(read):  # a chunk is as wide as its widest record
+                columns += [([""], np.zeros(len(lengths), np.intp))] * (max(read) + 1 - len(columns))
             live = ~_blank_rows(columns, len(lengths))
             row_at = np.flatnonzero(live) + record + 1
             # the columns read below, of the non-blank rows
-            used = {i: columns[i] for i in (*col_idx, count_idx) if i is not None}
+            used = {i: columns[i] for i in read}
             if not live.all():
                 used = {i: (values, index[live]) for i, (values, index) in used.items()}
             chunk_counts = _chunk_counts(

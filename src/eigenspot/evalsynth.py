@@ -144,12 +144,12 @@ def generate(cfg: SynthConfig) -> SynthData:
     """Generate one scenario: population, Poisson cases, truth, adjacency."""
     if cfg.regions < 1 or cfg.times < 1:
         raise InputError("need at least one region and one time step", module="evalsynth")
-    if cfg.baseline <= 0 or cfg.case_rate <= 0:
-        raise InputError("baseline and case_rate must be positive", module="evalsynth")
-    if cfg.relative_risk < 1:
-        raise InputError("relative risk must be at least 1", module="evalsynth")
-    if cfg.growth < 0:
-        raise InputError("growth must be non-negative", module="evalsynth")
+    if not (0 < cfg.baseline < math.inf and 0 < cfg.case_rate < math.inf):
+        raise InputError("baseline and case_rate must be positive and finite", module="evalsynth")
+    if not 1 <= cfg.relative_risk < math.inf:  # NaN fails every comparison
+        raise InputError("relative risk must be finite and at least 1", module="evalsynth")
+    if not 0 <= cfg.growth < math.inf:
+        raise InputError("growth must be finite and non-negative", module="evalsynth")
     if cfg.seed < 0:
         raise InputError(f"seed must be non-negative, got {cfg.seed}", module="evalsynth")
     t0, t1 = cfg.window
@@ -180,15 +180,16 @@ def generate(cfg: SynthConfig) -> SynthData:
             module="evalsynth",
         )
 
-    growth_factor = 1.0 + cfg.growth * np.arange(cfg.times)
-    pop = np.tile(cfg.baseline * growth_factor, (cfg.regions, 1))
-    mean = cfg.case_rate * pop
-    if injected:
-        block = np.ix_(injected, range(t0, t1 + 1))
-        mean = mean.copy()
-        mean[block] *= cfg.relative_risk
-    rng = np.random.default_rng(count_stream)
-    cases = rng.poisson(mean).astype(float)
+    try:
+        with np.errstate(over="raise"):  # a mean that overflows is refused too
+            growth_factor = 1.0 + cfg.growth * np.arange(cfg.times)
+            pop = np.tile(cfg.baseline * growth_factor, (cfg.regions, 1))
+            mean = cfg.case_rate * pop
+            if injected:
+                mean[np.ix_(injected, range(t0, t1 + 1))] *= cfg.relative_risk
+            cases = np.random.default_rng(count_stream).poisson(mean).astype(float)
+    except (FloatingPointError, ValueError):  # numpy draws from means up to about 9.2e18
+        raise InputError("expected case counts too large to draw", module="evalsynth") from None
 
     modes = (
         ModeLabel(kind="space", categories=regions, name="region"),

@@ -91,6 +91,17 @@ def test_synth_without_seed_uses_fixed_default(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("option, value", [("--risk", "nan"), ("--case-rate", "1e300")])
+def test_synth_with_a_parameter_it_cannot_draw_from_exits_2(tmp_path, option, value):
+    res = run_cli([
+        "synth", "--regions", "4", "--times", "3", "--inject", "r00", "--window", "0:1",
+        option, value, "--out-dir", str(tmp_path / "out"),
+    ])
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+    err = json.loads(res.stderr.splitlines()[-1])
+    assert err["error"]["module"] == "evalsynth"
+
+
 def test_detect_finds_injected_block(synth_dir, tmp_path):
     out = tmp_path / "report.json"
     res = run_cli(detect_args(synth_dir, ["--out", str(out)]))

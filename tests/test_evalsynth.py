@@ -107,6 +107,28 @@ def test_generate_rejects_bad_configs():
         generate(SynthConfig(regions=4, times=3, seed=-1))
 
 
+INJECTED = dict(regions=4, times=3, injected_regions=("r00",), window=(0, 1))
+
+
+@pytest.mark.parametrize("params", [
+    dict(relative_risk=float("nan")),
+    dict(relative_risk=float("inf")),
+    dict(baseline=float("nan")),
+    dict(baseline=float("inf")),
+    dict(case_rate=float("nan")),
+    dict(growth=float("nan")),
+    dict(growth=float("inf")),
+    # finite, but past the largest mean numpy draws from, or overflowing to it
+    dict(case_rate=1e300),
+    dict(baseline=1e308, case_rate=10.0),
+    dict(growth=1e308),
+], ids=repr)
+def test_generate_rejects_non_finite_and_undrawable_parameters(params):
+    with pytest.raises(InputError) as info:
+        generate(SynthConfig(**{**INJECTED, **params}))
+    assert info.value.module == "evalsynth"
+
+
 def test_generate_rejects_disconnected_injection():
     # 3x3 grid: r00 and r08 are opposite corners
     with pytest.raises(InputError):

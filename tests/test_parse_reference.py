@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import columns_of, records_from_columns
-from eigenspot import InputError, ModeSpec, RecordSchema, parse_records
+from eigenspot import InputError, ModeSpec, RecordSchema, parse_adjacency, parse_records
 from eigenspot import dataio
 from eigenspot.dataio import _open_text
 
@@ -510,7 +510,15 @@ def csv_records(monkeypatch):
     "region,year,count\rA,1,1\n" + ROWS,
     "region,year,count\nA,1,1,9\n" + ROWS,
     "region,year,count\nA\0,1,1\n" + ROWS,
-], ids=["header", "first-row", "line-break", "bad-row", "lone-cr", "ragged", "nul"])
+    # records wider or narrower than the header: every chunk is judged by
+    # its own first line, so only the header's has two field counts
+    "region,year,count\n" + ROWS.replace("\n", ",\n"),
+    "region,year,count\n" + plain_rows(bad=150).replace("\n", ",note\n"),
+    "region,year,count,note\n" + ROWS,
+], ids=[
+    "header", "first-row", "line-break", "bad-row", "lone-cr", "ragged", "nul",
+    "trailing-comma", "extra-field-bad-row", "wide-header",
+])
 def test_one_quoted_chunk_reaches_csv_alone(monkeypatch, text):
     # the chunk that is not plain goes through csv, and the rest of the
     # file, which is, takes the plain path again
@@ -583,3 +591,31 @@ def test_a_literal_quote_in_an_unquoted_field(monkeypatch, field):
     assert outcome(parse_records, text, SCHEMA) == expected
     [records] = calls
     assert len(records) <= 64 // 6 + 1
+
+
+def test_a_chunk_narrower_than_the_header_reads_its_missing_fields_as_blank(monkeypatch):
+    # after the records, chunks of blank records of one or two fields, then
+    # records of two: the count column past them reads as "", as the
+    # reference reads it, and only the chunk that mixes widths reaches csv
+    small_blocks(monkeypatch, 64)
+    for tail in ("\n" * 100, " , \n" * 30, " , \n" * 30 + "A,1\n" * 30):
+        text = "region,year,count\n" + ROWS + tail
+        expected = outcome(reference_parse_records, text, SCHEMA)
+        calls = csv_records(monkeypatch)
+        assert outcome(parse_records, text, SCHEMA) == expected
+        assert len(calls) <= 1
+    assert expected[2] == "non-numeric count '' at row 232"
+
+
+def test_an_adjacency_stream_after_a_block_of_line_breaks_stays_plain(monkeypatch):
+    # the first chunk holds only line breaks; the pairs after it are plain
+    small_blocks(monkeypatch, 64)
+    regions = tuple(f"r{i}" for i in range(200))
+    text = "".join(f"r{i},r{i + 1}\n" for i in range(199))
+    expected = parse_adjacency(io.StringIO(text), regions).adjacency
+    calls = csv_records(monkeypatch)
+    adj = parse_adjacency(io.StringIO("\n" * 70 + text), regions).adjacency
+    assert len(calls) <= 1 and adj.tolist() == expected.tolist()
+    # records 1 to 70 are blank, 71 to 269 the pairs
+    with pytest.raises(InputError, match="^unknown region 'q' at adjacency row 270$"):
+        parse_adjacency(io.StringIO("\n" * 70 + text + "r0,q\n"), regions)
