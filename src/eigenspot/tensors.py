@@ -178,19 +178,19 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of a symmetric PSD matrix by power iteration.
 
     Each eigenpair is accepted once the residual ||A v - lambda v|| drops
-    below ``DEFAULT_TOL`` times the Frobenius norm of the input matrix; the
-    matrix is then deflated by ``lambda v v^T`` and the next pair is sought.
-    Iterates are re-orthogonalized against converged vectors every step to
-    stop floating-point drift back toward dominant directions.
+    below ``DEFAULT_TOL`` times the Frobenius norm of the input matrix, and
+    the next pair is sought. Later pairs are kept apart from earlier ones by
+    projection alone: each start vector and each product A v is projected
+    off the converged vectors every step.
 
     Returns ``(values, vectors)`` with values sorted descending and
     vectors stacked row-wise, each unit norm and sign-canonicalized.
     Raises :class:`ConvergenceError` with the achieved residual if any
     pair fails to converge within ``DEFAULT_MAX_ITER`` iterations, and
-    :class:`InputError` on a non-finite matrix. The solve holds one copy of
-    the matrix, deflated in place, and one outer-product buffer.
+    :class:`InputError` on a non-finite matrix. The solve holds one
+    symmetrized copy of the matrix.
     """
-    a = np.array(sym, dtype=float)
+    a = np.asarray(sym, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("expected a square matrix", module="tensors")
     n = a.shape[0]
@@ -198,12 +198,11 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"rank {r} out of range for {n}x{n} matrix", module="tensors")
     if not np.isfinite(a).all():
         raise InputError("matrix values must be finite", module="tensors")
-    a += a.T  # enforce exact symmetry
+    a = a + a.T  # enforce exact symmetry in one new array
     a /= 2.0
     threshold = DEFAULT_TOL * float(np.linalg.norm(a, "fro"))
 
     rng = np.random.default_rng(_START_SEED)
-    buf = np.empty_like(a)
     values: list[float] = []
     basis: list[np.ndarray] = []
 
@@ -236,10 +235,6 @@ def top_eigenpairs(sym: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         v = canonicalize_sign(v)
         values.append(lam)
         basis.append(v)
-        if len(basis) < r:  # deflate for the next pair
-            np.multiply.outer(v, v, out=buf)
-            buf *= lam
-            a -= buf
 
     order = np.argsort(-np.asarray(values), kind="stable")
     vals = np.asarray(values)[order]

@@ -648,8 +648,9 @@ def test_parse_adjacency_csv_error_is_an_input_error(tmp_path):
 
 
 def test_a_leading_blank_line_leaves_later_chunks_plain(monkeypatch):
-    # the field count comes from the first line that is not blank, so only
-    # the chunk holding the blank line goes through csv
+    # each chunk is judged by its own lines: the chunk that starts with the
+    # blank line is not plain by its own first line, so only it goes through
+    # csv, and the later chunks stay plain
     monkeypatch.setattr(dataio, "_BLOCK", 64)
     calls = []
     csv_columns = dataio._csv_columns

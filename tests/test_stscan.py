@@ -659,6 +659,33 @@ def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
                 assert len(set(floors)) >= (2 if floor == 1.0 else 1)
 
 
+@pytest.mark.parametrize("block", [1 << 20, 1])
+@pytest.mark.parametrize("elevated_only", [True, False])
+def test_replica_keep_rules_include_their_thresholds(elevated_only, block, monkeypatch):
+    # thresholds equal to each cylinder's own count in the replica: the
+    # rules C >= hi and C <= lo are inclusive, so every cylinder is kept and
+    # the pruned maximum equals the unpruned one, in one block and in many
+    monkeypatch.setattr(stscan, "_BLOCK", block)
+    coords, cases, pop = grid_instance(5, n=12, times=4)
+    fam = enumerate_cylinders(times=4, coords=coords)
+    baseline = expected_baseline(cases, pop)
+    c_total, b_total = float(cases.sum()), float(baseline.sum())
+    probs = (baseline / b_total).ravel()
+    draw = np.random.default_rng(9).multinomial(int(c_total), probs).reshape(cases.shape)
+    blocks = fam.blocks()
+    assert (len(blocks) > 1) == (block == 1)
+    baselines = fam.cell_sums(baseline).reshape(-1, fam.t0.size)
+    totals = (c_total, b_total, elevated_only)
+    counts = [sums.ravel() for _, sums in stscan._disk_sums(draw, c_total, fam, blocks)]
+    if elevated_only:
+        bounds = [(None, c) for c in counts]
+    else:
+        bounds = [(c, np.full_like(c, int(c_total) + 1)) for c in counts]
+    full = stscan._replica_max(draw, fam, blocks, baselines, *totals)
+    assert math.isfinite(full)
+    assert stscan._replica_max(draw, fam, blocks, baselines, *totals, bounds) == full
+
+
 @pytest.mark.parametrize("seed, regions, times, share", [(21, 7, 5, 0.25), (41, 20, 8, 0.1)])
 def test_monte_carlo_scores_few_cylinders_after_the_first_replica(
     seed, regions, times, share, monkeypatch
