@@ -8,14 +8,14 @@ defaults to a fixed constant rather than the clock.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import gc
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 # stscan and evalsynth are imported inside the commands that run them, so
@@ -40,22 +40,9 @@ def _fail(exc: EigenspotError) -> None:
             "message": str(exc),
         }
     }
-    click.echo(json.dumps(doc), err=True)
+    print(json.dumps(doc), file=sys.stderr)
     code = EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION
     sys.exit(code)
-
-
-def _guarded(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except EigenspotError as exc:
-            _fail(exc)
-        except OSError as exc:
-            _fail(InputError(str(exc), module="cli"))
-
-    return wrapper
 
 
 def _parse_ranks(text: str | None) -> tuple[int, ...] | None:
@@ -73,7 +60,7 @@ def _parse_ranks(text: str | None) -> tuple[int, ...] | None:
 def _warn(kind: str, detail: object) -> None:
     """Report a non-fatal condition as one JSON line on stderr, if there is one."""
     if detail:
-        click.echo(json.dumps({"warning": {kind: detail}}), err=True)
+        print(json.dumps({"warning": {kind: detail}}), file=sys.stderr)
 
 
 def _space_time_matrix(tensor) -> np.ndarray:
@@ -89,17 +76,6 @@ def _space_time_matrix(tensor) -> np.ndarray:
     return values.T
 
 
-@click.group()
-@click.version_option(__version__, prog_name="eigenspot")
-def main() -> None:
-    """Spatiotemporal hotspot detection from labeled count data."""
-
-
-@main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--schema", "schema_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", default=None, type=click.Path())
-@_guarded
 def build(input_path: str, schema_path: str, out_path: str | None) -> None:
     """Ingest one CSV file and write the resulting count tensor as JSON."""
     schema = dataio.load_schema(schema_path)
@@ -109,24 +85,6 @@ def build(input_path: str, schema_path: str, out_path: str | None) -> None:
     dataio.write_json(dataio.tensor_to_dict(tensor), out_path)
 
 
-@main.command()
-@click.option("--cases", required=True, type=click.Path(exists=True))
-@click.option("--population", required=True, type=click.Path(exists=True))
-@click.option("--adjacency", required=True, type=click.Path(exists=True))
-@click.option("--schema", "schema_path", required=True, type=click.Path(exists=True))
-@click.option("--adjacency-header/--no-adjacency-header", default=False)
-@click.option("--ranks", default=None, help="Comma list, one rank per mode.")
-@click.option(
-    "--likely-threshold",
-    type=click.Choice(["st", "ds"]),
-    default="st",
-    show_default=True,
-    help="Spread bound for the likely cluster: non-center tier std or full vector std.",
-)
-@click.option("--out", "out_path", default=None, type=click.Path())
-@click.option("--geojson", "geojson_path", default=None, type=click.Path())
-@click.option("--geometry", "geometry_path", default=None, type=click.Path(exists=True))
-@_guarded
 def detect(
     cases: str,
     population: str,
@@ -161,27 +119,6 @@ def detect(
         _warn("geometry_missing", dataio.write_geojson(report, geometry, geojson_path))
 
 
-@main.command("scan")
-@click.option("--cases", required=True, type=click.Path(exists=True))
-@click.option("--population", required=True, type=click.Path(exists=True))
-@click.option("--schema", "schema_path", required=True, type=click.Path(exists=True))
-@click.option("--adjacency", default=None, type=click.Path(exists=True))
-@click.option("--adjacency-header/--no-adjacency-header", default=False)
-@click.option("--centroids", default=None, type=click.Path(exists=True))
-@click.option("--max-fraction", default=0.5, show_default=True)
-@click.option(
-    "--elevated-only",
-    type=click.Choice(["on", "off"]),
-    default="on",
-    show_default=True,
-    help="Score only cylinders whose inside rate exceeds the outside rate.",
-)
-@click.option("--replications", default=199, show_default=True)
-@click.option("--seed", default=DEFAULT_SEED, show_default=True)
-@click.option("--alpha", default=0.05, show_default=True)
-@click.option("--top", default=100, show_default=True, help="Ranked cylinders to serialize.")
-@click.option("--out", "out_path", default=None, type=click.Path())
-@_guarded
 def scan_cmd(
     cases: str,
     population: str,
@@ -203,6 +140,8 @@ def scan_cmd(
     # every option is checked before any input is read
     if centroids is None and adjacency is None:
         raise InputError("supply --centroids or --adjacency", module="cli")
+    if centroids is not None and adjacency is not None:
+        raise InputError("supply --centroids or --adjacency, not both", module="cli")
     stscan.check_max_fraction(max_fraction)
     stscan.check_replications(replications, seed)
     dataio.check_scan_options(alpha, top)
@@ -240,24 +179,6 @@ def scan_cmd(
     dataio.write_json(dataio.scan_to_dict(result, alpha=alpha, top=top), out_path)
 
 
-@main.command()
-@click.option("--regions", default=25, show_default=True)
-@click.option("--times", default=12, show_default=True)
-@click.option(
-    "--adjacency-model",
-    type=click.Choice(["grid", "random-geometric"]),
-    default="grid",
-    show_default=True,
-)
-@click.option("--baseline", default=1000.0, show_default=True)
-@click.option("--case-rate", default=0.02, show_default=True)
-@click.option("--risk", default=1.0, show_default=True)
-@click.option("--inject", default="", help="Comma list of injected region ids.")
-@click.option("--window", default="0:0", show_default=True, help="t0:t1 time indices.")
-@click.option("--growth", default=0.0, show_default=True)
-@click.option("--seed", default=DEFAULT_SEED, show_default=True)
-@click.option("--out-dir", required=True, type=click.Path())
-@_guarded
 def synth(
     regions: int,
     times: int,
@@ -338,14 +259,6 @@ def synth(
     dataio.write_json(truth_doc, out / "truth.json")
 
 
-@main.command("eval")
-@click.option("--detect", "detect_path", required=True, type=click.Path(exists=True))
-@click.option("--scan", "scan_path", required=True, type=click.Path(exists=True))
-@click.option("--truth", "truth_path", required=True, type=click.Path(exists=True))
-@click.option("--alpha", default=0.05, show_default=True)
-@click.option("--out", "out_path", default=None, type=click.Path())
-@click.option("--out-csv", "csv_path", default=None, type=click.Path())
-@_guarded
 def eval_cmd(
     detect_path: str,
     scan_path: str,
@@ -373,16 +286,150 @@ def eval_cmd(
         evalsynth.write_comparison(table, csv_destination=csv_path)
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Names the default of every option that has one."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.default is None or action.default == "":
+            return action.help
+        return super()._get_help_string(action)
+
+
+def _existing(text: str) -> str:
+    """An input path, which must exist before the command reads anything."""
+    if not os.path.exists(text):  # Path("") would be the working directory
+        raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
+    return text
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Spatiotemporal hotspot detection from labeled count data.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"eigenspot, version {__version__}")
+    # the dest names the command in argparse's error when none is given
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name: str, func):
+        sub = commands.add_parser(
+            name,
+            help=func.__doc__,
+            description=func.__doc__,
+            formatter_class=_HelpFormatter,
+            allow_abbrev=False,
+        )
+        sub.set_defaults(run=func)
+        return sub.add_argument
+
+    def source(add, flag: str, what: str, dest: str | None = None, required: bool = True) -> None:
+        add(flag, dest=dest, required=required, type=_existing, metavar="PATH", help=what)
+
+    def count_files(add) -> None:
+        source(add, "--cases", "CSV of case counts.")
+        source(add, "--population", "CSV of population counts.")
+        source(add, "--schema", "JSON schema that maps columns to modes.", dest="schema_path")
+
+    adjacency_header = {
+        "action": argparse.BooleanOptionalAction,
+        "default": False,
+        "help": "The adjacency file starts with a header line.",
+    }
+    stdout = "Write to this file rather than stdout."
+
+    add = command("build", build)
+    source(add, "--input", "CSV of labeled counts.", dest="input_path")
+    source(add, "--schema", "JSON schema that maps columns to modes.", dest="schema_path")
+    add("--out", dest="out_path", metavar="PATH", help=stdout)
+
+    add = command("detect", detect)
+    count_files(add)
+    source(add, "--adjacency", "CSV of neighbouring region pairs.")
+    add("--adjacency-header", **adjacency_header)
+    add("--ranks", help="Comma list, one rank per mode.")
+    add(
+        "--likely-threshold",
+        choices=["st", "ds"],
+        default="st",
+        help="Spread bound for the likely cluster: non-center tier std or full vector std.",
+    )
+    add("--out", dest="out_path", metavar="PATH", help=stdout)
+    add("--geojson", dest="geojson_path", metavar="PATH", help="Also write region roles as GeoJSON.")
+    source(add, "--geometry", "GeoJSON of region shapes, for --geojson.", dest="geometry_path",
+           required=False)
+
+    add = command("scan", scan_cmd)
+    count_files(add)
+    source(add, "--adjacency", "CSV of neighbouring region pairs: ring disks.", required=False)
+    add("--adjacency-header", **adjacency_header)
+    source(add, "--centroids", "CSV of region centroids: nearest-neighbour disks.", required=False)
+    add("--max-fraction", type=float, default=0.5, help="Largest share of the baseline in a disk.")
+    add(
+        "--elevated-only",
+        choices=["on", "off"],
+        default="on",
+        help="Score only cylinders whose inside rate exceeds the outside rate.",
+    )
+    add("--replications", type=int, default=199, help="Monte Carlo replicas.")
+    add("--seed", type=int, default=DEFAULT_SEED, help="Seed of the replicas.")
+    add("--alpha", type=float, default=0.05, help="Significance level.")
+    add("--top", type=int, default=100, help="Ranked cylinders to serialize.")
+    add("--out", dest="out_path", metavar="PATH", help=stdout)
+
+    add = command("synth", synth)
+    add("--regions", type=int, default=25, help="Number of regions.")
+    add("--times", type=int, default=12, help="Number of time steps.")
+    add("--adjacency-model", choices=["grid", "random-geometric"], default="grid",
+        help="Region layout.")
+    add("--baseline", type=float, default=1000.0, help="Population per cell.")
+    add("--case-rate", type=float, default=0.02, help="Cases per head outside the hotspot.")
+    add("--risk", type=float, default=1.0, help="Relative risk inside the hotspot.")
+    add("--inject", default="", help="Comma list of injected region ids.")
+    add("--window", default="0:0", help="t0:t1 time indices.")
+    add("--growth", type=float, default=0.0, help="Population growth per time step.")
+    add("--seed", type=int, default=DEFAULT_SEED, help="Seed of the scenario.")
+    add("--out-dir", required=True, metavar="PATH", help="Directory for the input files.")
+
+    add = command("eval", eval_cmd)
+    source(add, "--detect", "Detector report.", dest="detect_path")
+    source(add, "--scan", "Scan document.", dest="scan_path")
+    source(add, "--truth", "The truth.json of the scenario.", dest="truth_path")
+    add("--alpha", type=float, default=0.05, help="Significance level of the scan.")
+    add("--out", dest="out_path", metavar="PATH", help=stdout)
+    add("--out-csv", dest="csv_path", metavar="PATH", help="Also write the table as CSV.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "eigenspot") -> None:
+    """Run the command that ``args`` (``sys.argv[1:]`` when omitted) names.
+
+    ``prog_name`` heads the usage and help text. A usage error exits 2 with
+    the usage on stderr, ``--help`` and ``--version`` exit 0, and an input
+    or numerical error exits through :func:`_fail`.
+    """
+    opts = vars(_parser(prog_name).parse_args(args))
+    del opts["command"]
+    command = opts.pop("run")
+    try:
+        command(**opts)
+    except EigenspotError as exc:
+        _fail(exc)
+    except OSError as exc:
+        _fail(InputError(str(exc), module="cli"))
+
+
 def run() -> None:
     """The program entry of ``python -m eigenspot`` and the ``eigenspot`` script.
 
     Runs :func:`main` as a command line, then freezes the objects the run
-    made, however it ended (click exits on success, on a usage error and
-    after ``--help``; :func:`_fail` exits 2 or 3), so that interpreter exit
-    skips the collector's passes over what the OS is about to reclaim. Exit
-    handlers, stream flushes and reference-count teardown still run, and
-    every output file is closed before ``main`` returns. In-process callers
-    of ``main`` keep the default collector.
+    made, however it ended (``main`` returns on success, argparse exits
+    after a usage error, ``--help`` or ``--version``, and :func:`_fail`
+    exits 2 or 3), so that interpreter exit skips the collector's passes
+    over what the OS is about to reclaim. Exit handlers, stream flushes and
+    reference-count teardown still run, and every output file is closed
+    before ``main`` returns. In-process callers of ``main`` keep the
+    default collector.
     """
     try:
         main()

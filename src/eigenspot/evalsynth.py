@@ -153,8 +153,10 @@ def generate(cfg: SynthConfig) -> SynthData:
     if cfg.seed < 0:
         raise InputError(f"seed must be non-negative, got {cfg.seed}", module="evalsynth")
     t0, t1 = cfg.window
-    if cfg.injected_regions and not (0 <= t0 <= t1 < cfg.times):
-        raise InputError(f"window {cfg.window} outside 0..{cfg.times - 1}", module="evalsynth")
+    if not 0 <= t0 <= t1 < cfg.times:  # truth.json names the window even with nothing injected
+        raise InputError(
+            f"window {cfg.window} must satisfy 0 <= t0 <= t1 < {cfg.times}", module="evalsynth"
+        )
 
     geometry_stream, count_stream = np.random.SeedSequence(cfg.seed).spawn(2)
     if cfg.adjacency == "grid":

@@ -662,7 +662,10 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
     probs = (base_m / b_total).ravel()
     blocks = fam.blocks()
     baselines = fam.baselines.reshape(-1, fam.t0.size)
-    maxima = np.empty(replications)
+    try:
+        maxima = np.empty(replications)
+    except (ValueError, MemoryError):  # past numpy's largest array, or past memory
+        raise InputError(f"cannot hold {replications} replica maxima", module="stscan") from None
     tau, bounds = math.nan, None  # the floor (NaN before the first replica) and its bounds
     totals = (c_total, b_total, elevated_only)
     whole = np.int32 if c_total + 1 < 2**31 else np.int64  # the type of the count thresholds

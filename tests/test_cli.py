@@ -102,6 +102,17 @@ def test_synth_with_a_parameter_it_cannot_draw_from_exits_2(tmp_path, option, va
     assert err["error"]["module"] == "evalsynth"
 
 
+@pytest.mark.parametrize("window", ["0:9", "2:1"], ids=["past-the-end", "reversed"])
+def test_synth_with_a_bad_window_exits_2_and_writes_nothing(tmp_path, window):
+    # the window goes into truth.json whether or not a region is injected
+    out = tmp_path / "out"
+    res = run_cli(["synth", "--regions", "4", "--times", "3", "--window", window, "--out-dir", str(out)])
+    err = one_line_error(res)
+    assert (err["type"], err["module"]) == ("InputError", "evalsynth")
+    assert err["message"].startswith(f"window ({window.replace(':', ', ')}) ")
+    assert not out.exists()
+
+
 def test_detect_finds_injected_block(synth_dir, tmp_path):
     out = tmp_path / "report.json"
     res = run_cli(detect_args(synth_dir, ["--out", str(out)]))
@@ -520,6 +531,7 @@ def test_negative_seed_exits_2_and_writes_nothing(synth_dir, tmp_path, command):
         ("detect", ["--ranks", "0"], "cli", "ranks must be positive"),
         ("detect", ["--ranks", "2,two"], "cli", "ranks must be a comma list of integers: '2,two'"),
         ("detect", ["--geojson", "GEOJSON"], "cli", "--geojson needs --geometry"),
+        ("scan", ["--adjacency", "ADJACENCY"], "cli", "supply --centroids or --adjacency, not both"),
     ],
 )
 def test_bad_options_are_rejected_before_input_is_read(
@@ -537,6 +549,7 @@ def test_bad_options_are_rejected_before_input_is_read(
     elif extra is None:  # no --centroids and no --adjacency
         args = scan_args(tmp_path)[:7]
     else:
+        extra = [a.replace("ADJACENCY", str(tmp_path / "adjacency.csv")) for a in extra]
         args = scan_args(tmp_path, ["--replications", "9", *extra])
     res = run_cli([*args, "--out", str(out)])
     assert res.returncode == 2, res.stderr
@@ -591,14 +604,15 @@ def test_scan_with_the_time_mode_first_writes_the_same_document(synth_dir, tmp_p
 
 
 def loaded_modules(args):
-    """The modules imported by the end of a ``python -m eigenspot`` run of ``args``."""
+    """The modules a ``python -m eigenspot`` run of ``args`` imports, past those of start-up."""
     code = (
         "import runpy, sys\n"
+        "before = set(sys.modules)\n"
         "try:\n"
         "    runpy.run_module('eigenspot', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert not exc.code, exc.code\n"
-        "print(' '.join(sys.modules))\n"
+        "print(' '.join(set(sys.modules) - before))\n"
     )
     res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -638,6 +652,26 @@ def test_a_command_imports_only_the_modules_it_runs(synth_dir, tmp_path, make_ar
     # detect never needs the scan or the synth harness, nor scan the harness
     loaded = loaded_modules(make_args(synth_dir, tmp_path / "out.json"))
     assert {m for m in loaded if m.split(".")[0] == "eigenspot"} == modules
+    # and no command loads a third-party package but numpy; the Cython
+    # runtime registers its own modules for numpy's extension modules
+    tops = {m.split(".")[0] for m in loaded} - set(sys.stdlib_module_names)
+    assert {m for m in tops if not re.fullmatch(r"cython_runtime|_cython_[\d_]+", m)} == {
+        "eigenspot", "numpy"
+    }
+
+
+@pytest.mark.parametrize("command", ["detect", "scan"])
+def test_a_command_runs_where_click_cannot_be_imported(synth_dir, command):
+    # a None entry in sys.modules makes any import of click raise ImportError
+    args = detect_args(synth_dir) if command == "detect" else scan_args(synth_dir, ["--replications", "9"])
+    script = (
+        "import runpy, sys\n"
+        "sys.modules['click'] = None\n"
+        "runpy.run_module('eigenspot', run_name='__main__', alter_sys=True)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    assert res.stdout == run_cli(args).stdout
 
 
 def test_scan_rejects_fractional_case_counts(tmp_path):
@@ -658,6 +692,16 @@ def test_scan_rejects_negative_top_and_alpha_outside_unit_interval(synth_dir, tm
     err = json.loads(res.stderr)["error"]
     assert (err["type"], err["module"]) == ("InputError", "dataio")
     assert not (tmp_path / "s.json").exists()
+
+
+def test_scan_with_more_replications_than_an_array_holds_exits_2(synth_dir, tmp_path):
+    # 2**62 float64 maxima are past numpy's largest array on any machine
+    out = tmp_path / "s.json"
+    res = run_cli(scan_args(synth_dir, ["--replications", str(2**62), "--out", str(out)]))
+    err = one_line_error(res)
+    assert (err["type"], err["module"]) == ("InputError", "stscan")
+    assert err["message"] == f"cannot hold {2**62} replica maxima"
+    assert not out.exists()
 
 
 def test_eval_end_to_end(synth_dir, tmp_path):
@@ -1046,7 +1090,7 @@ def test_stdout_holds_the_bytes_out_writes(synth_dir, tmp_path, command):
     "make_args, code, module",
     [
         (lambda data, out: ["--help"], 0, None),
-        (lambda data, out: ["scan", "--no-such-option"], 2, None),  # a click usage error
+        (lambda data, out: ["scan", "--no-such-option"], 2, None),  # a usage error
         (lambda data, out: detect_args(data, ["--ranks", "2,two"]), 2, "cli"),  # _fail
         (lambda data, out: detect_args(data, ["--out", str(out)]), 0, None),
         # an OSError, here from opening --out in a missing directory
@@ -1078,7 +1122,7 @@ def test_program_entry_freezes_the_collector_however_it_ends(
 def test_in_process_main_keeps_the_collector(tmp_path):
     before = gc.get_freeze_count()
     args = ["synth", "--regions", "4", "--times", "3", "--out-dir", str(tmp_path)]
-    assert cli.main(args, standalone_mode=False) is None
+    assert cli.main(args) is None
     assert gc.get_freeze_count() == before
 
 
@@ -1096,6 +1140,88 @@ def test_version_needs_no_installed_metadata():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == f"eigenspot, version {eigenspot.__version__}\n"
+
+
+HELP = {
+    "build": {"--input": None, "--schema": None, "--out": None},
+    "detect": {
+        "--cases": None, "--population": None, "--schema": None, "--adjacency": None,
+        "--adjacency-header": "False", "--no-adjacency-header": "False", "--ranks": None,
+        "--likely-threshold": "st", "--out": None, "--geojson": None, "--geometry": None,
+    },
+    "scan": {
+        "--cases": None, "--population": None, "--schema": None, "--adjacency": None,
+        "--adjacency-header": "False", "--no-adjacency-header": "False", "--centroids": None,
+        "--max-fraction": "0.5", "--elevated-only": "on", "--replications": "199",
+        "--seed": "1729", "--alpha": "0.05", "--top": "100", "--out": None,
+    },
+    "synth": {
+        "--regions": "25", "--times": "12", "--adjacency-model": "grid", "--baseline": "1000.0",
+        "--case-rate": "0.02", "--risk": "1.0", "--inject": None, "--window": "0:0",
+        "--growth": "0.0", "--seed": "1729", "--out-dir": None,
+    },
+    "eval": {
+        "--detect": None, "--scan": None, "--truth": None, "--alpha": "0.05", "--out": None,
+        "--out-csv": None,
+    },
+}
+
+
+def help_entries(text):
+    """Option string -> its entry (whitespace collapsed) in a command's ``--help`` text."""
+    entries = {}
+    for block in re.split(r"\n(?=  -)", text.split("\noptions:\n", 1)[1]):
+        head = re.split(r"\s{2,}|\n", block.strip(), maxsplit=1)[0]
+        for option in re.findall(r"--[a-z-]+", head):
+            entries[option] = " ".join(block.split())
+    return entries
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_names_every_option_and_its_default(command):
+    res = run_cli([command, "--help"])
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    assert res.stdout.startswith(f"usage: eigenspot {command} ")
+    entries = help_entries(res.stdout)
+    assert set(entries) == {"--help", *HELP[command]}
+    for option, default in HELP[command].items():
+        if default is not None:
+            assert f"(default: {default})" in entries[option], entries[option]
+        else:
+            assert "(default:" not in entries[option], entries[option]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda data, out: [],
+        lambda data, out: [*detect_args(data)[:-2], "--out", out],  # no --schema
+        lambda data, out: detect_args(data, ["--cases", str(data / "nope.csv"), "--out", out]),
+        lambda data, out: detect_args(data, ["--likely-threshold", "mean", "--out", out]),
+        lambda data, out: scan_args(data, ["--elevated-only", "yes", "--out", out]),
+        lambda data, out: scan_args(data, ["--replications", "9.5", "--out", out]),
+    ],
+    ids=["no-command", "missing-required", "missing-path", "likely-threshold", "elevated-only",
+         "replications"],
+)
+def test_a_usage_error_exits_2_with_the_usage(synth_dir, tmp_path, make_args):
+    out = tmp_path / "out.json"
+    res = run_cli(make_args(synth_dir, str(out)))
+    assert res.returncode == 2 and res.stdout == "", res.stderr
+    assert res.stderr.startswith("usage: eigenspot") and "Traceback" not in res.stderr
+    assert ": error: " in res.stderr.splitlines()[-1]
+    assert not out.exists()
+
+
+def test_either_adjacency_header_form_parses(synth_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    (data / "adjacency.csv").write_text("from,to\n" + (synth_dir / "adjacency.csv").read_text())
+    plain = run_cli(detect_args(synth_dir))
+    without = run_cli(detect_args(synth_dir, ["--no-adjacency-header"]))
+    headed = run_cli(detect_args(data, ["--adjacency-header"]))
+    assert plain.returncode == without.returncode == headed.returncode == 0, headed.stderr
+    assert without.stdout == headed.stdout == plain.stdout
 
 
 def test_pyproject_version_is_the_package_version():

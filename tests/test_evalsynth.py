@@ -103,6 +103,10 @@ def test_generate_rejects_bad_configs():
         generate(SynthConfig(regions=4, times=3, injected_regions=("r09",), window=(0, 1), relative_risk=2.0))
     with pytest.raises(InputError):
         generate(SynthConfig(regions=4, times=3, injected_regions=("r00",), window=(0, 5), relative_risk=2.0))
+    # truth.json names the window with nothing injected too
+    for window in ((0, 9), (2, 1)):
+        with pytest.raises(InputError, match="window"):
+            generate(SynthConfig(regions=4, times=3, window=window))
     with pytest.raises(InputError, match="seed"):
         generate(SynthConfig(regions=4, times=3, seed=-1))
 
