@@ -76,143 +76,111 @@ def _space_time_matrix(tensor) -> np.ndarray:
     return values.T
 
 
-def build(input_path: str, schema_path: str, out_path: str | None) -> None:
+def build(opts: argparse.Namespace) -> None:
     """Ingest one CSV file and write the resulting count tensor as JSON."""
-    schema = dataio.load_schema(schema_path)
-    parsed = dataio.parse_records(input_path, schema)
+    schema = dataio.load_schema(opts.schema)
+    parsed = dataio.parse_records(opts.input, schema)
     _warn("unknown_categories", parsed.unknown)
     tensor = dataio.build_tensor(parsed, schema)
-    dataio.write_json(dataio.tensor_to_dict(tensor), out_path)
+    dataio.write_json(dataio.tensor_to_dict(tensor), opts.out)
 
 
-def detect(
-    cases: str,
-    population: str,
-    adjacency: str,
-    schema_path: str,
-    adjacency_header: bool,
-    ranks: str | None,
-    likely_threshold: str,
-    out_path: str | None,
-    geojson_path: str | None,
-    geometry_path: str | None,
-) -> None:
-    """Run the eigenvector-matching detector and write its report."""
-    if geojson_path is not None and geometry_path is None:
-        raise InputError("--geojson needs --geometry", module="cli")
-    parsed_ranks = _parse_ranks(ranks)
-    geometry = None if geojson_path is None else dataio.RegionGeometry.from_geojson(geometry_path)
-    schema = dataio.load_schema(schema_path)
-    cases_t, population_t, unknown = dataio.ingest_pair(cases, population, schema)
+def _ingest(opts: argparse.Namespace):
+    """Read the case and population files; return both tensors and the space categories."""
+    schema = dataio.load_schema(opts.schema)
+    cases_t, population_t, unknown = dataio.ingest_pair(opts.cases, opts.population, schema)
     _warn("unknown_categories", unknown)
-    space_cats = cases_t.modes[cases_t.space_axis].categories
-    neighbors = dataio.parse_adjacency(adjacency, space_cats, header=adjacency_header)
+    return cases_t, population_t, cases_t.modes[cases_t.space_axis].categories
+
+
+def detect(opts: argparse.Namespace) -> None:
+    """Run the eigenvector-matching detector and write its report."""
+    if opts.geojson is not None and opts.geometry is None:
+        raise InputError("--geojson needs --geometry", module="cli")
+    ranks = _parse_ranks(opts.ranks)
+    geometry = None if opts.geojson is None else dataio.RegionGeometry.from_geojson(opts.geometry)
+    cases_t, population_t, space_cats = _ingest(opts)
+    neighbors = dataio.parse_adjacency(opts.adjacency, space_cats, header=opts.adjacency_header)
     report = run_sst_hotspot(
         population_t,
         cases_t,
         neighbors,
-        ranks=parsed_ranks,
-        likely_threshold=likely_threshold,
+        ranks=ranks,
+        likely_threshold=opts.likely_threshold,
     )
-    dataio.write_json(dataio.report_to_dict(report), out_path)
+    dataio.write_json(dataio.report_to_dict(report), opts.out)
     if geometry is not None:
-        _warn("geometry_missing", dataio.write_geojson(report, geometry, geojson_path))
+        _warn("geometry_missing", dataio.write_geojson(report, geometry, opts.geojson))
 
 
-def scan_cmd(
-    cases: str,
-    population: str,
-    schema_path: str,
-    adjacency: str | None,
-    adjacency_header: bool,
-    centroids: str | None,
-    max_fraction: float,
-    elevated_only: str,
-    replications: int,
-    seed: int,
-    alpha: float,
-    top: int,
-    out_path: str | None,
-) -> None:
+def scan_cmd(opts: argparse.Namespace) -> None:
     """Run the space-time scan baseline and write ranked cylinders."""
     from . import stscan
 
     # every option is checked before any input is read
-    if centroids is None and adjacency is None:
+    if opts.centroids is None and opts.adjacency is None:
         raise InputError("supply --centroids or --adjacency", module="cli")
-    if centroids is not None and adjacency is not None:
+    if opts.centroids is not None and opts.adjacency is not None:
         raise InputError("supply --centroids or --adjacency, not both", module="cli")
-    stscan.check_max_fraction(max_fraction)
-    stscan.check_replications(replications, seed)
-    dataio.check_scan_options(alpha, top)
-    schema = dataio.load_schema(schema_path)
-    cases_t, population_t, unknown = dataio.ingest_pair(cases, population, schema)
-    _warn("unknown_categories", unknown)
-    space_cats = cases_t.modes[cases_t.space_axis].categories
+    stscan.check_max_fraction(opts.max_fraction)
+    stscan.check_replications(opts.replications, opts.seed)
+    dataio.check_scan_options(opts.alpha, opts.top)
+    cases_t, population_t, space_cats = _ingest(opts)
     time_cats = cases_t.modes[cases_t.time_axis].categories
 
     cases_m = _space_time_matrix(cases_t)
+    # the baseline is scaled to the case total, so no cases leave no baseline
+    if cases_m.sum() == 0:
+        raise InputError(f"cases file {opts.cases!r} holds no cases", module="cli")
     baseline_m = stscan.expected_baseline(cases_m, _space_time_matrix(population_t))
 
     coords = neighbors = None
-    if centroids is not None:
-        coords = dataio.parse_centroids(centroids, space_cats)
+    if opts.centroids is not None:
+        coords = dataio.parse_centroids(opts.centroids, space_cats)
     else:
-        neighbors = dataio.parse_adjacency(adjacency, space_cats, header=adjacency_header)
+        neighbors = dataio.parse_adjacency(opts.adjacency, space_cats, header=opts.adjacency_header)
 
     candidates = stscan.enumerate_cylinders(
         times=len(time_cats),
         coords=coords,
         neighbors=neighbors,
-        max_fraction=max_fraction,
+        max_fraction=opts.max_fraction,
         region_baseline=baseline_m.sum(axis=1),
     )
     result = stscan.scan(
         cases_m,
         baseline_m,
         candidates,
-        elevated_only=elevated_only == "on",
+        elevated_only=opts.elevated_only == "on",
         regions=space_cats,
         times=time_cats,
     )
-    result = stscan.monte_carlo_p(result, replications=replications, seed=seed)
-    dataio.write_json(dataio.scan_to_dict(result, alpha=alpha, top=top), out_path)
+    result = stscan.monte_carlo_p(result, replications=opts.replications, seed=opts.seed)
+    dataio.write_json(dataio.scan_to_dict(result, alpha=opts.alpha, top=opts.top), opts.out)
 
 
-def synth(
-    regions: int,
-    times: int,
-    adjacency_model: str,
-    baseline: float,
-    case_rate: float,
-    risk: float,
-    inject: str,
-    window: str,
-    growth: float,
-    seed: int,
-    out_dir: str,
-) -> None:
+def synth(opts: argparse.Namespace) -> None:
     """Generate a synthetic scenario and write its input files."""
     from . import evalsynth
 
     try:
-        t0, t1 = (int(part) for part in window.split(":"))
+        t0, t1 = (int(part) for part in opts.window.split(":"))
     except ValueError:
-        raise InputError(f"window must look like 3:5, got {window!r}", module="cli")
+        raise InputError(f"window must look like 3:5, got {opts.window!r}", module="cli")
     cfg = evalsynth.SynthConfig(
-        regions=regions,
-        times=times,
-        adjacency=adjacency_model,  # type: ignore[arg-type]
-        baseline=baseline,
-        case_rate=case_rate,
-        injected_regions=tuple(r for r in inject.split(",") if r),
+        regions=opts.regions,
+        times=opts.times,
+        adjacency=opts.adjacency_model,
+        baseline=opts.baseline,
+        case_rate=opts.case_rate,
+        injected_regions=tuple(r for r in opts.inject.split(",") if r),
         window=(t0, t1),
-        relative_risk=risk,
-        growth=growth,
-        seed=seed,
+        relative_risk=opts.risk,
+        growth=opts.growth,
+        seed=opts.seed,
     )
     data = evalsynth.generate(cfg)
-    out = Path(out_dir)
+    out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     region_names = data.population.modes[0].categories
@@ -254,36 +222,29 @@ def synth(
         "window": list(data.truth.window),
         "window_labels": [time_names[data.truth.window[0]], time_names[data.truth.window[1]]],
         "relative_risk": data.truth.relative_risk,
-        "seed": seed,
+        "seed": opts.seed,
     }
     dataio.write_json(truth_doc, out / "truth.json")
 
 
-def eval_cmd(
-    detect_path: str,
-    scan_path: str,
-    truth_path: str,
-    alpha: float,
-    out_path: str | None,
-    csv_path: str | None,
-) -> None:
+def eval_cmd(opts: argparse.Namespace) -> None:
     """Compare a detector report and a scan result against a truth file."""
     from . import evalsynth
 
-    report = dataio.read_report(detect_path)
+    report = dataio.read_report(opts.detect)
     if not isinstance(report, dataio.HotspotReport):
         raise InputError("--detect must point at a hotspot report", module="cli")
-    scan_result = dataio.scan_from_dict(dataio.read_json(scan_path))
-    truth_doc = dataio.read_json(truth_path)
+    scan_result = dataio.scan_from_dict(dataio.read_json(opts.scan))
+    truth_doc = dataio.read_json(opts.truth)
     try:
         reference = tuple(truth_doc["regions"])
     except (KeyError, TypeError):
         raise InputError("truth file needs a 'regions' list", module="cli")
-    table = evalsynth.compare(report, scan_result, reference, alpha=alpha)
+    table = evalsynth.compare(report, scan_result, reference, alpha=opts.alpha)
     doc = evalsynth.comparison_to_dict(table)
-    dataio.write_json(doc, out_path)
-    if csv_path is not None:
-        evalsynth.write_comparison(table, csv_destination=csv_path)
+    dataio.write_json(doc, opts.out)
+    if opts.out_csv is not None:
+        evalsynth.write_comparison(table, csv_destination=opts.out_csv)
 
 
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
@@ -299,6 +260,16 @@ def _existing(text: str) -> str:
     """An input path, which must exist before the command reads anything."""
     if not os.path.exists(text):  # Path("") would be the working directory
         raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
+    return text
+
+
+def _writable(text: str) -> str:
+    """An output path, whose directory must exist before the command reads anything."""
+    if os.path.isdir(text or os.curdir):  # Path("") would be the working directory
+        raise argparse.ArgumentTypeError(f"path {text!r} is a directory")
+    folder = os.path.dirname(text) or os.curdir
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")
     return text
 
 
@@ -323,25 +294,27 @@ def _parser(prog: str) -> argparse.ArgumentParser:
         sub.set_defaults(run=func)
         return sub.add_argument
 
-    def source(add, flag: str, what: str, dest: str | None = None, required: bool = True) -> None:
-        add(flag, dest=dest, required=required, type=_existing, metavar="PATH", help=what)
+    def source(add, flag: str, what: str, required: bool = True) -> None:
+        add(flag, required=required, type=_existing, metavar="PATH", help=what)
+
+    def target(add, flag: str, what: str = "Write to this file rather than stdout.") -> None:
+        add(flag, type=_writable, metavar="PATH", help=what)
 
     def count_files(add) -> None:
         source(add, "--cases", "CSV of case counts.")
         source(add, "--population", "CSV of population counts.")
-        source(add, "--schema", "JSON schema that maps columns to modes.", dest="schema_path")
+        source(add, "--schema", "JSON schema that maps columns to modes.")
 
     adjacency_header = {
         "action": argparse.BooleanOptionalAction,
         "default": False,
         "help": "The adjacency file starts with a header line.",
     }
-    stdout = "Write to this file rather than stdout."
 
     add = command("build", build)
-    source(add, "--input", "CSV of labeled counts.", dest="input_path")
-    source(add, "--schema", "JSON schema that maps columns to modes.", dest="schema_path")
-    add("--out", dest="out_path", metavar="PATH", help=stdout)
+    source(add, "--input", "CSV of labeled counts.")
+    source(add, "--schema", "JSON schema that maps columns to modes.")
+    target(add, "--out")
 
     add = command("detect", detect)
     count_files(add)
@@ -354,10 +327,9 @@ def _parser(prog: str) -> argparse.ArgumentParser:
         default="st",
         help="Spread bound for the likely cluster: non-center tier std or full vector std.",
     )
-    add("--out", dest="out_path", metavar="PATH", help=stdout)
-    add("--geojson", dest="geojson_path", metavar="PATH", help="Also write region roles as GeoJSON.")
-    source(add, "--geometry", "GeoJSON of region shapes, for --geojson.", dest="geometry_path",
-           required=False)
+    target(add, "--out")
+    target(add, "--geojson", "Also write region roles as GeoJSON.")
+    source(add, "--geometry", "GeoJSON of region shapes, for --geojson.", required=False)
 
     add = command("scan", scan_cmd)
     count_files(add)
@@ -375,7 +347,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     add("--seed", type=int, default=DEFAULT_SEED, help="Seed of the replicas.")
     add("--alpha", type=float, default=0.05, help="Significance level.")
     add("--top", type=int, default=100, help="Ranked cylinders to serialize.")
-    add("--out", dest="out_path", metavar="PATH", help=stdout)
+    target(add, "--out")
 
     add = command("synth", synth)
     add("--regions", type=int, default=25, help="Number of regions.")
@@ -392,12 +364,12 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     add("--out-dir", required=True, metavar="PATH", help="Directory for the input files.")
 
     add = command("eval", eval_cmd)
-    source(add, "--detect", "Detector report.", dest="detect_path")
-    source(add, "--scan", "Scan document.", dest="scan_path")
-    source(add, "--truth", "The truth.json of the scenario.", dest="truth_path")
+    source(add, "--detect", "Detector report.")
+    source(add, "--scan", "Scan document.")
+    source(add, "--truth", "The truth.json of the scenario.")
     add("--alpha", type=float, default=0.05, help="Significance level of the scan.")
-    add("--out", dest="out_path", metavar="PATH", help=stdout)
-    add("--out-csv", dest="csv_path", metavar="PATH", help="Also write the table as CSV.")
+    target(add, "--out")
+    target(add, "--out-csv", "Also write the table as CSV.")
     return parser
 
 
@@ -406,15 +378,15 @@ def main(args: list[str] | None = None, prog_name: str = "eigenspot") -> None:
 
     ``prog_name`` heads the usage and help text. A usage error exits 2 with
     the usage on stderr, ``--help`` and ``--version`` exit 0, and an input
-    or numerical error exits through :func:`_fail`.
+    or numerical error, or running out of memory, exits through :func:`_fail`.
     """
-    opts = vars(_parser(prog_name).parse_args(args))
-    del opts["command"]
-    command = opts.pop("run")
+    opts = _parser(prog_name).parse_args(args)
     try:
-        command(**opts)
+        opts.run(opts)
     except EigenspotError as exc:
         _fail(exc)
+    except MemoryError as exc:  # numpy's message names the allocation; a bare one has none
+        _fail(InputError(str(exc) or "out of memory", module="cli"))
     except OSError as exc:
         _fail(InputError(str(exc), module="cli"))
 

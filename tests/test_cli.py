@@ -1,8 +1,10 @@
+import argparse
 import ast
 import gc
 import importlib
 import json
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -530,8 +532,14 @@ def test_negative_seed_exits_2_and_writes_nothing(synth_dir, tmp_path, command):
         ("scan", None, "cli", "supply --centroids or --adjacency"),
         ("detect", ["--ranks", "0"], "cli", "ranks must be positive"),
         ("detect", ["--ranks", "2,two"], "cli", "ranks must be a comma list of integers: '2,two'"),
-        ("detect", ["--geojson", "GEOJSON"], "cli", "--geojson needs --geometry"),
-        ("scan", ["--adjacency", "ADJACENCY"], "cli", "supply --centroids or --adjacency, not both"),
+        ("detect", ["--geojson", "TMP/out.geojson"], "cli", "--geojson needs --geometry"),
+        ("scan", ["--adjacency", "TMP/adjacency.csv"], "cli", "supply --centroids or --adjacency, not both"),
+        # an output path is checked as it is parsed, so these are usage errors
+        ("scan", ["--out", "TMP/no/s.json"], None, "argument --out: directory 'TMP/no' does not exist"),
+        ("scan", ["--out", "TMP"], None, "argument --out: path 'TMP' is a directory"),
+        ("detect", ["--geojson", "TMP/no/x.geojson", "--geometry", "TMP/adjacency.csv"], None,
+         "argument --geojson: directory 'TMP/no' does not exist"),
+        ("eval", ["--out-csv", "TMP/no/x.csv"], None, "argument --out-csv: directory 'TMP/no' does not exist"),
     ],
 )
 def test_bad_options_are_rejected_before_input_is_read(
@@ -544,18 +552,26 @@ def test_bad_options_are_rejected_before_input_is_read(
     lines[1] = lines[1].rsplit(",", 1)[0] + ",many"
     (tmp_path / "cases.csv").write_text("\n".join(lines) + "\n")
     out, gj = tmp_path / "out.json", tmp_path / "out.geojson"
+    extra = [a.replace("TMP", str(tmp_path)) for a in extra or ()]
     if command == "detect":
-        args = detect_args(tmp_path, [a.replace("GEOJSON", str(gj)) for a in extra])
-    elif extra is None:  # no --centroids and no --adjacency
+        args = detect_args(tmp_path, extra)
+    elif command == "eval":  # any existing files: the options fail first
+        cases = str(tmp_path / "cases.csv")
+        args = ["eval", "--detect", cases, "--scan", cases, "--truth", cases, *extra]
+    elif not extra:  # no --centroids and no --adjacency
         args = scan_args(tmp_path)[:7]
     else:
-        extra = [a.replace("ADJACENCY", str(tmp_path / "adjacency.csv")) for a in extra]
         args = scan_args(tmp_path, ["--replications", "9", *extra])
-    res = run_cli([*args, "--out", str(out)])
+    # --out comes first, so that an --out among the extra options wins
+    res = run_cli([args[0], "--out", str(out), *args[1:]])
     assert res.returncode == 2, res.stderr
-    (line,) = res.stderr.splitlines()
-    err = json.loads(line)["error"]
-    assert (err["type"], err["module"], err["message"]) == ("InputError", module, message)
+    if module is None:
+        assert res.stderr.startswith("usage: ")
+        assert res.stderr.splitlines()[-1].endswith(message.replace("TMP", str(tmp_path)))
+    else:
+        (line,) = res.stderr.splitlines()
+        err = json.loads(line)["error"]
+        assert (err["type"], err["module"], err["message"]) == ("InputError", module, message)
     assert not out.exists() and not gj.exists()
 
 
@@ -702,6 +718,42 @@ def test_scan_with_more_replications_than_an_array_holds_exits_2(synth_dir, tmp_
     assert (err["type"], err["module"]) == ("InputError", "stscan")
     assert err["message"] == f"cannot hold {2**62} replica maxima"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "regions, times, message",
+    [(100000, 3, "Unable to allocate 9.31 GiB"), (4, 100000000, "out of memory")],
+    ids=["numpy-array", "python-objects"],
+)
+def test_running_out_of_memory_exits_2_with_one_json_line(tmp_path, regions, times, message):
+    # a 512 MiB address-space cap fails the allocation alike on any machine:
+    # numpy refuses the 9.31 GiB adjacency at once, while the 10**8 time
+    # labels grow until Python raises a MemoryError without a message
+    cap = 512 * 2**20
+    out = tmp_path / "out"
+    res = run_cli(
+        ["synth", "--regions", str(regions), "--times", str(times), "--out-dir", str(out)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    err = one_line_error(res)
+    assert (err["type"], err["module"]) == ("InputError", "cli")
+    assert err["message"].startswith(message)
+    assert not out.exists()
+
+
+def test_scan_of_a_case_file_without_cases_names_that_file(tmp_path):
+    data = tmp_path / "data"
+    synth = ["synth", "--regions", "9", "--times", "4", "--baseline", "1e-300", "--out-dir", str(data)]
+    assert run_cli(synth).returncode == 0
+    out = tmp_path / "scan.json"
+    err = one_line_error(run_cli(scan_args(data, ["--replications", "9", "--out", str(out)])))
+    assert (err["type"], err["module"]) == ("InputError", "cli")
+    assert err["message"] == f"cases file {str(data / 'cases.csv')!r} holds no cases"
+    assert not out.exists()
+    # the detector names the all-zero mode instead
+    res = run_cli(detect_args(data))
+    assert res.returncode == 3
+    assert json.loads(res.stderr)["error"]["type"] == "DegenerateModeError"
 
 
 def test_eval_end_to_end(synth_dir, tmp_path):
@@ -1093,8 +1145,8 @@ def test_stdout_holds_the_bytes_out_writes(synth_dir, tmp_path, command):
         (lambda data, out: ["scan", "--no-such-option"], 2, None),  # a usage error
         (lambda data, out: detect_args(data, ["--ranks", "2,two"]), 2, "cli"),  # _fail
         (lambda data, out: detect_args(data, ["--out", str(out)]), 0, None),
-        # an OSError, here from opening --out in a missing directory
-        (lambda data, out: detect_args(data, ["--out", str(out.parent / "no" / "x.json")]), 2, "cli"),
+        # an OSError, here from reading a directory as the adjacency file
+        (lambda data, out: detect_args(data, ["--adjacency", str(out.parent)]), 2, "cli"),
     ],
     ids=["help", "usage", "input-error", "detect", "os-error"],
 )
@@ -1211,6 +1263,57 @@ def test_a_usage_error_exits_2_with_the_usage(synth_dir, tmp_path, make_args):
     assert res.stderr.startswith("usage: eigenspot") and "Traceback" not in res.stderr
     assert ": error: " in res.stderr.splitlines()[-1]
     assert not out.exists()
+
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that, once ``reads`` is set, records each attribute read."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_option_a_command_parses_is_read(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    out.mkdir()
+    geometry = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "geometry": None, "properties": {"region": f"r{i:02d}"}}
+            for i in range(9)
+        ],
+    }
+    (out / "regions.geojson").write_text(json.dumps(geometry))
+    scan = scan_args(data, ["--replications", "9", "--out", str(out / "scan.json")])
+    runs = [
+        ["synth", "--regions", "9", "--times", "4", "--inject", "r04", "--window", "1:2",
+         "--risk", "3", "--growth", "0.1", "--out-dir", str(data)],
+        ["build", "--input", str(data / "cases.csv"), "--schema", str(data / "schema.json"),
+         "--out", str(out / "tensor.json")],
+        detect_args(data, ["--ranks", "2,2", "--out", str(out / "report.json"),
+                           "--geojson", str(out / "report.geojson"),
+                           "--geometry", str(out / "regions.geojson")]),
+        scan,
+        [*scan[:7], "--adjacency", str(data / "adjacency.csv"), *scan[9:]],
+        ["eval", "--detect", str(out / "report.json"), "--scan", str(out / "scan.json"),
+         "--truth", str(data / "truth.json"), "--out", str(out / "eval.json"),
+         "--out-csv", str(out / "eval.csv")],
+    ]
+    parsed, read = {}, {}
+    for argv in runs:
+        opts = cli._parser("eigenspot").parse_args(argv, namespace=ReadRecorder())
+        parsed.setdefault(argv[0], set()).update(vars(opts))
+        opts.reads = set()
+        opts.run(opts)
+        read.setdefault(argv[0], set()).update(opts.reads)
+    assert set(parsed) == {"build", "detect", "scan", "synth", "eval"}
+    assert (out / "eval.csv").exists() and (out / "report.geojson").exists()
+    for command, options in parsed.items():
+        unread = options - {"command", "run"} - read[command]
+        assert not unread, (command, unread)
 
 
 def test_either_adjacency_header_form_parses(synth_dir, tmp_path):
