@@ -257,9 +257,12 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 
 def _existing(text: str) -> str:
-    """An input path, which must exist before the command reads anything."""
+    """An input path, which must exist and not be a directory before the
+    command reads anything."""
     if not os.path.exists(text):  # Path("") would be the working directory
         raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"path {text!r} is a directory")
     return text
 
 

@@ -679,17 +679,14 @@ def parse_adjacency(
     return NeighborMatrix(adjacency=adj, regions=regions)
 
 
-def parse_centroids(
-    source: Any,
-    regions: Sequence[str],
-    header: bool = True,
-) -> np.ndarray:
-    """Read region,x,y rows into an (n, 2) array aligned with ``regions``."""
+def parse_centroids(source: Any, regions: Sequence[str]) -> np.ndarray:
+    """Read the region,x,y rows after the header into an (n, 2) array
+    aligned with ``regions``."""
     regions = tuple(regions)
     index = {r: i for i, r in enumerate(regions)}
     coords = np.zeros((len(regions), 2))
     seen: set[str] = set()
-    for lineno, row in _geometry_rows(source, header):
+    for lineno, row in _geometry_rows(source, header=True):
         if len(row) != 3:
             raise InputError(
                 f"centroid row {lineno} must be region,x,y", module="dataio"
@@ -1008,20 +1005,6 @@ def tensor_to_dict(t: CountTensor) -> dict[str, Any]:
     }
 
 
-@malformed("tensor")
-def tensor_from_dict(doc: Mapping[str, Any]) -> CountTensor:
-    if doc.get("schema") != TENSOR_SCHEMA:
-        raise InputError(
-            f"expected schema {TENSOR_SCHEMA!r}, got {doc.get('schema')!r}",
-            module="dataio",
-        )
-    modes = tuple(
-        ModeLabel(kind=m["kind"], categories=tuple(m["categories"]), name=m["name"])
-        for m in doc["modes"]
-    )
-    return CountTensor.from_flat(doc["values"], modes)
-
-
 @malformed("report")
 def read_report(source: Any) -> HotspotReport | ScanResult:
     """Read back a hotspot report or scan result document."""
@@ -1046,18 +1029,16 @@ class RegionGeometry:
 
     @classmethod
     @malformed("GeoJSON")
-    def from_geojson(cls, source: Any, id_property: str = "region") -> "RegionGeometry":
+    def from_geojson(cls, source: Any) -> "RegionGeometry":
         doc = read_json(source)
         if doc.get("type") != "FeatureCollection":
             raise InputError("expected a GeoJSON FeatureCollection", module="dataio")
         geoms: dict[str, Mapping[str, Any]] = {}
         for feat in doc.get("features", []):
             props = feat.get("properties") or {}
-            rid = props.get(id_property)
+            rid = props.get("region")
             if rid is None:
-                raise InputError(
-                    f"feature without the {id_property!r} property", module="dataio"
-                )
+                raise InputError("feature without the 'region' property", module="dataio")
             geoms[str(rid)] = feat.get("geometry")
         return cls(geometries=geoms)
 

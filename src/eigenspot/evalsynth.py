@@ -167,7 +167,6 @@ def generate(cfg: SynthConfig) -> SynthData:
         raise InputError(f"unknown adjacency model {cfg.adjacency!r}", module="evalsynth")
 
     regions = region_labels(cfg.regions)
-    times = time_labels(cfg.times)
     r_index = {r: i for i, r in enumerate(regions)}
     injected = []
     for r in dict.fromkeys(cfg.injected_regions):  # a region may be named twice
@@ -193,9 +192,11 @@ def generate(cfg: SynthConfig) -> SynthData:
     except (FloatingPointError, ValueError):  # numpy draws from means up to about 9.2e18
         raise InputError("expected case counts too large to draw", module="evalsynth") from None
 
+    # the time labels, a Python object each, come after the numeric arrays, so
+    # that too many steps to hold fail at numpy's first allocation, at once
     modes = (
         ModeLabel(kind="space", categories=regions, name="region"),
-        ModeLabel(kind="time", categories=times, name="time"),
+        ModeLabel(kind="time", categories=time_labels(cfg.times), name="time"),
     )
     return SynthData(
         population=CountTensor(modes, pop),

@@ -100,19 +100,6 @@ class CountTensor:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def from_flat(cls, flat: Sequence[float], modes: Sequence[ModeLabel]) -> "CountTensor":
-        """Build from a flat value list in linearization order (first mode fastest)."""
-        modes = tuple(modes)
-        dims = tuple(m.dim for m in modes)
-        arr = np.asarray(flat, dtype=float)
-        if arr.size != int(np.prod(dims)):
-            raise InputError(
-                f"flat value count {arr.size} does not match product of dims {dims}",
-                module="tensors",
-            )
-        return cls(modes, arr.reshape(dims, order="F"))
-
     @property
     def dims(self) -> tuple[int, ...]:
         return self.values.shape

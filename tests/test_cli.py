@@ -540,6 +540,8 @@ def test_negative_seed_exits_2_and_writes_nothing(synth_dir, tmp_path, command):
         ("detect", ["--geojson", "TMP/no/x.geojson", "--geometry", "TMP/adjacency.csv"], None,
          "argument --geojson: directory 'TMP/no' does not exist"),
         ("eval", ["--out-csv", "TMP/no/x.csv"], None, "argument --out-csv: directory 'TMP/no' does not exist"),
+        # and an input path that is a directory
+        ("detect", ["--adjacency", "TMP"], None, "argument --adjacency: path 'TMP' is a directory"),
     ],
 )
 def test_bad_options_are_rejected_before_input_is_read(
@@ -566,7 +568,7 @@ def test_bad_options_are_rejected_before_input_is_read(
     res = run_cli([args[0], "--out", str(out), *args[1:]])
     assert res.returncode == 2, res.stderr
     if module is None:
-        assert res.stderr.startswith("usage: ")
+        assert res.stderr.startswith("usage: ") and '{"error"' not in res.stderr
         assert res.stderr.splitlines()[-1].endswith(message.replace("TMP", str(tmp_path)))
     else:
         (line,) = res.stderr.splitlines()
@@ -722,13 +724,14 @@ def test_scan_with_more_replications_than_an_array_holds_exits_2(synth_dir, tmp_
 
 @pytest.mark.parametrize(
     "regions, times, message",
-    [(100000, 3, "Unable to allocate 9.31 GiB"), (4, 100000000, "out of memory")],
+    [(100000, 3, "Unable to allocate 9.31 GiB"), (4, 100000000, "Unable to allocate 763. MiB")],
     ids=["numpy-array", "python-objects"],
 )
 def test_running_out_of_memory_exits_2_with_one_json_line(tmp_path, regions, times, message):
     # a 512 MiB address-space cap fails the allocation alike on any machine:
-    # numpy refuses the 9.31 GiB adjacency at once, while the 10**8 time
-    # labels grow until Python raises a MemoryError without a message
+    # numpy refuses the 9.31 GiB adjacency at once, and the 10**8 time steps
+    # fail at their first numeric array, before the time labels (Python
+    # objects, which would grow until a MemoryError without a message) are made
     cap = 512 * 2**20
     out = tmp_path / "out"
     res = run_cli(
@@ -739,6 +742,21 @@ def test_running_out_of_memory_exits_2_with_one_json_line(tmp_path, regions, tim
     assert (err["type"], err["module"]) == ("InputError", "cli")
     assert err["message"].startswith(message)
     assert not out.exists()
+
+
+def test_a_memory_error_without_a_message_exits_2_with_out_of_memory(monkeypatch, capsys, tmp_path):
+    from eigenspot import evalsynth
+
+    def generate(cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr(evalsynth, "generate", generate)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == {"module": "cli", "type": "InputError", "message": "out of memory"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_of_a_case_file_without_cases_names_that_file(tmp_path):
@@ -1138,6 +1156,12 @@ def test_stdout_holds_the_bytes_out_writes(synth_dir, tmp_path, command):
     assert printed.stdout == (tmp_path / "out.json").read_bytes()
 
 
+def dangling(path):
+    """``path``, made a symlink to a file in a directory that does not exist."""
+    path.symlink_to(path.parent / "no" / path.name)
+    return path
+
+
 @pytest.mark.parametrize(
     "make_args, code, module",
     [
@@ -1145,8 +1169,8 @@ def test_stdout_holds_the_bytes_out_writes(synth_dir, tmp_path, command):
         (lambda data, out: ["scan", "--no-such-option"], 2, None),  # a usage error
         (lambda data, out: detect_args(data, ["--ranks", "2,two"]), 2, "cli"),  # _fail
         (lambda data, out: detect_args(data, ["--out", str(out)]), 0, None),
-        # an OSError, here from reading a directory as the adjacency file
-        (lambda data, out: detect_args(data, ["--adjacency", str(out.parent)]), 2, "cli"),
+        # an OSError, here from writing through a symlink into a missing directory
+        (lambda data, out: detect_args(data, ["--out", str(dangling(out))]), 2, "cli"),
     ],
     ids=["help", "usage", "input-error", "detect", "os-error"],
 )

@@ -11,6 +11,7 @@ import pytest
 from eigenspot import (
     CountTensor,
     InputError,
+    ModeLabel,
     ModeSpec,
     RecordSchema,
     RegionGeometry,
@@ -32,7 +33,6 @@ from eigenspot.dataio import (
     report_to_dict,
     scan_from_dict,
     scan_to_dict,
-    tensor_from_dict,
     tensor_to_dict,
 )
 from eigenspot import enumerate_cylinders, monte_carlo_p, scan
@@ -726,7 +726,7 @@ def test_parse_centroids_strips_cells_and_skips_blank_rows(tmp_path):
         for source in (path, io.StringIO(text)):
             coords = parse_centroids(source, ("A", "B", "C"))
             assert coords.tolist() == [[0.5, 1.0], [7.0, 8.0], [-2.0, 30.0]], repr(text)
-    coords = parse_centroids(io.StringIO("A,1,2\n"), ("A",), header=False)
+    coords = parse_centroids(io.StringIO("region,x,y\nA,1,2\n"), ("A",))
     assert coords.tolist() == [[1.0, 2.0]]
 
 
@@ -879,13 +879,21 @@ def test_scan_document_rejects_negative_top_and_alpha_outside_unit_interval():
             scan_to_dict(res, alpha=alpha)
 
 
-def test_tensor_document_roundtrip():
-    t = make_tensor(np.arange(12.0).reshape(3, 4), kinds=("space", "time"))
-    doc = tensor_to_dict(t)
-    back = tensor_from_dict(doc)
-    assert back.dims == t.dims
-    assert np.array_equal(back.values, t.values)
-    assert tensor_to_dict(back) == doc
+def test_tensor_document_bytes_list_values_first_mode_fastest():
+    modes = (
+        ModeLabel("space", ("s0", "s1")),
+        ModeLabel("time", ("t0", "t1")),
+        ModeLabel("attribute", ("a0", "a1")),
+    )
+    # the value at (i, j, l) is 1 + i + 2j + 4l
+    t = CountTensor(modes, np.array([[[1.0, 5.0], [3.0, 7.0]], [[2.0, 6.0], [4.0, 8.0]]]))
+    assert dumps_stable(tensor_to_dict(t)) == (
+        '{"schema":"count-tensor/1","modes":['
+        '{"name":"space","kind":"space","categories":["s0","s1"]},'
+        '{"name":"time","kind":"time","categories":["t0","t1"]},'
+        '{"name":"attribute","kind":"attribute","categories":["a0","a1"]}],'
+        '"values":[1,2,3,4,5,6,7,8]}\n'
+    )
 
 
 def test_read_report_unknown_schema(tmp_path):
@@ -913,7 +921,11 @@ def test_json_readers_reject_malformed_documents(tmp_path, read):
         (read_report, {"schema": "scan-result/1", "regions": None}, "malformed scan document: 'cylinders'"),
         (report_from_dict, {"schema": "hotspot-report/1", "space": []}, "malformed report document: "),
         (scan_from_dict, "scan", "malformed scan document: 'str' object has no attribute 'get'"),
-        (tensor_from_dict, {"schema": "count-tensor/1"}, "malformed tensor document: 'modes'"),
+        (
+            RegionGeometry.from_geojson,
+            {"type": "FeatureCollection", "features": [{"properties": {"id": "A"}}]},
+            "feature without the 'region' property",
+        ),
         (RegionGeometry.from_geojson, [], "malformed GeoJSON document: 'list' object has no attribute 'get'"),
         (
             RegionGeometry.from_geojson,

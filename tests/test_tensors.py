@@ -66,7 +66,7 @@ def test_flat_linearization_first_mode_fastest():
         ModeLabel("time", ("t0", "t1")),
         ModeLabel("attribute", ("a0", "a1")),
     )
-    t = CountTensor.from_flat(np.arange(1.0, 9.0), modes)
+    t = CountTensor(modes, np.arange(1.0, 9.0).reshape((2, 2, 2), order="F"))
     # flat index k = i + 2j + 4l for indices (i, j, l)
     assert t.values[1, 0, 0] == 2.0
     assert t.values[0, 1, 0] == 3.0
@@ -92,13 +92,13 @@ def test_unfold_matrix_identity_case():
 
 def test_unfold_rows_hold_exactly_the_mode_slices():
     # oracle: enumerate entries by index arithmetic and compare multisets
-    t = CountTensor.from_flat(
-        np.arange(1.0, 9.0),
+    t = CountTensor(
         (
             ModeLabel("space", ("s0", "s1")),
             ModeLabel("time", ("t0", "t1")),
             ModeLabel("attribute", ("a0", "a1")),
         ),
+        np.arange(1.0, 9.0).reshape((2, 2, 2), order="F"),
     )
     m = unfold(t, 0)
     assert m.shape == (2, 4)
