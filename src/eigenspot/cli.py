@@ -147,15 +147,18 @@ def scan_cmd(opts: argparse.Namespace) -> None:
         max_fraction=opts.max_fraction,
         region_baseline=baseline_m.sum(axis=1),
     )
-    result = stscan.scan(
+    result = stscan.monte_carlo_scan(
         cases_m,
         baseline_m,
         candidates,
+        replications=opts.replications,
+        seed=opts.seed,
         elevated_only=opts.elevated_only == "on",
+        alpha=opts.alpha,
+        top=opts.top,
         regions=space_cats,
         times=time_cats,
     )
-    result = stscan.monte_carlo_p(result, replications=opts.replications, seed=opts.seed)
     dataio.write_json(dataio.scan_to_dict(result, alpha=opts.alpha, top=opts.top), opts.out)
 
 

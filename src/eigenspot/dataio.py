@@ -936,7 +936,7 @@ def scan_to_dict(
     }
     if alpha is not None:
         doc["alpha"] = alpha
-        # a read-back result holds only the rows its document kept
+        # a result of rows (read back, or from monte_carlo_scan) holds only a document's rows
         doc["significant_total"] = (
             len(result.significant(alpha)) if result.alpha is None else result.significant_total
         )

@@ -24,7 +24,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,20 +103,9 @@ class CylinderFamily(Sequence[ScanCylinder]):
         return view if isinstance(i, slice) else next(iter(view))
 
     def __iter__(self) -> Iterator[ScanCylinder]:
-        disk, window = np.divmod(self.order, self.t0.size)
-        disks = zip(self.centers[disk].tolist(), self.sizes[disk].tolist())
-        spans = zip(self.t0[window].tolist(), self.t1[window].tolist())
-        columns = [
-            itertools.repeat(0.0) if a is None else a[self.order].tolist()
-            for a in (self.counts, self.baselines, self.scores)
-        ]
-        priced = itertools.repeat(None)
-        if self.maxima is not None:
-            # (1 + #{maxima >= score}) / (R + 1): integers, then one division
-            r = self.maxima.size + 1
-            priced = ((r - np.searchsorted(self.maxima, self.scores[self.order])) / r).tolist()
-        for (c, k), span, *values in zip(disks, spans, *columns, priced):
-            yield ScanCylinder(c, tuple(self.orders[c, :k].tolist()), span, *values)
+        columns = (self.counts, self.baselines, self.scores)
+        values = [a if a is None else a[self.order] for a in columns]
+        return _rows(self, self.order, *values, self.maxima)
 
     def cell_sums(self, matrix: np.ndarray) -> np.ndarray:
         """Per-cylinder sums that add cells as ``matrix[members][:, t0:t1+1].sum()`` does.
@@ -171,9 +160,59 @@ class CylinderFamily(Sequence[ScanCylinder]):
         return out
 
 
+def _rows(
+    fam: CylinderFamily,
+    cylinders: np.ndarray,
+    counts: np.ndarray | None,
+    baselines: np.ndarray | None,
+    scores: np.ndarray | None,
+    maxima: np.ndarray | None,
+) -> Iterator[ScanCylinder]:
+    """Rows of the family's cylinders at indices ``cylinders``.
+
+    ``counts``, ``baselines`` and ``scores`` run alongside ``cylinders`` (0.0
+    where one is None), and the sorted ``maxima``, if any, price each p-value.
+    """
+    disk, window = np.divmod(cylinders, fam.t0.size)
+    disks = zip(fam.centers[disk].tolist(), fam.sizes[disk].tolist())
+    spans = zip(fam.t0[window].tolist(), fam.t1[window].tolist())
+    columns = [
+        itertools.repeat(0.0) if a is None else a.tolist() for a in (counts, baselines, scores)
+    ]
+    priced = itertools.repeat(None) if maxima is None else _p_values(maxima, scores).tolist()
+    for (c, k), span, *values in zip(disks, spans, *columns, priced):
+        yield ScanCylinder(c, tuple(fam.orders[c, :k].tolist()), span, *values)
+
+
+def _p_values(maxima: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """(1 + #{maxima >= score}) / (R + 1) for the sorted ``maxima``: integers, then one division."""
+    r = maxima.size + 1
+    return (r - np.searchsorted(maxima, scores)) / r
+
+
+def _first_per_disk(cylinders: np.ndarray, windows: int) -> np.ndarray:
+    """Positions in ``cylinders`` of each disk's first cylinder, in their order."""
+    return np.sort(np.unique(cylinders // windows, return_index=True)[1])
+
+
+def _disjoint(ranked: Iterable[ScanCylinder]) -> tuple[ScanCylinder, ...]:
+    """The rows whose region sets miss those of every better row kept before them."""
+    kept: list[ScanCylinder] = []
+    covered: set[int] = set()
+    for cyl in ranked:
+        if covered.isdisjoint(cyl.members):
+            kept.append(cyl)
+            covered.update(cyl.members)
+    return tuple(kept)
+
+
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Ranked cylinders (the family from :func:`scan`, or rows read back) plus run metadata."""
+    """Ranked cylinders plus run metadata.
+
+    The cylinders are the family from :func:`scan`, or the rows a document
+    holds: read back, or from :func:`monte_carlo_scan`.
+    """
 
     cylinders: Sequence[ScanCylinder]
     c_total: float
@@ -183,10 +222,10 @@ class ScanResult:
     seed: int | None = None
     regions: tuple[str, ...] | None = None
     times: tuple[str, ...] | None = None
-    # read-only copy of the scanned baseline matrix, for the replicas; None when read back
+    # read-only copy of the scanned baseline matrix, for the replicas; None for rows
     baseline: np.ndarray | None = None
-    # when read back: the document's alpha, and the significant clusters and
-    # the count of significant cylinders it recorded at it
+    # for rows: the document's alpha, and the significant clusters and the
+    # count of significant cylinders it records at it
     alpha: float | None = None
     clusters: tuple[ScanCylinder, ...] = ()
     significant_total: int | None = None
@@ -208,7 +247,7 @@ class ScanResult:
         Nested disks make thousands of cylinders significant around one
         hot block; the conventional report keeps a cylinder only when its
         region set is disjoint from every better one already kept. A result
-        read back with an ``alpha`` gives the clusters its document recorded,
+        of rows with an ``alpha`` gives the clusters its document records,
         chosen from every cylinder, and raises :class:`InputError` at any other.
         """
         if self.alpha is not None:
@@ -217,18 +256,14 @@ class ScanResult:
                     f"alpha {alpha} differs from the scan's alpha {self.alpha}", module="stscan"
                 )
             return self.clusters
-        kept: list[ScanCylinder] = []
-        covered: set[int] = set()
         significant = self.significant(alpha)
         if isinstance(significant, CylinderFamily):
             # a disk's later cylinders overlap whatever its first one left covered
-            first = np.unique(significant.order // significant.t0.size, return_index=True)[1]
-            significant = dataclasses.replace(significant, order=significant.order[np.sort(first)])
-        for cyl in significant:
-            if covered.isdisjoint(cyl.members):
-                kept.append(cyl)
-                covered.update(cyl.members)
-        return tuple(kept)
+            order = significant.order
+            significant = dataclasses.replace(
+                significant, order=order[_first_per_disk(order, significant.t0.size)]
+            )
+        return _disjoint(significant)
 
 
 def score(
@@ -510,6 +545,39 @@ def _count_bounds(
     return lo, hi
 
 
+def _kept(counts: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.ndarray:
+    """Positions of the counts that a block's bounds keep: ``C >= hi``, or ``C <= lo`` if given."""
+    keep = counts >= hi
+    if lo is not None:
+        keep |= counts <= lo
+    return np.flatnonzero(keep)
+
+
+def _bounds(
+    baselines: np.ndarray,
+    blocks: list,
+    tau: float,
+    c_total: float,
+    b_total: float,
+    elevated_only: bool,
+) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """Per block, the roots of :func:`_count_bounds` at ``tau`` as whole-count thresholds.
+
+    Counts are whole: C >= hi exactly when C >= ceil(hi), and C <= lo when
+    C <= floor(lo); -1 and N + 1 stand for anything past an end. ``lo`` is
+    None with elevated-only scoring, where only the upper bound applies.
+    """
+    whole = np.int32 if c_total + 1 < 2**31 else np.int64
+    out = []
+    for disks, _, _ in blocks:
+        lo, hi = _count_bounds(baselines[disks].ravel(), c_total, b_total, tau)
+        hi = np.clip(np.ceil(hi, out=hi), -1, c_total + 1, out=hi).astype(whole)
+        if not elevated_only:
+            lo = np.clip(np.floor(lo, out=lo), -1, c_total + 1, out=lo).astype(whole)
+        out.append((None if elevated_only else lo, hi))
+    return out
+
+
 def _replica_max(
     draw: np.ndarray,
     fam: CylinderFamily,
@@ -524,19 +592,13 @@ def _replica_max(
 
     ``draw`` is the replica's case matrix and ``baselines`` the family's
     (disks × windows). ``bounds`` holds one ``(lo, hi)`` per block from
-    :func:`_count_bounds`, over the block's cylinders and rounded to whole
-    counts, with ``lo`` None for the upper bound alone; a count is kept when
-    ``C >= hi`` or ``C <= lo``.
+    :func:`_bounds`; a count is kept when ``C >= hi`` or ``C <= lo``.
     """
     best = -math.inf
     for b, (disks, counts) in enumerate(_disk_sums(draw, c_total, fam, blocks)):
         c, base = counts.ravel(), baselines[disks].ravel()
         if bounds is not None:
-            lo, hi = bounds[b]
-            keep = c >= hi
-            if lo is not None:
-                keep |= c <= lo
-            keep = np.flatnonzero(keep)
+            keep = _kept(c, *bounds[b])
             c, base = c[keep], base[keep]
         if elevated_only:
             # the rest score 0, and only the maximum is kept
@@ -548,6 +610,96 @@ def _replica_max(
     return best
 
 
+def _replicas(
+    fam: CylinderFamily,
+    blocks: list,
+    base_m: np.ndarray,
+    baselines: np.ndarray,
+    c_total: float,
+    b_total: float,
+    elevated_only: bool,
+    replications: int,
+    seed: int,
+) -> tuple[np.ndarray, float, list | None]:
+    """The replica loop of :func:`monte_carlo_p`: sorted maxima, the last floor and its bounds.
+
+    The bounds are None when no replica needed them after the floor last
+    fell. A floor only falls, to ``_FLOOR`` times a maximum below it, so when
+    the last floor is above 0 every maximum is at or above it.
+    """
+    probs = (base_m / b_total).ravel()
+    try:
+        maxima = np.empty(replications)
+    except (ValueError, MemoryError):  # past numpy's largest array, or past memory
+        raise InputError(f"cannot hold {replications} replica maxima", module="stscan") from None
+    tau, bounds = math.nan, None  # the floor (NaN before the first replica) and its bounds
+    totals = (c_total, b_total, elevated_only)
+    for i in range(replications):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        draw = rng.multinomial(int(c_total), probs).reshape(base_m.shape)
+        best = math.nan
+        if tau > 0:
+            if bounds is None:
+                bounds = _bounds(baselines, blocks, tau, *totals)
+            best = _replica_max(draw, fam, blocks, baselines, *totals, bounds)
+        if not best >= tau:
+            best = _replica_max(draw, fam, blocks, baselines, *totals)
+            if not best >= tau:
+                tau, bounds = _FLOOR * best, None
+        if not math.isfinite(best):
+            # a cylinder whose baseline sum reaches the total but misses a drawn case
+            raise InputError(
+                "cylinder covers the whole baseline but not all cases; "
+                "the score is unbounded",
+                module="stscan",
+            )
+        maxima[i] = best
+    maxima.sort()
+    return maxima, tau, bounds
+
+
+def _observed(
+    matrix: np.ndarray,
+    c_total: float,
+    fam: CylinderFamily,
+    blocks: list,
+    bounds: list | None = None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Observed counts as floats: of every cylinder, or of those that ``bounds`` keep.
+
+    ``bounds`` are per block, as :func:`_bounds` gives them. The indices of
+    the kept cylinders, ascending, come first; None for every cylinder.
+    """
+    kept, counts = [], []
+    for b, (disks, sums) in enumerate(_disk_sums(matrix, c_total, fam, blocks)):
+        sums = sums.ravel()
+        if bounds is not None:
+            keep = _kept(sums, *bounds[b])
+            kept.append(keep + disks.start * fam.t0.size)
+            sums = sums[keep]
+        counts.append(sums)
+    return (np.concatenate(kept) if kept else None), np.concatenate(counts, dtype=float)
+
+
+def _ranking(fam: CylinderFamily, scores: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
+    """Positions in ``scores`` by descending score, ties in layout order.
+
+    ``scores`` belong to every cylinder, or to the ``kept`` cylinder indices.
+    The layout lists every cylinder in tie order: the disks by size, then
+    center, each crossed with the windows by ``t0``, then ``t1``. One stable
+    sort by score over the layout keeps that order among equal scores.
+    """
+    per_disk = fam.t0.size
+    disks, windows = np.lexsort((fam.centers, fam.sizes)), np.lexsort((fam.t1, fam.t0))
+    if kept is None:
+        layout = (disks[:, None] * per_disk + windows).ravel()
+    else:
+        # each kept cylinder's place in the layout, from its disk's and its window's
+        disk, window = np.divmod(kept, per_disk)
+        layout = np.argsort(np.argsort(disks)[disk] * per_disk + np.argsort(windows)[window])
+    return layout[np.argsort(-scores[layout], kind="stable")]
+
+
 def _check_covers(fam: CylinderFamily, matrix: np.ndarray) -> None:
     """Reject a family whose disks or windows reach outside a space-by-time matrix."""
     rows, steps = matrix.shape
@@ -557,25 +709,10 @@ def _check_covers(fam: CylinderFamily, matrix: np.ndarray) -> None:
         )
 
 
-def scan(
-    cases: np.ndarray,
-    baseline: np.ndarray,
-    candidates: CylinderFamily,
-    elevated_only: bool = True,
-    regions: Sequence[str] | None = None,
-    times: Sequence[str] | None = None,
-) -> ScanResult:
-    """Score every cylinder of a family and rank them.
-
-    Case cells must be whole numbers with a total below 2**53, the counts
-    the Poisson statistic is defined on; their disk sums are then exact.
-    Every disk crossed with every window is scored, whatever ranking the
-    family carries. Ties sort the smaller member set first, then the lower
-    center index, then the earlier window: every cylinder is listed in that
-    order and one stable sort by score runs over the list, so the ordering
-    is total and the output deterministic. The result keeps a read-only
-    copy of the baseline, which :func:`monte_carlo_p` draws replicas from.
-    """
+def _checked(
+    cases: np.ndarray, baseline: np.ndarray, candidates: CylinderFamily
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The case matrix, a read-only copy of the baseline and both totals, checked for a scan."""
     cases_m = np.asarray(cases, dtype=float)
     base_m = np.array(baseline, dtype=float)
     base_m.setflags(write=False)
@@ -598,21 +735,37 @@ def scan(
         raise InputError(
             "case cells must be whole numbers with a total below 2**53", module="stscan"
         )
+    return cases_m, base_m, c_total, b_total
 
+
+def scan(
+    cases: np.ndarray,
+    baseline: np.ndarray,
+    candidates: CylinderFamily,
+    elevated_only: bool = True,
+    regions: Sequence[str] | None = None,
+    times: Sequence[str] | None = None,
+) -> ScanResult:
+    """Score every cylinder of a family and rank them.
+
+    Case cells must be whole numbers with a total below 2**53, the counts
+    the Poisson statistic is defined on; their disk sums are then exact.
+    Every disk crossed with every window is scored, whatever ranking the
+    family carries. Ties sort the smaller member set first, then the lower
+    center index, then the earlier window: every cylinder is listed in that
+    order and one stable sort by score runs over the list, so the ordering
+    is total and the output deterministic. The result keeps a read-only
+    copy of the baseline, which :func:`monte_carlo_p` draws replicas from.
+    """
+    cases_m, base_m, c_total, b_total = _checked(cases, baseline, candidates)
     fam = candidates
-    counts = np.empty((fam.sizes.size, fam.t0.size))
-    for disks, sums in _disk_sums(cases_m, c_total, fam, fam.blocks()):
-        counts[disks] = sums
-    counts = counts.ravel()
+    _, counts = _observed(cases_m, c_total, fam, fam.blocks())
     baselines = fam.cell_sums(base_m)
     scores = _scores(counts, baselines, c_total, b_total, elevated_only)
-    # every cylinder in tie order, disk-major; a stable sort by score keeps it among equals
-    windows = np.lexsort((fam.t1, fam.t0))
-    layout = (np.lexsort((fam.centers, fam.sizes))[:, None] * fam.t0.size + windows).ravel()
-    order = layout[np.argsort(-scores[layout], kind="stable")]
     return ScanResult(
         cylinders=dataclasses.replace(
-            fam, counts=counts, baselines=baselines, scores=scores, maxima=None, order=order
+            fam, counts=counts, baselines=baselines, scores=scores, maxima=None,
+            order=_ranking(fam, scores),
         ),
         c_total=c_total,
         b_total=b_total,
@@ -656,52 +809,113 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
     if result.baseline is None or not isinstance(fam, CylinderFamily) or fam.scores is None:
         raise InputError("Monte Carlo p-values need a result from scan()", module="stscan")
     check_replications(replications, seed)
-
-    c_total, b_total, elevated_only = result.c_total, result.b_total, result.elevated_only
-    base_m = result.baseline
-    probs = (base_m / b_total).ravel()
-    blocks = fam.blocks()
-    baselines = fam.baselines.reshape(-1, fam.t0.size)
-    try:
-        maxima = np.empty(replications)
-    except (ValueError, MemoryError):  # past numpy's largest array, or past memory
-        raise InputError(f"cannot hold {replications} replica maxima", module="stscan") from None
-    tau, bounds = math.nan, None  # the floor (NaN before the first replica) and its bounds
-    totals = (c_total, b_total, elevated_only)
-    whole = np.int32 if c_total + 1 < 2**31 else np.int64  # the type of the count thresholds
-    for i in range(replications):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        draw = rng.multinomial(int(c_total), probs).reshape(base_m.shape)
-        best = math.nan
-        if tau > 0:
-            if bounds is None:
-                bounds = []
-                for disks, _, _ in blocks:
-                    lo, hi = _count_bounds(baselines[disks].ravel(), c_total, b_total, tau)
-                    # counts are whole: C >= hi exactly when C >= ceil(hi), and C <= lo
-                    # when C <= floor(lo); -1 and N + 1 stand for anything past an end
-                    hi = np.clip(np.ceil(hi, out=hi), -1, c_total + 1, out=hi).astype(whole)
-                    if not elevated_only:
-                        lo = np.clip(np.floor(lo, out=lo), -1, c_total + 1, out=lo).astype(whole)
-                    bounds.append((None if elevated_only else lo, hi))
-            best = _replica_max(draw, fam, blocks, baselines, *totals, bounds)
-        if not best >= tau:
-            best = _replica_max(draw, fam, blocks, baselines, *totals)
-            if not best >= tau:
-                tau, bounds = _FLOOR * best, None
-        if not math.isfinite(best):
-            # a cylinder whose baseline sum reaches the total but misses a drawn case
-            raise InputError(
-                "cylinder covers the whole baseline but not all cases; "
-                "the score is unbounded",
-                module="stscan",
-            )
-        maxima[i] = best
-
-    maxima.sort()
+    maxima, _, _ = _replicas(
+        fam, fam.blocks(), result.baseline, fam.baselines.reshape(-1, fam.t0.size),
+        result.c_total, result.b_total, result.elevated_only, replications, seed,
+    )
     return dataclasses.replace(
         result,
         cylinders=dataclasses.replace(fam, maxima=maxima),
         replications=replications,
         seed=seed,
+    )
+
+
+def monte_carlo_scan(
+    cases: np.ndarray,
+    baseline: np.ndarray,
+    candidates: CylinderFamily,
+    replications: int,
+    seed: int,
+    elevated_only: bool = True,
+    alpha: float = 0.05,
+    top: int = 100,
+    regions: Sequence[str] | None = None,
+    times: Sequence[str] | None = None,
+) -> ScanResult:
+    """:func:`scan` and :func:`monte_carlo_p` in one flow, kept to what a document holds.
+
+    The result holds the ``top`` best rows, priced, the count of cylinders
+    with p <= ``alpha`` and their clusters, as a document read back does, and
+    :func:`~eigenspot.dataio.scan_to_dict` writes it at ``alpha`` and ``top``
+    in the same bytes as ``monte_carlo_p(scan(...), replications, seed)``.
+    The arguments are checked as those functions and ``scan_to_dict`` check
+    them, and the same errors are raised, the observed scan's before any
+    replica.
+
+    The replicas run first, on the baselines alone. When their last floor τ
+    is above 0, every maximum is at or above it, so a cylinder with
+    p <= ``alpha`` < 1 scores above τ. One pass over the observed counts then
+    keeps only those that τ's bounds keep, which include every count that
+    scores τ or more, and only those are scored and ranked. If fewer than
+    ``top`` of them score τ or more, a second pass keeps the counts that can
+    reach the ``top``-th best score of the first: the best ``top`` of any
+    subset score no more than the family's. Every cylinder is scored and
+    ranked, as :func:`scan` does, at ``alpha`` = 1, at a floor or a cut of 0
+    or below, and when the first pass keeps fewer than ``top`` cylinders.
+    """
+    from .dataio import check_scan_options  # loaded by any caller that writes the document
+
+    cases_m, base_m, c_total, b_total = _checked(cases, baseline, candidates)
+    check_replications(replications, seed)
+    check_scan_options(alpha, top)
+    fam = candidates
+    blocks = fam.blocks()
+    baselines = fam.cell_sums(base_m).reshape(-1, fam.t0.size)
+    totals = (c_total, b_total, elevated_only)
+    # only a cylinder with no baseline or all of it can be refused a score:
+    # score those first, so that the observed scan's errors come before any
+    # replica, as scan raises them
+    edge = (baselines == 0) | (baselines >= b_total)
+    if edge.any():
+        sums = [s[edge[disks]] for disks, s in _disk_sums(cases_m, c_total, fam, blocks)]
+        _scores(np.concatenate(sums, dtype=float), baselines[edge], *totals)
+    del edge
+    maxima, tau, bounds = _replicas(fam, blocks, base_m, baselines, *totals, replications, seed)
+
+    def observe(bounds: list | None) -> tuple:
+        """The kept cylinders (None for all), and their counts, baselines and scores."""
+        kept, counts = _observed(cases_m, c_total, fam, blocks, bounds)
+        base = baselines.ravel() if kept is None else baselines.ravel()[kept]
+        return kept, counts, base, _scores(counts, base, *totals)
+
+    kept = None
+    if alpha < 1 and tau > 0:
+        if bounds is None:
+            bounds = _bounds(baselines, blocks, tau, *totals)
+        kept, counts, base, scores = observe(bounds)
+        bounds = None
+        if kept.size < top:
+            kept = None
+        elif np.count_nonzero(scores >= tau) < top:
+            cut = float(np.partition(scores, kept.size - top)[kept.size - top])
+            kept = None
+            if cut > 0:
+                kept, counts, base, scores = observe(_bounds(baselines, blocks, cut, *totals))
+    if kept is None:
+        bounds = None
+        kept, counts, base, scores = observe(None)
+
+    rank = _ranking(fam, scores, kept)
+    ranked = rank if kept is None else kept[rank]  # cylinder indices, best first
+    total = int(np.count_nonzero(_p_values(maxima, scores) <= alpha))
+
+    def rows(at) -> Iterator[ScanCylinder]:
+        """Rows of the cylinders at ranks ``at``, an index array or a slice."""
+        scored = rank[at]
+        return _rows(fam, ranked[at], counts[scored], base[scored], scores[scored], maxima)
+
+    return ScanResult(
+        cylinders=tuple(rows(slice(top))),
+        c_total=c_total,
+        b_total=b_total,
+        elevated_only=elevated_only,
+        replications=replications,
+        seed=seed,
+        regions=tuple(regions) if regions is not None else None,
+        times=tuple(times) if times is not None else None,
+        alpha=alpha,
+        # a disk's later cylinders overlap whatever its first one left covered
+        clusters=_disjoint(rows(_first_per_disk(ranked[:total], fam.t0.size))),
+        significant_total=total,
     )
