@@ -935,11 +935,13 @@ def scan_to_dict(
         ],
     }
     if alpha is not None:
+        # a result holds only a document's rows: the count and clusters it recorded are at its alpha
+        if alpha != result.alpha:
+            raise InputError(
+                f"alpha {alpha} differs from the scan's alpha {result.alpha}", module="dataio"
+            )
         doc["alpha"] = alpha
-        # a result of rows (read back, or from monte_carlo_scan) holds only a document's rows
-        doc["significant_total"] = (
-            len(result.significant(alpha)) if result.alpha is None else result.significant_total
-        )
+        doc["significant_total"] = result.significant_total
         doc["significant"] = [
             _cylinder_to_dict(c, result.regions, result.times)
             for c in result.significant_clusters(alpha)

@@ -19,8 +19,8 @@ the maximum cylinder score, and the p-value of a cylinder is
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,15 +69,13 @@ class ScanCylinder:
 
 
 @dataclass(frozen=True, eq=False)
-class CylinderFamily(Sequence[ScanCylinder]):
+class CylinderFamily:
     """Every spatial disk crossed with every time window, held as arrays.
 
     Disk ``d`` is ``orders[centers[d], :sizes[d]]``: a center's nested disks
     are prefixes of its one order row, center first. Cylinder ``i`` is disk
-    ``i // W`` over window ``i % W``, and the per-cylinder arrays follow that
-    index. ``maxima`` holds the sorted replica maxima, which price each row's
-    p-value as it is built. The sequence runs in ``order`` (the ranking, once
-    scanned), builds :class:`ScanCylinder` rows on access and slices to views.
+    ``i // W`` over window ``i % W``. The family holds geometry only;
+    :func:`scan` scores it.
     """
 
     orders: np.ndarray
@@ -85,27 +83,15 @@ class CylinderFamily(Sequence[ScanCylinder]):
     sizes: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
-    counts: np.ndarray | None = None
-    baselines: np.ndarray | None = None
-    scores: np.ndarray | None = None
-    maxima: np.ndarray | None = None
-    order: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.order is None:
-            object.__setattr__(self, "order", np.arange(self.sizes.size * self.t0.size))
-
+    # the benchmark's tracer counts the cylinders with len() and their member
+    # references over unscored rows in index order, until it counts them from
+    # the arrays (ROADMAP item 6)
     def __len__(self) -> int:
-        return self.order.size
-
-    def __getitem__(self, i):
-        view = dataclasses.replace(self, order=self.order[i if isinstance(i, slice) else [i]])
-        return view if isinstance(i, slice) else next(iter(view))
+        return self.sizes.size * self.t0.size
 
     def __iter__(self) -> Iterator[ScanCylinder]:
-        columns = (self.counts, self.baselines, self.scores)
-        values = [a if a is None else a[self.order] for a in columns]
-        return _rows(self, self.order, *values, self.maxima)
+        return _rows(self, np.arange(len(self)))
 
     def cell_sums(self, matrix: np.ndarray) -> np.ndarray:
         """Per-cylinder sums that add cells as ``matrix[members][:, t0:t1+1].sum()`` does.
@@ -160,27 +146,16 @@ class CylinderFamily(Sequence[ScanCylinder]):
         return out
 
 
-def _rows(
-    fam: CylinderFamily,
-    cylinders: np.ndarray,
-    counts: np.ndarray | None,
-    baselines: np.ndarray | None,
-    scores: np.ndarray | None,
-    maxima: np.ndarray | None,
-) -> Iterator[ScanCylinder]:
+def _rows(fam: CylinderFamily, cylinders: np.ndarray, *columns: Iterable) -> Iterator[ScanCylinder]:
     """Rows of the family's cylinders at indices ``cylinders``.
 
-    ``counts``, ``baselines`` and ``scores`` run alongside ``cylinders`` (0.0
-    where one is None), and the sorted ``maxima``, if any, price each p-value.
+    ``columns`` (counts, baselines, scores and p-values, in that order, as
+    many as given) run alongside ``cylinders``.
     """
     disk, window = np.divmod(cylinders, fam.t0.size)
     disks = zip(fam.centers[disk].tolist(), fam.sizes[disk].tolist())
     spans = zip(fam.t0[window].tolist(), fam.t1[window].tolist())
-    columns = [
-        itertools.repeat(0.0) if a is None else a.tolist() for a in (counts, baselines, scores)
-    ]
-    priced = itertools.repeat(None) if maxima is None else _p_values(maxima, scores).tolist()
-    for (c, k), span, *values in zip(disks, spans, *columns, priced):
+    for (c, k), span, *values in zip(disks, spans, *columns):
         yield ScanCylinder(c, tuple(fam.orders[c, :k].tolist()), span, *values)
 
 
@@ -208,13 +183,17 @@ def _disjoint(ranked: Iterable[ScanCylinder]) -> tuple[ScanCylinder, ...]:
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Ranked cylinders plus run metadata.
+    """The ranked rows a scan document holds, and the run's metadata.
 
-    The cylinders are the family from :func:`scan`, or the rows a document
-    holds: read back, or from :func:`monte_carlo_scan`.
+    ``cylinders`` are the best rows, best first, cut to the document's
+    ``top``. At its ``alpha`` the result records ``significant_total``, the
+    count of cylinders with p <= ``alpha`` among every cylinder, and their
+    non-overlapping ``clusters``. A computed result
+    (:meth:`ScoredFamily.result`) always records them; a document read back
+    records them when it has an ``alpha``.
     """
 
-    cylinders: Sequence[ScanCylinder]
+    cylinders: tuple[ScanCylinder, ...]
     c_total: float
     b_total: float
     elevated_only: bool = True
@@ -222,24 +201,9 @@ class ScanResult:
     seed: int | None = None
     regions: tuple[str, ...] | None = None
     times: tuple[str, ...] | None = None
-    # read-only copy of the scanned baseline matrix, for the replicas; None for rows
-    baseline: np.ndarray | None = None
-    # for rows: the document's alpha, and the significant clusters and the
-    # count of significant cylinders it records at it
     alpha: float | None = None
     clusters: tuple[ScanCylinder, ...] = ()
     significant_total: int | None = None
-
-    @property
-    def top(self) -> ScanCylinder:
-        return self.cylinders[0]
-
-    def significant(self, alpha: float = 0.05) -> Sequence[ScanCylinder]:
-        """Cylinders with p <= alpha: a prefix of the ranking, as p never falls along it."""
-        end = bisect.bisect_right(
-            self.cylinders, alpha, key=lambda c: math.inf if c.p_value is None else c.p_value
-        )
-        return self.cylinders[:end]
 
     def significant_clusters(self, alpha: float = 0.05) -> tuple[ScanCylinder, ...]:
         """Non-overlapping significant cylinders, best first.
@@ -247,23 +211,87 @@ class ScanResult:
         Nested disks make thousands of cylinders significant around one
         hot block; the conventional report keeps a cylinder only when its
         region set is disjoint from every better one already kept. A result
-        of rows with an ``alpha`` gives the clusters its document records,
-        chosen from every cylinder, and raises :class:`InputError` at any other.
+        with an ``alpha`` gives the clusters it records, chosen from every
+        cylinder, and raises :class:`InputError` at any other. A document
+        read back without one gives the clusters among its rows with
+        p <= ``alpha``, a prefix of them, as p never falls along the ranking.
         """
-        if self.alpha is not None:
-            if alpha != self.alpha:
-                raise InputError(
-                    f"alpha {alpha} differs from the scan's alpha {self.alpha}", module="stscan"
-                )
-            return self.clusters
-        significant = self.significant(alpha)
-        if isinstance(significant, CylinderFamily):
-            # a disk's later cylinders overlap whatever its first one left covered
-            order = significant.order
-            significant = dataclasses.replace(
-                significant, order=order[_first_per_disk(order, significant.t0.size)]
+        if self.alpha is None:
+            return _disjoint(itertools.takewhile(
+                lambda c: c.p_value is not None and c.p_value <= alpha, self.cylinders
+            ))
+        if alpha != self.alpha:
+            raise InputError(
+                f"alpha {alpha} differs from the scan's alpha {self.alpha}", module="stscan"
             )
-        return _disjoint(significant)
+        return self.clusters
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredFamily:
+    """A family's observed counts, baselines and scores, as arrays.
+
+    The arrays run over every cylinder in index order (``kept`` None, as
+    :func:`scan` gives them) or over the ``kept`` cylinder indices,
+    ascending. ``matrix`` is a read-only copy of the scanned baseline, which
+    :func:`monte_carlo_p` draws replicas from; ``maxima`` are their sorted
+    maxima, which price each p-value, and None before any replica.
+    """
+
+    family: CylinderFamily
+    kept: np.ndarray | None
+    counts: np.ndarray
+    baselines: np.ndarray
+    scores: np.ndarray
+    c_total: float
+    b_total: float
+    elevated_only: bool
+    matrix: np.ndarray
+    regions: tuple[str, ...] | None = None
+    times: tuple[str, ...] | None = None
+    maxima: np.ndarray | None = None
+    replications: int = 0
+    seed: int | None = None
+
+    def result(self, alpha: float = 0.05, top: int | None = 100) -> ScanResult:
+        """What a document at ``alpha`` and ``top`` holds; every computed result is built here.
+
+        The rows are the ``top`` best (all of them at None), priced from the
+        maxima (None without), by descending score with ties in layout order
+        (:func:`_ranking`). ``significant_total`` counts the scored cylinders
+        with p <= ``alpha``, none without maxima, and the clusters are chosen
+        from them.
+        """
+        from .dataio import check_scan_options  # loaded by any caller that writes the document
+
+        check_scan_options(alpha, top)
+        fam, kept, scores, maxima = self.family, self.kept, self.scores, self.maxima
+        rank = _ranking(fam, scores, kept)
+        ranked = rank if kept is None else kept[rank]  # cylinder indices, best first
+        total = 0 if maxima is None else int(np.count_nonzero(_p_values(maxima, scores) <= alpha))
+
+        def rows(at) -> Iterator[ScanCylinder]:
+            """Rows of the cylinders at ranks ``at``, an index array or a slice."""
+            scored = rank[at]
+            values = [a[scored].tolist() for a in (self.counts, self.baselines, scores)]
+            if maxima is not None:
+                values.append(_p_values(maxima, scores[scored]).tolist())
+            return _rows(fam, ranked[at], *values)
+
+        return ScanResult(
+            cylinders=tuple(rows(slice(top))),
+            c_total=self.c_total,
+            b_total=self.b_total,
+            elevated_only=self.elevated_only,
+            replications=self.replications,
+            seed=self.seed,
+            regions=self.regions,
+            times=self.times,
+            alpha=alpha,
+            # a disk's later cylinders overlap whatever its first one left covered
+            clusters=_disjoint(rows(_first_per_disk(ranked[:total], fam.t0.size))),
+            significant_total=total,
+        )
 
 
 def score(
@@ -658,27 +686,31 @@ def _replicas(
     return maxima, tau, bounds
 
 
-def _observed(
-    matrix: np.ndarray,
-    c_total: float,
-    fam: CylinderFamily,
-    blocks: list,
-    bounds: list | None = None,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Observed counts as floats: of every cylinder, or of those that ``bounds`` keep.
+def _scored(
+    cases_m: np.ndarray, base_m: np.ndarray, fam: CylinderFamily, blocks: list,
+    baselines: np.ndarray, totals: tuple[float, float, bool], bounds: list | None = None, **run,
+) -> ScoredFamily:
+    """Observed counts, baselines and scores of every cylinder, or of those ``bounds`` keep.
 
-    ``bounds`` are per block, as :func:`_bounds` gives them. The indices of
-    the kept cylinders, ascending, come first; None for every cylinder.
+    Every scoring of observed counts runs here, :func:`scan`'s and
+    :func:`monte_carlo_scan`'s; the counts are floats. ``baselines`` are
+    every cylinder's, flat, ``totals`` are ``(c_total, b_total,
+    elevated_only)``, ``bounds`` are per block, as :func:`_bounds` gives
+    them, and ``run`` holds the remaining fields of the result.
     """
     kept, counts = [], []
-    for b, (disks, sums) in enumerate(_disk_sums(matrix, c_total, fam, blocks)):
+    for b, (disks, sums) in enumerate(_disk_sums(cases_m, totals[0], fam, blocks)):
         sums = sums.ravel()
         if bounds is not None:
             keep = _kept(sums, *bounds[b])
             kept.append(keep + disks.start * fam.t0.size)
             sums = sums[keep]
         counts.append(sums)
-    return (np.concatenate(kept) if kept else None), np.concatenate(counts, dtype=float)
+    kept = np.concatenate(kept) if kept else None
+    counts = np.concatenate(counts, dtype=float)
+    base = baselines if kept is None else baselines[kept]
+    scores = _scores(counts, base, *totals)
+    return ScoredFamily(fam, kept, counts, base, scores, *totals, base_m, **run)
 
 
 def _ranking(fam: CylinderFamily, scores: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
@@ -720,7 +752,7 @@ def _checked(
         raise InputError(
             "cases and baseline must be equal-shape space-by-time matrices", module="stscan"
         )
-    if not isinstance(candidates, CylinderFamily) or not len(candidates):
+    if not (isinstance(candidates, CylinderFamily) and candidates.sizes.size and candidates.t0.size):
         raise InputError("candidates must be a non-empty CylinderFamily", module="stscan")
     _check_covers(candidates, cases_m)
     c_total = float(cases_m.sum())
@@ -745,34 +777,24 @@ def scan(
     elevated_only: bool = True,
     regions: Sequence[str] | None = None,
     times: Sequence[str] | None = None,
-) -> ScanResult:
-    """Score every cylinder of a family and rank them.
+) -> ScoredFamily:
+    """Score every cylinder of a family: the one call that scores the whole family.
 
     Case cells must be whole numbers with a total below 2**53, the counts
     the Poisson statistic is defined on; their disk sums are then exact.
-    Every disk crossed with every window is scored, whatever ranking the
-    family carries. Ties sort the smaller member set first, then the lower
-    center index, then the earlier window: every cylinder is listed in that
-    order and one stable sort by score runs over the list, so the ordering
-    is total and the output deterministic. The result keeps a read-only
-    copy of the baseline, which :func:`monte_carlo_p` draws replicas from.
+    The counts, baselines and scores come back as arrays over every
+    cylinder in index order, with a read-only copy of the baseline, which
+    :func:`monte_carlo_p` draws replicas from. :meth:`ScoredFamily.result`
+    ranks them: ties sort the smaller member set first, then the lower
+    center index, then the earlier window, so the ordering is total and the
+    output deterministic.
     """
     cases_m, base_m, c_total, b_total = _checked(cases, baseline, candidates)
     fam = candidates
-    _, counts = _observed(cases_m, c_total, fam, fam.blocks())
-    baselines = fam.cell_sums(base_m)
-    scores = _scores(counts, baselines, c_total, b_total, elevated_only)
-    return ScanResult(
-        cylinders=dataclasses.replace(
-            fam, counts=counts, baselines=baselines, scores=scores, maxima=None,
-            order=_ranking(fam, scores),
-        ),
-        c_total=c_total,
-        b_total=b_total,
-        elevated_only=elevated_only,
+    return _scored(
+        cases_m, base_m, fam, fam.blocks(), fam.cell_sums(base_m), (c_total, b_total, elevated_only),
         regions=tuple(regions) if regions is not None else None,
         times=tuple(times) if times is not None else None,
-        baseline=base_m,
     )
 
 
@@ -784,12 +806,12 @@ def check_replications(replications: int, seed: int) -> None:
         raise InputError(f"seed must be non-negative, got {seed}", module="stscan")
 
 
-def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResult:
-    """Attach Monte Carlo p-values to a result from :func:`scan`, as sorted replica ``maxima``.
+def monte_carlo_p(scored: ScoredFamily, replications: int, seed: int) -> ScoredFamily:
+    """Add the sorted replica ``maxima`` to what :func:`scan` returns, which price each p-value.
 
     Replica case matrices are multinomial redistributions of the observed
     total over all cells with probabilities proportional to the baseline
-    the result was scanned against, so a replica puts no case where that
+    the family was scanned against, so a replica puts no case where that
     baseline is zero. Replica ``i`` draws from ``SeedSequence(seed,
     spawn_key=(i,))``, the stream ``SeedSequence(seed).spawn(replications)[i]``
     gives, made in its turn: the outcome does not depend on evaluation
@@ -805,20 +827,17 @@ def monte_carlo_p(result: ScanResult, replications: int, seed: int) -> ScanResul
     or is NaN, is scored again in full, and its maximum sets the new floor.
     At a floor of 0 or below nothing is left out.
     """
-    fam = result.cylinders
-    if result.baseline is None or not isinstance(fam, CylinderFamily) or fam.scores is None:
-        raise InputError("Monte Carlo p-values need a result from scan()", module="stscan")
+    if not isinstance(scored, ScoredFamily) or scored.kept is not None:
+        raise InputError(
+            "Monte Carlo p-values need every cylinder scored by scan()", module="stscan"
+        )
     check_replications(replications, seed)
+    fam = scored.family
     maxima, _, _ = _replicas(
-        fam, fam.blocks(), result.baseline, fam.baselines.reshape(-1, fam.t0.size),
-        result.c_total, result.b_total, result.elevated_only, replications, seed,
+        fam, fam.blocks(), scored.matrix, scored.baselines.reshape(-1, fam.t0.size),
+        scored.c_total, scored.b_total, scored.elevated_only, replications, seed,
     )
-    return dataclasses.replace(
-        result,
-        cylinders=dataclasses.replace(fam, maxima=maxima),
-        replications=replications,
-        seed=seed,
-    )
+    return dataclasses.replace(scored, maxima=maxima, replications=replications, seed=seed)
 
 
 def monte_carlo_scan(
@@ -833,15 +852,13 @@ def monte_carlo_scan(
     regions: Sequence[str] | None = None,
     times: Sequence[str] | None = None,
 ) -> ScanResult:
-    """:func:`scan` and :func:`monte_carlo_p` in one flow, kept to what a document holds.
+    """:func:`scan` and :func:`monte_carlo_p` in one flow, scoring only what a document needs.
 
-    The result holds the ``top`` best rows, priced, the count of cylinders
-    with p <= ``alpha`` and their clusters, as a document read back does, and
-    :func:`~eigenspot.dataio.scan_to_dict` writes it at ``alpha`` and ``top``
-    in the same bytes as ``monte_carlo_p(scan(...), replications, seed)``.
-    The arguments are checked as those functions and ``scan_to_dict`` check
-    them, and the same errors are raised, the observed scan's before any
-    replica.
+    The result is ``monte_carlo_p(scan(...), replications, seed).result(alpha,
+    top)``, the same rows, ``significant_total`` and clusters, built by the
+    same :meth:`ScoredFamily.result` from fewer scored cylinders. The
+    arguments are checked as those functions check them, and the same errors
+    are raised, the observed scan's before any replica.
 
     The replicas run first, on the baselines alone. When their last floor τ
     is above 0, every maximum is at or above it, so a cylinder with
@@ -872,50 +889,28 @@ def monte_carlo_scan(
         _scores(np.concatenate(sums, dtype=float), baselines[edge], *totals)
     del edge
     maxima, tau, bounds = _replicas(fam, blocks, base_m, baselines, *totals, replications, seed)
+    observe = functools.partial(
+        _scored, cases_m, base_m, fam, blocks, baselines.ravel(), totals,
+        regions=tuple(regions) if regions is not None else None,
+        times=tuple(times) if times is not None else None,
+        maxima=maxima, replications=replications, seed=seed,
+    )
 
-    def observe(bounds: list | None) -> tuple:
-        """The kept cylinders (None for all), and their counts, baselines and scores."""
-        kept, counts = _observed(cases_m, c_total, fam, blocks, bounds)
-        base = baselines.ravel() if kept is None else baselines.ravel()[kept]
-        return kept, counts, base, _scores(counts, base, *totals)
-
-    kept = None
+    scored = None
     if alpha < 1 and tau > 0:
         if bounds is None:
             bounds = _bounds(baselines, blocks, tau, *totals)
-        kept, counts, base, scores = observe(bounds)
+        scored = observe(bounds)
         bounds = None
-        if kept.size < top:
-            kept = None
+        scores = scored.scores  # of the kept cylinders
+        if scores.size < top:
+            scored = None
         elif np.count_nonzero(scores >= tau) < top:
-            cut = float(np.partition(scores, kept.size - top)[kept.size - top])
-            kept = None
+            cut = float(np.partition(scores, scores.size - top)[scores.size - top])
+            scored = None
             if cut > 0:
-                kept, counts, base, scores = observe(_bounds(baselines, blocks, cut, *totals))
-    if kept is None:
+                scored = observe(_bounds(baselines, blocks, cut, *totals))
+    if scored is None:
         bounds = None
-        kept, counts, base, scores = observe(None)
-
-    rank = _ranking(fam, scores, kept)
-    ranked = rank if kept is None else kept[rank]  # cylinder indices, best first
-    total = int(np.count_nonzero(_p_values(maxima, scores) <= alpha))
-
-    def rows(at) -> Iterator[ScanCylinder]:
-        """Rows of the cylinders at ranks ``at``, an index array or a slice."""
-        scored = rank[at]
-        return _rows(fam, ranked[at], counts[scored], base[scored], scores[scored], maxima)
-
-    return ScanResult(
-        cylinders=tuple(rows(slice(top))),
-        c_total=c_total,
-        b_total=b_total,
-        elevated_only=elevated_only,
-        replications=replications,
-        seed=seed,
-        regions=tuple(regions) if regions is not None else None,
-        times=tuple(times) if times is not None else None,
-        alpha=alpha,
-        # a disk's later cylinders overlap whatever its first one left covered
-        clusters=_disjoint(rows(_first_per_disk(ranked[:total], fam.t0.size))),
-        significant_total=total,
-    )
+        scored = observe()
+    return scored.result(alpha, top)

@@ -249,9 +249,9 @@ def test_stscan_oracle_equivalence():
                 times=times, neighbors=nb, region_baseline=rb
             )
             disks = _oracle_disks_adjacency(adj, 0.5, list(rb))
-        result = scan(cases, baseline, candidates)
+        result = scan(cases, baseline, candidates).result(top=1)
         om, ow, oscore = _oracle_best(cases, baseline, disks, times)
-        top = result.top
+        top = result.cylinders[0]
         assert frozenset(top.members) == om, f"seed {seed}: member sets differ"
         assert top.window == ow, f"seed {seed}: windows differ"
         assert top.score == oscore, f"seed {seed}: scores differ"
@@ -279,8 +279,8 @@ def test_monte_carlo_calibration():
             times=6, coords=data.coords, region_baseline=baseline_m.sum(axis=1)
         )
         result = scan(cases_m, baseline_m, candidates)
-        result = monte_carlo_p(result, replications=99, seed=90_000 + trial)
-        if result.top.p_value <= 0.05:
+        result = monte_carlo_p(result, replications=99, seed=90_000 + trial).result(top=1)
+        if result.cylinders[0].p_value <= 0.05:
             rejections += 1
     fraction = rejections / trials
     elapsed = time.time() - start
@@ -320,9 +320,9 @@ def test_synthetic_recovery():
         candidates = enumerate_cylinders(
             times=12, coords=data.coords, region_baseline=baseline_m.sum(axis=1)
         )
-        result = scan(cases_m, baseline_m, candidates)
+        result = scan(cases_m, baseline_m, candidates).result(top=1)
         regions = data.population.modes[0].categories
-        top_regions = {regions[m] for m in result.top.members}
+        top_regions = {regions[m] for m in result.cylinders[0].members}
         if top_regions & set(block):
             scan_hits += 1
     elapsed = time.time() - start

@@ -35,8 +35,8 @@ from eigenspot.dataio import (
     scan_to_dict,
     tensor_to_dict,
 )
-from eigenspot import enumerate_cylinders, monte_carlo_p, scan
-from eigenspot.stscan import expected_baseline
+from eigenspot import SynthConfig, enumerate_cylinders, generate, monte_carlo_p, scan
+from eigenspot.stscan import expected_baseline, monte_carlo_scan
 from conftest import columns_of, make_tensor, records_from_columns, ring_adjacency
 
 SCHEMA_2D = RecordSchema(
@@ -801,7 +801,7 @@ def test_scan_result_roundtrip_with_labels(tmp_path, rng):
         regions=("A", "B", "C", "D"),
         times=("t0", "t1", "t2"),
     )
-    res = monte_carlo_p(res, replications=9, seed=2)
+    res = monte_carlo_p(res, replications=9, seed=2).result(alpha=0.05, top=None)
     path = tmp_path / "scan.json"
     write_json(scan_to_dict(res, alpha=0.05, top=10), path)
     back = read_report(path)
@@ -821,7 +821,8 @@ def test_scan_document_reads_back_with_its_recorded_clusters():
     cases[1, :2] += 60.0
     cases[6, 2:] += 40.0
     fam = enumerate_cylinders(times=4, coords=coords)
-    res = monte_carlo_p(scan(cases, expected_baseline(cases, pop), fam), 99, seed=3)
+    scored = monte_carlo_p(scan(cases, expected_baseline(cases, pop), fam), 99, seed=3)
+    res = scored.result(alpha=0.05, top=None)
     clusters = [(c.members, c.window) for c in res.significant_clusters(0.05)]
     assert len(clusters) >= 2
     back = scan_from_dict(scan_to_dict(res, alpha=0.05, top=1))
@@ -836,7 +837,8 @@ def test_scan_document_reads_back_with_its_recorded_clusters():
     assert (back.alpha, back.clusters) == (None, ())
     for alpha in (0.01, 0.05):
         got = [(c.members, c.window) for c in back.significant_clusters(alpha)]
-        assert got == [(c.members, c.window) for c in res.significant_clusters(alpha)]
+        at = scored.result(alpha=alpha, top=None)
+        assert got == [(c.members, c.window) for c in at.significant_clusters(alpha)]
 
 
 def test_cut_scan_document_writes_back_its_recorded_total():
@@ -847,7 +849,8 @@ def test_cut_scan_document_writes_back_its_recorded_total():
     cases = np.full((8, 4), 20.0)
     cases[1, :2] += 60.0
     fam = enumerate_cylinders(times=4, coords=coords)
-    res = monte_carlo_p(scan(cases, expected_baseline(cases, pop), fam), 99, seed=3)
+    scored = monte_carlo_p(scan(cases, expected_baseline(cases, pop), fam), 99, seed=3)
+    res = scored.result(top=None)
     for top in (1, 0, None):
         doc = scan_to_dict(res, alpha=0.05, top=top)
         assert doc["significant_total"] > 1
@@ -857,20 +860,40 @@ def test_cut_scan_document_writes_back_its_recorded_total():
         scan_to_dict(scan_from_dict(doc), alpha=0.5)
 
 
+def test_a_document_without_alpha_is_not_written_at_one():
+    # cut to 10 rows and written without alpha, the document records no count
+    # of significant cylinders; written again at an alpha it used to report
+    # the count of its own rows, 10, where the scan found 2530
+    data = generate(SynthConfig(
+        regions=25, times=8, injected_regions=("r12", "r13"), window=(3, 5),
+        relative_risk=4.0, seed=3,
+    ))
+    cases = data.cases.values
+    baseline = expected_baseline(cases, data.population.values)
+    fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=baseline.sum(axis=1))
+    res = monte_carlo_scan(cases, baseline, fam, 99, 1)
+    assert scan_to_dict(res, alpha=0.05)["significant_total"] == 2530
+    back = scan_from_dict(scan_to_dict(res, top=10))
+    assert back.alpha is None and len(back.cylinders) == 10
+    with pytest.raises(InputError, match="alpha 0.05 differs from the scan's alpha None"):
+        scan_to_dict(back, alpha=0.05)
+
+
 def test_scan_result_roundtrip_without_labels():
     cyl_doc = scan_to_dict(
         scan(
             np.array([[2.0, 2.0]]),
             np.array([[2.0, 2.0]]),
             enumerate_cylinders(times=2, coords=np.zeros((1, 2))),
-        )
+        ).result(top=None)
     )
     back = scan_from_dict(cyl_doc)
     assert back.cylinders[0].members == (0,)
 
 
 def test_scan_document_rejects_negative_top_and_alpha_outside_unit_interval():
-    res = scan(np.ones((1, 2)), np.ones((1, 2)), enumerate_cylinders(times=2, coords=np.zeros((1, 2))))
+    one = enumerate_cylinders(times=2, coords=np.zeros((1, 2)))
+    res = scan(np.ones((1, 2)), np.ones((1, 2)), one).result(alpha=1.0, top=None)
     assert scan_to_dict(res, alpha=1.0, top=0)["cylinders"] == []
     with pytest.raises(InputError, match="top"):
         scan_to_dict(res, top=-1)

@@ -208,7 +208,7 @@ def null_scan_result(regions=("r0", "r1")):
     coords = np.array([[0.0, 0.0], [1.0, 0.0]])
     m = np.full((2, 3), 5.0)
     cands = enumerate_cylinders(times=3, coords=coords)
-    return scan(m, m, cands, regions=regions, times=("t0", "t1", "t2"))
+    return scan(m, m, cands, regions=regions, times=("t0", "t1", "t2")).result(top=None)
 
 
 def test_compare_truth_equals_centers(rng):
@@ -311,7 +311,7 @@ def test_scan_detected_uses_significant_clusters(rng):
         regions=tuple(f"r{i}" for i in range(5)),
         times=tuple(f"t{i}" for i in range(4)),
     )
-    res = monte_carlo_p(res, replications=99, seed=4)
+    res = monte_carlo_p(res, replications=99, seed=4).result(alpha=0.05, top=None)
     detected = scan_detected(res, alpha=0.05)
     assert "r3" in detected
 

@@ -2,9 +2,10 @@
 
 The flow runs the replicas first and then scores and ranks only the
 observed counts that the replicas' last floor keeps (or, in a second pass,
-the counts that can reach a lower cut). Its document must be the bytes that
-``scan_to_dict(monte_carlo_p(scan(...)))`` writes at the same ``alpha`` and
-``top``, whichever pass or fallback it took.
+the counts that can reach a lower cut). Its document must be the bytes of the
+reference chain, which scores and ranks every cylinder:
+``scan_to_dict(monte_carlo_p(scan(...)).result(alpha, top))`` at the same
+``alpha`` and ``top``, whichever pass or fallback the flow took.
 """
 
 import itertools
@@ -28,9 +29,14 @@ def document(result, alpha, top):
     return dumps_stable(scan_to_dict(result, alpha=alpha, top=top))
 
 
+def reference_document(scored, alpha, top):
+    """The document of the reference chain, from every cylinder scored and priced."""
+    return document(scored.result(alpha, top), alpha, top)
+
+
 def full_document(cases, baseline, fam, elevated_only, alpha, top, replications=REPLICATIONS):
-    res = scan(cases, baseline, fam, elevated_only)
-    return document(monte_carlo_p(res, replications, SEED), alpha, top)
+    scored = monte_carlo_p(scan(cases, baseline, fam, elevated_only), replications, SEED)
+    return reference_document(scored, alpha, top)
 
 
 def flow_document(cases, baseline, fam, elevated_only, alpha, top, replications=REPLICATIONS):
@@ -42,14 +48,14 @@ def flow_document(cases, baseline, fam, elevated_only, alpha, top, replications=
 def passes(monkeypatch):
     """What each observed pass kept: the cylinder indices, or None for every cylinder."""
     kept = []
-    observed = stscan._observed
+    scored = stscan._scored
 
-    def record(*args):
-        out = observed(*args)
-        kept.append(out[0])
+    def record(*args, **run):
+        out = scored(*args, **run)
+        kept.append(out.kept)
         return out
 
-    monkeypatch.setattr(stscan, "_observed", record)
+    monkeypatch.setattr(stscan, "_scored", record)
     return kept
 
 
@@ -87,7 +93,9 @@ def test_the_flow_writes_the_full_paths_document(kind, geometry, elevated_only, 
     for alpha, top in itertools.product((0.05, 1.0), (0, 1, 100, len(fam) + 1)):
         passes.clear()  # of the flow alone, not of scan
         flow = monte_carlo_scan(cases, baseline, fam, REPLICATIONS, SEED, elevated_only, alpha, top)
-        assert document(flow, alpha, top) == document(full, alpha, top), (alpha, top, sizes(passes))
+        assert document(flow, alpha, top) == reference_document(full, alpha, top), (
+            alpha, top, sizes(passes)
+        )
         if alpha == 1.0 or top > len(fam):
             assert passes[-1] is None  # every cylinder
         else:
@@ -109,9 +117,10 @@ def test_a_second_pass_runs_when_fewer_than_top_clear_the_floor(monkeypatch, pas
 
     monkeypatch.setattr(stscan, "_bounds", record)
     passes.clear()
-    assert flow_document(cases, baseline, fam, True, 0.05, 200) == document(full, 0.05, 200)
+    flow = flow_document(cases, baseline, fam, True, 0.05, 200)
+    assert flow == reference_document(full, 0.05, 200)
     assert sizes(passes)[0] == 838 and 838 < sizes(passes)[1] < len(fam)
-    scores = full.cylinders.scores
+    scores = full.scores
     assert np.count_nonzero(scores >= floors[-2]) == 134
     assert floors[-1] == np.sort(scores[passes[0]])[-200] < floors[-2]
 
@@ -141,10 +150,11 @@ def test_exact_ties_straddling_the_top_cut_keep_their_order(top, layout, passes)
             fam.orders, fam.centers[::-1], fam.sizes[::-1], fam.t0[::-1], fam.t1[::-1]
         )
     full = monte_carlo_p(scan(cases, baseline, fam), 19, SEED)
-    scores = [c.score for c in full.cylinders[:13]]
+    scores = [c.score for c in full.result(top=13).cylinders]
     assert scores[:12] == [scores[0]] * 12 and scores[12] < scores[0]
     passes.clear()
-    assert flow_document(cases, baseline, fam, True, 0.05, top, 19) == document(full, 0.05, top)
+    flow = flow_document(cases, baseline, fam, True, 0.05, top, 19)
+    assert flow == reference_document(full, 0.05, top)
     assert None not in sizes(passes)
 
 
@@ -155,15 +165,15 @@ def test_a_score_equal_to_the_floor_is_kept(monkeypatch, passes):
     # and no second pass runs
     cases, baseline, fam, _ = synth("null")
     full = monte_carlo_p(scan(cases, baseline, fam), REPLICATIONS, SEED)
-    scores = full.cylinders.scores[full.cylinders.order]
-    below = (scores[:-1] < full.cylinders.maxima[0]) & (scores[1:] < scores[:-1])
+    scores = np.sort(full.scores)[::-1]  # in rank order
+    below = (scores[:-1] < full.maxima[0]) & (scores[1:] < scores[:-1])
     k = np.flatnonzero(below)[0] + 1
     tau = float(scores[k - 1])
     assert tau > 0
     replicas = stscan._replicas
     monkeypatch.setattr(stscan, "_replicas", lambda *args: (replicas(*args)[0], tau, None))
     passes.clear()
-    assert flow_document(cases, baseline, fam, True, 0.05, k) == document(full, 0.05, k)
+    assert flow_document(cases, baseline, fam, True, 0.05, k) == reference_document(full, 0.05, k)
     assert len(passes) == 1 and k <= passes[0].size < len(fam)
 
 
@@ -274,13 +284,13 @@ def test_the_flow_keeps_about_12_bytes_per_cylinder(monkeypatch):
     assert len(fam) == 124_800
     monte_carlo_scan(cases, baseline, fam, 1, SEED)  # first-call set-up, outside the trace
     held = []
-    observed = stscan._observed
+    scored = stscan._scored
 
-    def record(*args):
+    def record(*args, **run):
         held.append(tracemalloc.get_traced_memory()[0])
-        return observed(*args)
+        return scored(*args, **run)
 
-    monkeypatch.setattr(stscan, "_observed", record)
+    monkeypatch.setattr(stscan, "_scored", record)
     for block, peak_bound in ((1 << 20, 56), (4096, 20.5)):
         monkeypatch.setattr(stscan, "_BLOCK", block)
         for elevated_only, held_bound in ((True, 14), (False, 18.5)):

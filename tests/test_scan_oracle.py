@@ -3,11 +3,11 @@
 The exact oracles in ``test_stscan.py`` run at toy sizes. Here three synths
 of about a million centroid cylinders each (a null grid, an injected block
 whose significant set runs to tens of thousands, and a uniform grid where
-every cylinder ties) go through :func:`scan` and :func:`monte_carlo_p`, and
-the result is held to the definitions: sampled and emitted cylinders against
-their cell sums and the scalar :func:`score`, the whole ranking against a
-reference sort, the significant count against a full count, and replica
-maxima against replicas rescored in full.
+every cylinder ties) go through :func:`scan`, :func:`monte_carlo_p` and the
+ranked result, and are held to the definitions: sampled and emitted
+cylinders against their cell sums and the scalar :func:`score`, the whole
+ranking against a reference sort, the significant count against a full
+count, and replica maxima against replicas rescored in full.
 """
 
 import math
@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenspot import SynthConfig, enumerate_cylinders, generate, monte_carlo_p, scan
+from eigenspot import SynthConfig, enumerate_cylinders, generate, monte_carlo_p, scan, stscan
 from eigenspot.stscan import expected_baseline, score
 
 ALPHA = 0.05
@@ -63,44 +63,53 @@ def scanned(request):
     fam = enumerate_cylinders(
         cases.shape[1], coords=coords, max_fraction=0.5, region_baseline=baseline.sum(axis=1)
     )
-    res = monte_carlo_p(scan(cases, baseline, fam), REPLICATIONS, SEED)
-    return request.param, cases, baseline, res
+    scored = monte_carlo_p(scan(cases, baseline, fam), REPLICATIONS, SEED)
+    return request.param, cases, baseline, scored
 
 
 def test_sampled_and_emitted_cylinders_equal_their_cell_sums(scanned):
-    kind, cases, baseline, res = scanned
-    fam = res.cylinders
+    kind, cases, baseline, scored = scanned
+    fam = scored.family
     rng = np.random.default_rng(20261020)
-    # every significant row, the first 100 rows and 3,000 rows at random
-    sampled = [fam[i] for i in rng.integers(len(fam), size=3000).tolist()]
-    rows = [*res.significant(ALPHA), *fam[:100], *sampled]
+    # every significant row, the first 100 rows and 3,000 cylinders at random
+    total = scored.result(ALPHA, top=0).significant_total
+    res = scored.result(ALPHA, top=max(100, total))
+    at = rng.integers(len(fam), size=3000)
+    columns = (a[at].tolist() for a in (scored.counts, scored.baselines, scored.scores))
+    sampled = stscan._rows(fam, at, *columns)
+    rows = [*res.cylinders, *sampled]
     for cyl in rows:
         members = list(cyl.members)
         t0, t1 = cyl.window
         c = cases[members][:, t0 : t1 + 1].sum()
         b = baseline[members][:, t0 : t1 + 1].sum()
         assert (cyl.count, cyl.baseline) == (c, b), (kind, cyl)
-        expected = score(c, b, res.c_total, res.b_total)
+        expected = score(c, b, scored.c_total, scored.b_total)
         assert math.isclose(cyl.score, expected, rel_tol=1e-9), (kind, cyl, expected)
 
 
 def test_the_ranking_is_the_reference_sort_of_every_score(scanned):
-    kind, _, _, res = scanned
-    fam = res.cylinders
-    assert np.array_equal(fam.order, reference_ranking(fam, fam.scores))
+    kind, _, _, scored = scanned
+    fam = scored.family
+    reference = reference_ranking(fam, scored.scores)
+    assert np.array_equal(stscan._ranking(fam, scored.scores), reference)
+    # and the result's rows are the cylinders it ranks first
+    disk, window = np.divmod(reference[:100], fam.t0.size)
+    first = list(zip(fam.centers[disk].tolist(), fam.sizes[disk].tolist(),
+                     zip(fam.t0[window].tolist(), fam.t1[window].tolist())))
+    assert [(c.center, len(c.members), c.window) for c in scored.result(ALPHA).cylinders] == first
     if kind == "uniform":
-        assert not fam.scores.any()
+        assert not scored.scores.any()
 
 
 def test_the_significant_count_is_a_full_count(scanned):
-    kind, _, _, res = scanned
-    fam = res.cylinders
+    kind, _, _, scored = scanned
     r = REPLICATIONS + 1
     significant = 0
-    for part in np.array_split(fam.scores, 20):  # each score against every maximum
-        p = (1 + (fam.maxima >= part[:, None]).sum(axis=1)) / r
+    for part in np.array_split(scored.scores, 20):  # each score against every maximum
+        p = (1 + (scored.maxima >= part[:, None]).sum(axis=1)) / r
         significant += int(np.count_nonzero(p <= ALPHA))
-    assert len(res.significant(ALPHA)) == significant
+    assert scored.result(ALPHA, top=0).significant_total == significant
     if kind == "injected":
         assert significant > 10_000
     elif kind == "uniform":
@@ -108,14 +117,14 @@ def test_the_significant_count_is_a_full_count(scanned):
 
 
 def test_replica_maxima_equal_replicas_rescored_in_full(scanned):
-    _, cases, baseline, res = scanned
-    fam = res.cylinders
-    three = monte_carlo_p(res, 3, SEED).cylinders.maxima
-    probs = (baseline / res.b_total).ravel()
+    _, cases, baseline, scored = scanned
+    fam = scored.family
+    three = monte_carlo_p(scored, 3, SEED).maxima
+    probs = (baseline / scored.b_total).ravel()
     maxima = []
     for i in range(3):
         rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(i,)))
-        draw = rng.multinomial(int(res.c_total), probs).reshape(cases.shape).astype(float)
+        draw = rng.multinomial(int(scored.c_total), probs).reshape(cases.shape).astype(float)
         counts = fam.cell_sums(draw)
-        maxima.append(reference_llr(counts, fam.baselines, res.c_total, res.b_total).max())
+        maxima.append(reference_llr(counts, scored.baselines, scored.c_total, scored.b_total).max())
     np.testing.assert_allclose(three, sorted(maxima), rtol=1e-12, atol=0)

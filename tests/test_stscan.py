@@ -12,6 +12,7 @@ from eigenspot import (
     InputError,
     NeighborMatrix,
     ScanCylinder,
+    ScanResult,
     enumerate_cylinders,
     monte_carlo_p,
     read_report,
@@ -313,11 +314,11 @@ def test_scan_equal_matrices_all_zero_scores():
     coords = np.array([[0.0, 0.0], [1.0, 0.0]])
     m = np.array([[4.0, 4.0], [4.0, 4.0]])
     cands = enumerate_cylinders(times=2, coords=coords)
-    res = scan(m, m, cands)
+    res = scan(m, m, cands).result(top=None)
     assert all(c.score == 0.0 for c in res.cylinders)
     # tie rule: smallest member count, then center, then window
-    assert res.top.members == (0,)
-    assert res.top.window == (0, 0)
+    assert res.cylinders[0].members == (0,)
+    assert res.cylinders[0].window == (0, 0)
 
 
 def test_scan_single_doubled_cell_wins():
@@ -326,15 +327,16 @@ def test_scan_single_doubled_cell_wins():
     cases = baseline.copy()
     cases[1, 2] *= 2
     cands = enumerate_cylinders(times=4, coords=coords)
-    res = scan(cases, baseline, cands)
+    res = scan(cases, baseline, cands).result(top=None)
     # exhaustive oracle over all scored candidates
     best = max(
         res.cylinders,
         key=lambda c: (c.score, -len(c.members), -c.center),
     )
-    assert res.top.members == (1,)
-    assert res.top.window == (2, 2)
-    assert res.top.score == best.score
+    top = res.cylinders[0]
+    assert top.members == (1,)
+    assert top.window == (2, 2)
+    assert top.score == best.score
 
 
 def test_scan_brute_force_equivalence_smoke():
@@ -342,7 +344,7 @@ def test_scan_brute_force_equivalence_smoke():
     baseline = expected_baseline(cases, pop)
     rb = baseline.sum(axis=1)
     cands = enumerate_cylinders(times=4, coords=coords, region_baseline=rb)
-    res = scan(cases, baseline, cands)
+    top = scan(cases, baseline, cands).result(top=1).cylinders[0]
 
     ct, bt = float(cases.sum()), float(baseline.sum())
     best_key, best = None, None
@@ -359,9 +361,9 @@ def test_scan_brute_force_equivalence_smoke():
         key = (-s, len(cyl.members), cyl.center, cyl.window)
         if best_key is None or key < best_key:
             best_key, best = key, (set(cyl.members), cyl.window, s)
-    assert set(res.top.members) == best[0]
-    assert res.top.window == best[1]
-    assert res.top.score == best[2]
+    assert set(top.members) == best[0]
+    assert top.window == best[1]
+    assert top.score == best[2]
 
 
 @pytest.mark.parametrize("bufsize", [None, 16])
@@ -376,7 +378,7 @@ def test_scan_sums_follow_cell_order(bufsize):
     cands = enumerate_cylinders(times=9, coords=coords)
     old = np.setbufsize(bufsize) if bufsize else None
     try:
-        res = scan(cases, baseline, cands, elevated_only=False)
+        res = scan(cases, baseline, cands, elevated_only=False).result(top=None)
         direct = [
             (
                 float(cases[list(c.members)][:, c.window[0] : c.window[1] + 1].sum()),
@@ -414,7 +416,7 @@ def test_observed_counts_equal_cell_sums_bit_for_bit(instance, bufsize, block, s
         assert len(cands.blocks()) == np.unique(cands.centers).size
     old = np.setbufsize(bufsize) if bufsize else None
     try:
-        counts = scan(cases, expected_baseline(cases, pop), cands).cylinders.counts
+        counts = scan(cases, expected_baseline(cases, pop), cands).counts
         expected = cands.cell_sums(cases)
     finally:
         if old is not None:
@@ -431,10 +433,10 @@ def test_scan_exact_ties_keep_documented_order():
     baseline[:, 1] = [2.5, 0.0, 7.75, 9.75]
     cases = np.zeros((4, 3))
     cases[:, 1] = [8.0, 0.0, 6.0, 6.0]
-    res = scan(cases, baseline, enumerate_cylinders(times=3, coords=coords))
-    tied = res.cylinders[:12]
-    assert all((c.count, c.baseline, c.score) == (8.0, 2.5, res.top.score) for c in tied)
-    assert res.cylinders[12].score < res.top.score
+    res = scan(cases, baseline, enumerate_cylinders(times=3, coords=coords)).result(top=None)
+    tied, top = res.cylinders[:12], res.cylinders[0]
+    assert all((c.count, c.baseline, c.score) == (8.0, 2.5, top.score) for c in tied)
+    assert res.cylinders[12].score < top.score
     windows = [(0, 1), (0, 2), (1, 1), (1, 2)]
     assert [(c.members, c.window) for c in tied] == [
         (members, w) for members in [(0,), (0, 1), (1, 0)] for w in windows
@@ -467,7 +469,7 @@ def test_scan_tie_ordering_is_total(layout, elevated_only):
     else:
         cands, cases = repeated_cells(layout)
     res = scan(cases, expected_baseline(cases, np.ones(cases.shape)), cands, elevated_only)
-    rows = list(res.cylinders)
+    rows = list(res.result(top=None).cylinders)
     assert len({c.score for c in rows}) <= len(rows) // 4  # ties are the rule here
     ranked = sorted(rows, key=lambda c: (-c.score, len(c.members), c.center, c.window))
     assert [(c.center, c.members, c.window) for c in rows] == [
@@ -543,8 +545,8 @@ def test_monte_carlo_null_top_score_gives_p_one():
     m = np.array([[8.0, 8.0], [8.0, 8.0]])
     cands = enumerate_cylinders(times=2, coords=coords)
     res = scan(m, m, cands)
-    assert res.top.score == 0.0
-    out = monte_carlo_p(res, replications=19, seed=1)
+    assert res.result(top=1).cylinders[0].score == 0.0
+    out = monte_carlo_p(res, replications=19, seed=1).result(top=None)
     # replica maxima are always >= 0, so a zero observed score ranks last
     assert all(c.p_value == 1.0 for c in out.cylinders)
 
@@ -556,8 +558,8 @@ def test_monte_carlo_extreme_observation_gets_smallest_p():
     cases[0, 0] = 150.0  # all mass in one cell; replicas spread it out
     cands = enumerate_cylinders(times=3, coords=coords)
     res = scan(cases, baseline, cands)
-    out = monte_carlo_p(res, replications=19, seed=3)
-    assert out.top.p_value == pytest.approx(1 / 20)
+    out = monte_carlo_p(res, replications=19, seed=3).result(top=1)
+    assert out.cylinders[0].p_value == pytest.approx(1 / 20)
 
 
 def test_monte_carlo_p_bounds_and_determinism():
@@ -565,12 +567,12 @@ def test_monte_carlo_p_bounds_and_determinism():
     baseline = expected_baseline(cases, pop)
     cands = enumerate_cylinders(times=3, coords=coords)
     res = scan(cases, baseline, cands)
-    a = monte_carlo_p(res, replications=49, seed=7)
-    b = monte_carlo_p(res, replications=49, seed=7)
+    a = monte_carlo_p(res, replications=49, seed=7).result(top=None)
+    b = monte_carlo_p(res, replications=49, seed=7).result(top=None)
     for ca, cb in zip(a.cylinders, b.cylinders):
         assert ca.p_value == cb.p_value
         assert 1 / 50 <= ca.p_value <= 1.0
-    c = monte_carlo_p(res, replications=49, seed=8)
+    c = monte_carlo_p(res, replications=49, seed=8).result(top=None)
     assert any(
         x.p_value != y.p_value for x, y in zip(a.cylinders, c.cylinders)
     )  # different seed, different draw
@@ -645,13 +647,14 @@ def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
                     elevated_only).max()
             for draw in draws
         ]
-        expected = [(1 + sum(m >= c.score for m in maxima)) / 20 for c in res.cylinders]
+        ranked = res.result(top=None).cylinders
+        expected = [(1 + sum(m >= c.score for m in maxima)) / 20 for c in ranked]
         for floor, block in itertools.product((stscan._FLOOR, 0.25, 1.0), (1 << 20, 4096, 1)):
             monkeypatch.setattr(stscan, "_FLOOR", floor)
             monkeypatch.setattr(stscan, "_BLOCK", block)
             assert (len(cands.blocks()) > 1) == (block == 1)
             floors.clear()
-            out = monte_carlo_p(res, replications=19, seed=4)
+            out = monte_carlo_p(res, replications=19, seed=4).result(top=None)
             assert [c.p_value for c in out.cylinders] == expected
             if baseline is pop:
                 assert not floors  # every maximum is 0 or below, so nothing is pruned
@@ -749,7 +752,7 @@ def test_monte_carlo_streams_are_made_as_they_are_used():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.cylinders.maxima.size == 4000
+    assert out.maxima.size == 4000
     assert peak < 256 * 1024
 
 
@@ -762,16 +765,14 @@ def test_monte_carlo_validation(tmp_path, monkeypatch):
         monte_carlo_p(res, replications=0, seed=1)
     with pytest.raises(InputError, match="seed"):
         monte_carlo_p(res, replications=9, seed=-1)
-    # the result must carry the scanned family and baseline, not rows read back
-    for partial in (
-        dataclasses.replace(res, cylinders=tuple(res.cylinders)),
-        dataclasses.replace(res, baseline=None),
-    ):
+    # the replicas need every cylinder scored by scan, not ranked rows or a
+    # part of the family
+    for partial in (res.result(top=None), dataclasses.replace(res, kept=np.array([0]))):
         with pytest.raises(InputError, match="scan"):
             monte_carlo_p(partial, replications=9, seed=1)
-    write_json(scan_to_dict(res), tmp_path / "scan.json")
+    write_json(scan_to_dict(res.result(top=None)), tmp_path / "scan.json")
     back = read_report(tmp_path / "scan.json")
-    assert back.baseline is None
+    assert isinstance(back, ScanResult) and not hasattr(back, "matrix")
     with pytest.raises(InputError, match="scan"):
         monte_carlo_p(back, replications=9, seed=1)
     # a replica maximum that is not finite is an unbounded score
@@ -785,15 +786,21 @@ def test_monte_carlo_draws_from_the_scanned_baseline():
     cands, cases, pop = centroid_disks()
     baseline = expected_baseline(cases, pop)
     res = scan(cases, baseline, cands)
-    assert not res.baseline.flags.writeable and not np.shares_memory(res.baseline, baseline)
-    expected = [c.p_value for c in monte_carlo_p(res, replications=19, seed=6).cylinders]
+    assert not res.matrix.flags.writeable and not np.shares_memory(res.matrix, baseline)
+
+    def p_values():
+        out = monte_carlo_p(res, replications=19, seed=6).result(top=None)
+        return [c.p_value for c in out.cylinders]
+
+    expected = p_values()
     baseline[0] *= 40.0  # the caller's array changes; the scanned copy does not
-    assert [c.p_value for c in monte_carlo_p(res, replications=19, seed=6).cylinders] == expected
+    assert p_values() == expected
     # region 0 and time 0 carry no baseline, so no replica puts a case there
     half = np.array([[0.0, 0.0], [0.0, 2.0]])
     two = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0], [1.0, 0.0]]))
     for elevated_only in (True, False):
-        out = monte_carlo_p(scan(half, half, two, elevated_only), replications=9, seed=1)
+        scored = monte_carlo_p(scan(half, half, two, elevated_only), replications=9, seed=1)
+        out = scored.result(top=None)
         assert [c.p_value for c in out.cylinders] == [1.0] * len(two)
 
 
@@ -808,18 +815,30 @@ def test_family_rows_slices_and_significant_prefix():
     assert [c.window for c in rows[:10]] == [(t0, t1) for t0 in range(4) for t1 in range(t0, 4)]
     assert rows[10].center == 0 and len(rows[10].members) == 2 and rows[10].window == (0, 0)
 
-    res = monte_carlo_p(scan(cases, baseline, cands), replications=99, seed=5)
-    assert cands.scores is None  # scanning leaves the candidate family as it was
+    scored = monte_carlo_p(scan(cases, baseline, cands), replications=99, seed=5)
+    # scanning leaves the candidate family as it was: geometry only
+    assert scored.family is cands and not hasattr(cands, "scores")
+    res = scored.result(top=None)
     ranked = list(res.cylinders)
-    head = res.cylinders[:5]
-    assert isinstance(head, CylinderFamily) and len(head) == 5
+    head = scored.result(top=5).cylinders
+    assert isinstance(head, tuple) and len(head) == 5
     assert [c.score for c in head] == [c.score for c in ranked[:5]]
-    assert res.cylinders[-1].score == ranked[-1].score
+    assert res.cylinders[-1].score == ranked[-1].score and len(ranked) == len(cands)
     # p-values never fall along the ranking, so the significant set is a prefix
-    sig = res.significant(0.05)
-    assert isinstance(sig, CylinderFamily) and 0 < len(sig) < len(ranked)
+    sig = ranked[: res.significant_total]
+    assert 0 < len(sig) < len(ranked)
     prefix = [(c.center, c.members, c.window) for c in sig]
     assert prefix == [(c.center, c.members, c.window) for c in ranked if c.p_value <= 0.05]
+
+
+@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
+def test_the_family_counts_what_the_benchmark_tracer_reads(instance):
+    # bench/tracer.py counts a family's cylinders with len() and its member
+    # references over its rows in index order; the ring family's order rows
+    # are padded past their last disk
+    fam, _, _ = instance()
+    assert len(fam) == fam.sizes.size * fam.t0.size == fam.sizes.size * 15
+    assert sum(len(c.members) for c in fam) == fam.sizes.sum() * fam.t0.size
 
 
 def test_significant_clusters_are_disjoint():
@@ -827,11 +846,10 @@ def test_significant_clusters_are_disjoint():
     cases[2, :] += 40.0  # force a hot region
     baseline = expected_baseline(cases, pop)
     cands = enumerate_cylinders(times=4, coords=coords)
-    res = monte_carlo_p(scan(cases, baseline, cands), replications=99, seed=5)
+    res = monte_carlo_p(scan(cases, baseline, cands), replications=99, seed=5).result(0.05, None)
     clusters = res.significant_clusters(0.05)
     seen = set()
     for cyl in clusters:
         assert seen.isdisjoint(cyl.members)
         seen.update(cyl.members)
-    raw = res.significant(0.05)
-    assert len(clusters) <= len(raw)
+    assert len(clusters) <= res.significant_total
