@@ -917,8 +917,16 @@ def scan_to_dict(
     alpha: float | None = None,
     top: int | None = None,
 ) -> dict[str, Any]:
-    """Scan result as a document; ``top`` truncates the ranked list."""
+    """Scan result as a document; ``top`` truncates the ranked list.
+
+    A result cut at a ``top`` holds no further rows, so writing it at None
+    or at a larger ``top`` raises :class:`InputError`.
+    """
     check_scan_options(alpha, top)
+    if result.top is not None and (top is None or top > result.top):
+        raise InputError(
+            f"top {top} asks for more rows than the scan's top {result.top}", module="dataio"
+        )
     cyls = result.cylinders if top is None else result.cylinders[:top]
     doc: dict[str, Any] = {
         "schema": SCAN_SCHEMA,
@@ -951,8 +959,9 @@ def scan_to_dict(
 
 @malformed("scan")
 def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
-    """Read a scan document back, with the ``significant`` clusters and the
-    ``significant_total`` it recorded at its ``alpha`` if it has one."""
+    """Read a scan document back, with the ``top`` it was cut at, and the
+    ``significant`` clusters and ``significant_total`` it recorded at its
+    ``alpha`` if it has one."""
     from .stscan import ScanCylinder, ScanResult
 
     if doc.get("schema") != SCAN_SCHEMA:
@@ -993,6 +1002,7 @@ def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
         alpha=float(doc["alpha"]) if recorded else None,
         clusters=rows("significant") if recorded else (),
         significant_total=int(doc["significant_total"]) if recorded else None,
+        top=None if doc["top"] is None else int(doc["top"]),
     )
 
 

@@ -15,21 +15,30 @@ redistributes the observed case total over every space-time cell with a
 multinomial draw proportional to the baseline, the replica statistic is
 the maximum cylinder score, and the p-value of a cylinder is
 (1 + #{replica maxima >= score}) / (replications + 1).
+
+A cylinder's baseline is defined as the sum of its cells in the order
+``matrix[members][:, t0:t1+1].sum()`` adds them (:meth:`CylinderFamily.cell_sums`).
+:func:`scan` and :func:`monte_carlo_p`, the reference chain, score every
+cylinder on that definition. :func:`monte_carlo_scan`, the command's flow,
+writes the same document from fast baselines, each within a proven bound
+of its definition (:mod:`eigenspot.sums`), and sums cells in the
+definition's order only for the cylinders whose decisions the bound cannot
+settle.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
+from .sums import _SLICE, _FastBaselines, _disk_sums, _intervals
+from .sums import cell_sums as _cell_sums
 
 if TYPE_CHECKING:
     from .eigenmatch import NeighborMatrix
@@ -93,33 +102,21 @@ class CylinderFamily:
     def __iter__(self) -> Iterator[ScanCylinder]:
         return _rows(self, np.arange(len(self)))
 
-    def cell_sums(self, matrix: np.ndarray) -> np.ndarray:
+    def cell_sums(self, matrix: np.ndarray, cylinders: np.ndarray | None = None) -> np.ndarray:
         """Per-cylinder sums that add cells as ``matrix[members][:, t0:t1+1].sum()`` does.
 
-        numpy adds a block's cells pairwise in row-major order; a block that
-        is neither one step nor the whole matrix wide goes through numpy's
-        buffer in runs of whole rows that fit ``np.getbufsize()`` cells.
-        Following that order keeps float sums, and so tie order, equal to a
-        per-cylinder sum.
+        The sums of every cylinder in index order, or of the cylinder
+        indices ``cylinders``, in their order. Each cylinder's k × w cells
+        are copied out contiguous, in the order a per-cylinder sum reads
+        them, and added as :func:`_cell_order_sums` adds them; a sum reads
+        its own cells alone, so it does not depend on which others are
+        summed with it. The whole family goes by disk size, in runs of disks
+        whose member rows (disks × k × T) and window blocks of any one width
+        hold at most ``_BLOCK`` values (or one disk). The indices go by
+        (disk size, window width), gathered straight from ``matrix`` in runs
+        of at most ``_BLOCK`` cells (or one cylinder).
         """
-        out = np.empty((self.sizes.size, self.t0.size))
-        widths = self.t1 - self.t0 + 1
-        # bincount, not np.unique, which imports numpy.ma on every call
-        for k in np.flatnonzero(np.bincount(self.sizes)).tolist():
-            disks = np.flatnonzero(self.sizes == k)
-            slab = matrix[self.orders[self.centers[disks], :k]]  # disks × k × T
-            for w in np.flatnonzero(np.bincount(widths)).tolist():
-                wins = np.flatnonzero(widths == w)
-                # each (disk, window) block of k × w cells, copied once and
-                # contiguous, in the order a per-cylinder sum reads them
-                windows = sliding_window_view(slab, w, axis=2).transpose(0, 2, 1, 3)
-                cells = windows[np.arange(disks.size)[:, None], self.t0[wins]].reshape(-1, k, w)
-                step = k if w in (1, matrix.shape[1]) else max(1, np.getbufsize() // w)
-                sums = cells[:, :step].sum(axis=(1, 2))
-                for s in range(step, k, step):
-                    sums += cells[:, s : s + step].sum(axis=(1, 2))
-                out[np.ix_(disks, wins)] = sums.reshape(disks.size, wins.size)
-        return out.ravel()
+        return _cell_sums(self, matrix, cylinders, _BLOCK)
 
     def blocks(self) -> list[tuple[slice, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
         """Runs of whole centers, each holding at most ``_BLOCK`` values (or one center).
@@ -159,6 +156,8 @@ def _rows(fam: CylinderFamily, cylinders: np.ndarray, *columns: Iterable) -> Ite
         yield ScanCylinder(c, tuple(fam.orders[c, :k].tolist()), span, *values)
 
 
+
+
 def _p_values(maxima: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """(1 + #{maxima >= score}) / (R + 1) for the sorted ``maxima``: integers, then one division."""
     r = maxima.size + 1
@@ -170,23 +169,23 @@ def _first_per_disk(cylinders: np.ndarray, windows: int) -> np.ndarray:
     return np.sort(np.unique(cylinders // windows, return_index=True)[1])
 
 
-def _disjoint(ranked: Iterable[ScanCylinder]) -> tuple[ScanCylinder, ...]:
-    """The rows whose region sets miss those of every better row kept before them."""
-    kept: list[ScanCylinder] = []
+def _disjoint(ranked: Iterable[Iterable[int]]) -> list[int]:
+    """Positions in ``ranked``, region sets best first, of those that miss every better one kept before them."""
+    kept: list[int] = []
     covered: set[int] = set()
-    for cyl in ranked:
-        if covered.isdisjoint(cyl.members):
-            kept.append(cyl)
-            covered.update(cyl.members)
-    return tuple(kept)
+    for at, members in enumerate(ranked):
+        if covered.isdisjoint(members):
+            kept.append(at)
+            covered.update(members)
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
     """The ranked rows a scan document holds, and the run's metadata.
 
-    ``cylinders`` are the best rows, best first, cut to the document's
-    ``top``. At its ``alpha`` the result records ``significant_total``, the
+    ``cylinders`` are the best rows, best first, cut to ``top`` (every row
+    at None). At its ``alpha`` the result records ``significant_total``, the
     count of cylinders with p <= ``alpha`` among every cylinder, and their
     non-overlapping ``clusters``. A computed result
     (:meth:`ScoredFamily.result`) always records them; a document read back
@@ -204,6 +203,7 @@ class ScanResult:
     alpha: float | None = None
     clusters: tuple[ScanCylinder, ...] = ()
     significant_total: int | None = None
+    top: int | None = None
 
     def significant_clusters(self, alpha: float = 0.05) -> tuple[ScanCylinder, ...]:
         """Non-overlapping significant cylinders, best first.
@@ -217,9 +217,10 @@ class ScanResult:
         p <= ``alpha``, a prefix of them, as p never falls along the ranking.
         """
         if self.alpha is None:
-            return _disjoint(itertools.takewhile(
+            rows = tuple(itertools.takewhile(
                 lambda c: c.p_value is not None and c.p_value <= alpha, self.cylinders
             ))
+            return tuple(rows[at] for at in _disjoint(c.members for c in rows))
         if alpha != self.alpha:
             raise InputError(
                 f"alpha {alpha} differs from the scan's alpha {self.alpha}", module="stscan"
@@ -278,6 +279,8 @@ class ScoredFamily:
                 values.append(_p_values(maxima, scores[scored]).tolist())
             return _rows(fam, ranked[at], *values)
 
+        # a disk's later cylinders overlap whatever its first one left covered
+        firsts = tuple(rows(_first_per_disk(ranked[:total], fam.t0.size)))
         return ScanResult(
             cylinders=tuple(rows(slice(top))),
             c_total=self.c_total,
@@ -288,9 +291,9 @@ class ScoredFamily:
             regions=self.regions,
             times=self.times,
             alpha=alpha,
-            # a disk's later cylinders overlap whatever its first one left covered
-            clusters=_disjoint(rows(_first_per_disk(ranked[:total], fam.t0.size))),
+            clusters=tuple(firsts[at] for at in _disjoint(c.members for c in firsts)),
             significant_total=total,
+            top=top,
         )
 
 
@@ -473,37 +476,6 @@ def enumerate_cylinders(
     return CylinderFamily(orders[:, : sizes.max(initial=0)], centers, sizes, t0, t1)
 
 
-def _disk_sums(
-    matrix: np.ndarray, total: float, fam: CylinderFamily, blocks: list
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Per block of :meth:`CylinderFamily.blocks`: its disks and their counts over every window.
-
-    ``matrix`` holds whole numbers that add up to ``total``. Each region's
-    time prefix sums (regions × (T + 1), zero first column) are integers,
-    int32 when ``total`` is below 2**31 and int64 otherwise, so no sum a
-    disk reads can overflow. A block gathers them along its order rows
-    (steps × centers × (T + 1)), adds each step into the next, reads disk
-    ``d``'s prefix row at step ``sizes[d] - 1`` and forms each window
-    ``(t0, t1)`` as ``prefix[t1 + 1] - prefix[t0]``, disks × windows in the
-    family's order, in the prefixes' type. Integer sums are exact, so each
-    count equals a sum in any other order. Steps past a row's last disk
-    repeat its center and may wrap; no disk reads them.
-    """
-    whole = np.int32 if total < 2**31 else np.int64
-    prefix = np.zeros((matrix.shape[0], matrix.shape[1] + 1), whole)
-    np.cumsum(matrix, axis=1, dtype=whole, out=prefix[:, 1:])
-    for disks, rows, at in blocks:
-        nested = prefix.take(rows, axis=0)
-        for j in range(1, len(nested)):
-            np.add(nested[j - 1], nested[j], out=nested[j])
-        # window-major, so that each window is one subtraction of whole rows
-        ends = nested[at].T.copy()
-        del nested
-        counts = ends[fam.t1 + 1]
-        counts -= ends[fam.t0]
-        yield disks, np.ascontiguousarray(counts.T)
-
-
 def _scores(
     counts: np.ndarray,
     baselines: np.ndarray,
@@ -511,19 +483,23 @@ def _scores(
     b_total: float,
     elevated_only: bool,
 ) -> np.ndarray:
-    """:func:`score` for a whole family of cylinders at once."""
+    """:func:`score` for many cylinders at once, in slices of ``_SLICE``."""
     if np.any((baselines == 0) & (counts > 0)):
         raise InputError(
             "zero baseline with positive count gives an infinite rate", module="stscan"
         )
-    included = (counts * b_total > baselines * c_total) | (not elevated_only)
-    if np.any(included & (c_total - counts > 0) & (b_total - baselines <= 0)):
-        raise InputError(
-            "cylinder covers the whole baseline but not all cases; "
-            "the score is unbounded",
-            module="stscan",
-        )
-    return np.where(included, _llr(counts, baselines, c_total, b_total), 0.0)
+    out = np.empty(counts.size)
+    for s in range(0, counts.size, _SLICE):
+        c, b = counts[s : s + _SLICE], baselines[s : s + _SLICE]
+        included = (c * b_total > b * c_total) | (not elevated_only)
+        if np.any(included & (c < c_total) & (b >= b_total)):
+            raise InputError(
+                "cylinder covers the whole baseline but not all cases; "
+                "the score is unbounded",
+                module="stscan",
+            )
+        out[s : s + _SLICE] = np.where(included, _llr(c, b, c_total, b_total), 0.0)
+    return out
 
 
 def _llr(counts: np.ndarray, baselines: np.ndarray, c_total: float, b_total: float) -> np.ndarray:
@@ -588,22 +564,58 @@ def _bounds(
     c_total: float,
     b_total: float,
     elevated_only: bool,
+    fast: _FastBaselines | None = None,
 ) -> list[tuple[np.ndarray | None, np.ndarray]]:
     """Per block, the roots of :func:`_count_bounds` at ``tau`` as whole-count thresholds.
 
     Counts are whole: C >= hi exactly when C >= ceil(hi), and C <= lo when
     C <= floor(lo); -1 and N + 1 stand for anything past an end. ``lo`` is
     None with elevated-only scoring, where only the upper bound applies.
+    The roots are formed in slices of ``_SLICE`` cylinders.
+
+    With ``fast``, whose values ``baselines`` are, the roots are taken at
+    ``tau`` less Δ = N ``fast.spread`` + 1e-12 (|tau| + N + 2 B_tot), at
+    least the slack (:func:`_intervals`) of any count scoring below ``tau``,
+    as a score is at least -B_tot. A count strictly between them scores
+    below tau - Δ on F, so below ``tau`` on D. With elevated-only scoring a
+    count at or below the lower root sits below parity on F; if it is above
+    parity on D, it lies between the two parities, where the convex score
+    is at most its value at one of them: at D's, N ln(N / B_tot), which is
+    at most the parabola's vertex, below tau - Δ where there are roots; at
+    F's, within Δ of that same value on F. Either way it scores below
+    ``tau``, so the thresholds keep every count whose definition score
+    reaches ``tau``.
     """
     whole = np.int32 if c_total + 1 < 2**31 else np.int64
+    if fast is not None:
+        tau = tau - fast.spread * c_total - 1e-12 * (abs(tau) + c_total + 2 * b_total)
     out = []
     for disks, _, _ in blocks:
-        lo, hi = _count_bounds(baselines[disks].ravel(), c_total, b_total, tau)
-        hi = np.clip(np.ceil(hi, out=hi), -1, c_total + 1, out=hi).astype(whole)
-        if not elevated_only:
-            lo = np.clip(np.floor(lo, out=lo), -1, c_total + 1, out=lo).astype(whole)
-        out.append((None if elevated_only else lo, hi))
+        flat = baselines[disks].reshape(-1)
+        hi = np.empty(flat.size, whole)
+        lo = None if elevated_only else np.empty(flat.size, whole)
+        for s in range(0, flat.size, _SLICE):
+            at = slice(s, s + _SLICE)
+            low, high = _count_bounds(flat[at], c_total, b_total, tau)
+            hi[at] = np.clip(np.ceil(high, out=high), -1, c_total + 1, out=high)
+            if lo is not None:
+                lo[at] = np.clip(np.floor(low, out=low), -1, c_total + 1, out=low)
+        out.append((lo, hi))
     return out
+
+
+def _top(
+    counts: np.ndarray, baselines: np.ndarray, c_total: float, b_total: float, elevated_only: bool,
+    best: float,
+) -> float:
+    """The greater of ``best`` and the best score of ``counts`` over ``baselines``."""
+    if elevated_only:
+        # the rest score 0, and only the maximum is kept
+        hot = np.flatnonzero(counts * b_total > baselines * c_total)
+        if hot.size < counts.size:
+            best = max(best, 0.0)
+        counts, baselines = counts[hot], baselines[hot]
+    return _llr(counts, baselines, c_total, b_total).max(initial=best)
 
 
 def _replica_max(
@@ -615,26 +627,59 @@ def _replica_max(
     b_total: float,
     elevated_only: bool,
     bounds: list | None = None,
+    fast: _FastBaselines | None = None,
 ) -> float:
     """One replica's maximum score, block by block; with ``bounds``, over the counts they keep.
 
     ``draw`` is the replica's case matrix and ``baselines`` the family's
     (disks × windows). ``bounds`` holds one ``(lo, hi)`` per block from
-    :func:`_bounds`; a count is kept when ``C >= hi`` or ``C <= lo``.
+    :func:`_bounds`; a count is kept when ``C >= hi`` or ``C <= lo``. The
+    kept counts are scored in slices of ``_SLICE``.
+
+    With ``fast``, whose values ``baselines`` are, each kept count's
+    definition score lies within its slack of its score (:func:`_intervals`).
+    The greatest lower end is at most the definition maximum, so only a
+    count whose upper end reaches it can score that maximum. Those are
+    scored again on their definition baselines, and the maximum is the
+    greatest of those scores and of the exact ones (slack 0): the
+    definition maximum over the kept counts.
     """
-    best = -math.inf
+    totals = (c_total, b_total, elevated_only)
+    per_disk = fam.t0.size
+    best = floor = -math.inf  # the best exact score; with fast, the best lower end too
+    near: list = []  # with fast: (cylinders, counts, upper ends) that can reach the floor
     for b, (disks, counts) in enumerate(_disk_sums(draw, c_total, fam, blocks)):
         c, base = counts.ravel(), baselines[disks].ravel()
-        if bounds is not None:
-            keep = _kept(c, *bounds[b])
-            c, base = c[keep], base[keep]
-        if elevated_only:
-            # the rest score 0, and only the maximum is kept
-            hot = np.flatnonzero(c * b_total > base * c_total)
-            if hot.size < c.size:
-                best = max(best, 0.0)
-            c, base = c[hot], base[hot]
-        best = _llr(c, base, c_total, b_total).max(initial=best)
+        keep = None if bounds is None else _kept(c, *bounds[b])
+        for s in range(0, c.size if keep is None else keep.size, _SLICE):
+            at = slice(s, s + _SLICE) if keep is None else keep[s : s + _SLICE]
+            if fast is None:
+                best = _top(c[at], base[at], *totals, best)
+                continue
+            if keep is None:
+                at = np.arange(s, min(s + _SLICE, c.size))
+            cc, bb = c[at], base[at]
+            if elevated_only:
+                # far below parity on F, so on D too: an exact 0
+                live = np.flatnonzero(cc * b_total >= bb * c_total * (1 - 2 * fast.spread))
+                if live.size < cc.size:
+                    best = max(best, 0.0)
+                at, cc, bb = at[live], cc[live], bb[live]
+            scores, slack = _intervals(cc, bb, _llr(cc, bb, c_total, b_total), *totals, fast.spread)
+            exact = slack == 0
+            best = scores[exact].max(initial=best)
+            floor = np.fmax.reduce(scores - slack, initial=floor)
+            up = scores + slack
+            reach = np.flatnonzero(~exact & ~(up < floor))  # NaN (an edge's) reaches it
+            near.append((disks.start * per_disk + at[reach], cc[reach], up[reach]))
+        if len(near) > 1:  # at most one block's worth is held
+            cylinders, cc, up = (np.concatenate(x) for x in zip(*near))
+            reach = ~(up < floor)
+            near = [(cylinders[reach], cc[reach], up[reach])]
+    if near:
+        cylinders, cc, up = near[0]
+        reach = ~(up < floor)
+        best = _top(cc[reach], fast.resolve(cylinders[reach]), *totals, best)
     return best
 
 
@@ -648,12 +693,15 @@ def _replicas(
     elevated_only: bool,
     replications: int,
     seed: int,
+    fast: _FastBaselines | None = None,
 ) -> tuple[np.ndarray, float, list | None]:
     """The replica loop of :func:`monte_carlo_p`: sorted maxima, the last floor and its bounds.
 
     The bounds are None when no replica needed them after the floor last
     fell. A floor only falls, to ``_FLOOR`` times a maximum below it, so when
-    the last floor is above 0 every maximum is at or above it.
+    the last floor is above 0 every maximum is at or above it. With
+    ``fast`` the baselines are its fast ones, and the maxima, floors and
+    bounds are still the definition's (:func:`_replica_max`, :func:`_bounds`).
     """
     probs = (base_m / b_total).ravel()
     try:
@@ -668,10 +716,10 @@ def _replicas(
         best = math.nan
         if tau > 0:
             if bounds is None:
-                bounds = _bounds(baselines, blocks, tau, *totals)
-            best = _replica_max(draw, fam, blocks, baselines, *totals, bounds)
+                bounds = _bounds(baselines, blocks, tau, *totals, fast)
+            best = _replica_max(draw, fam, blocks, baselines, *totals, bounds, fast)
         if not best >= tau:
-            best = _replica_max(draw, fam, blocks, baselines, *totals)
+            best = _replica_max(draw, fam, blocks, baselines, *totals, None, fast)
             if not best >= tau:
                 tau, bounds = _FLOOR * best, None
         if not math.isfinite(best):
@@ -840,6 +888,74 @@ def monte_carlo_p(scored: ScoredFamily, replications: int, seed: int) -> ScoredF
     return dataclasses.replace(scored, maxima=maxima, replications=replications, seed=seed)
 
 
+def _overlapping(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Which of the intervals [low, high] meet another one."""
+    order = np.argsort(low, kind="stable")
+    low, high = low[order], high[order]
+    meets = np.zeros(order.size, bool)
+    meets[1:] = low[1:] <= np.maximum.accumulate(high)[:-1]  # an earlier one reaches it
+    meets[:-1] |= high[:-1] >= low[1:]  # it reaches the next one
+    out = np.empty_like(meets)
+    out[order] = meets
+    return out
+
+
+def _settle(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselines, at: np.ndarray) -> bool:
+    """Give the kept cylinders at positions ``at`` their definition baselines and scores, and no slack.
+
+    True when any of them had a slack.
+    """
+    at = at[slack[at] > 0]
+    if at.size:
+        base = fast.resolve(scored.kept[at])
+        scored.baselines[at] = base
+        scored.scores[at] = _scores(
+            scored.counts[at], base, scored.c_total, scored.b_total, scored.elevated_only
+        )
+        slack[at] = 0.0
+    return bool(at.size)
+
+
+def _settle_clusters(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselines, alpha: float) -> None:
+    """Settle whatever ``significant_total`` and the clusters at ``alpha`` read.
+
+    p never rises with the score, so a cylinder whose p is at most
+    ``alpha`` at both ends of its interval, or at neither, has that
+    significance on the definition too; the rest are settled. ``result``
+    prices p as :func:`_p_values` does; here significance is read from one
+    line, the maximum above which a score is priced at ``alpha`` or less. The clusters
+    are the disjoint choice among each significant disk's best cylinder, in
+    rank order. A disk's best is its best on the definition once every one
+    of its cylinders that reaches the lower end of its best is settled, if
+    there are two; the order of the disks' best is the definition's once
+    every one whose interval meets another's is settled. The clusters
+    chosen are then settled, which moves no one.
+    """
+    fam, kept, scores, maxima = scored.family, scored.kept, scored.scores, scored.maxima
+    # p <= alpha exactly when more than the first j maxima lie below the
+    # score, for the least such j: when the score is above maxima[j - 1]
+    r = maxima.size + 1
+    j = np.flatnonzero((r - np.arange(r)) / r <= alpha)
+    line = math.inf if not j.size else -math.inf if not j[0] else maxima[j[0] - 1]
+    _settle(scored, slack, fast, np.flatnonzero((scores - slack > line) != (scores + slack > line)))
+    sig = np.flatnonzero(scores > line)
+    order = sig[_ranking(fam, scores[sig], kept[sig])]  # best first
+    by_disk = order[np.argsort(kept[order] // fam.t0.size, kind="stable")]
+    disk = kept[by_disk] // fam.t0.size
+    head = np.diff(disk, prepend=-1) != 0
+    group = np.cumsum(head) - 1
+    reach = scores[by_disk] + slack[by_disk] >= (scores - slack)[by_disk[head]][group]
+    if _settle(scored, slack, fast, by_disk[reach & (np.bincount(group, reach)[group] > 1)]):
+        order = sig[_ranking(fam, scores[sig], kept[sig])]
+    firsts = order[_first_per_disk(kept[order], fam.t0.size)]
+    if _settle(scored, slack, fast, firsts[_overlapping(scores[firsts] - slack[firsts], scores[firsts] + slack[firsts])]):
+        order = sig[_ranking(fam, scores[sig], kept[sig])]
+        firsts = order[_first_per_disk(kept[order], fam.t0.size)]
+    disk = kept[firsts] // fam.t0.size
+    regions = (fam.orders[c, :k].tolist() for c, k in zip(fam.centers[disk].tolist(), fam.sizes[disk].tolist()))
+    _settle(scored, slack, fast, firsts[_disjoint(regions)])
+
+
 def monte_carlo_scan(
     cases: np.ndarray,
     baseline: np.ndarray,
@@ -852,7 +968,7 @@ def monte_carlo_scan(
     regions: Sequence[str] | None = None,
     times: Sequence[str] | None = None,
 ) -> ScanResult:
-    """:func:`scan` and :func:`monte_carlo_p` in one flow, scoring only what a document needs.
+    """:func:`scan` and :func:`monte_carlo_p` in one flow, summing and scoring only what a document needs.
 
     The result is ``monte_carlo_p(scan(...), replications, seed).result(alpha,
     top)``, the same rows, ``significant_total`` and clusters, built by the
@@ -860,14 +976,24 @@ def monte_carlo_scan(
     arguments are checked as those functions check them, and the same errors
     are raised, the observed scan's before any replica.
 
-    The replicas run first, on the baselines alone. When their last floor τ
-    is above 0, every maximum is at or above it, so a cylinder with
-    p <= ``alpha`` < 1 scores above τ. One pass over the observed counts then
-    keeps only those that τ's bounds keep, which include every count that
-    scores τ or more, and only those are scored and ranked. If fewer than
-    ``top`` of them score τ or more, a second pass keeps the counts that can
-    reach the ``top``-th best score of the first: the best ``top`` of any
-    subset score no more than the family's. Every cylinder is scored and
+    The baselines are fast ones (:class:`_FastBaselines`), each within a
+    proven bound of its definition sum, and a cylinder gets its definition
+    sum (:meth:`CylinderFamily.cell_sums` at its index) only where that
+    bound cannot settle a decision. First the cylinders with no baseline or
+    all of it, the only kind that can be refused a score. The replicas run
+    next, on the baselines alone, and give the definition's maxima
+    (:func:`_replica_max`). When their last floor τ is above 0, every
+    maximum is at or above it, so a cylinder with p <= ``alpha`` < 1 scores
+    above τ. One pass over the observed counts then keeps only those that
+    τ's bounds keep, which include every count whose definition score is τ
+    or more, and scores them on the fast baselines. Every kept cylinder
+    that can rank among the ``top`` best is settled on its definition; if
+    fewer than ``top`` of them score τ or more, a second pass keeps the
+    counts that can reach the ``top``-th best score of the first: the best
+    ``top`` of any subset score no more than the family's. Then whatever
+    the significance of a cylinder or the choice of clusters reads is
+    settled (:func:`_settle_clusters`), so every row, the ranking and each
+    count are the definition's. Every cylinder is summed, scored and
     ranked, as :func:`scan` does, at ``alpha`` = 1, at a floor or a cut of 0
     or below, and when the first pass keeps fewer than ``top`` cylinders.
     """
@@ -878,39 +1004,57 @@ def monte_carlo_scan(
     check_scan_options(alpha, top)
     fam = candidates
     blocks = fam.blocks()
-    baselines = fam.cell_sums(base_m).reshape(-1, fam.t0.size)
+    fast = _FastBaselines(fam, base_m, blocks, b_total)
     totals = (c_total, b_total, elevated_only)
-    # only a cylinder with no baseline or all of it can be refused a score:
-    # score those first, so that the observed scan's errors come before any
+    # score the cylinders that can be refused a score first, on their
+    # definition sums, so that the observed scan's errors come before any
     # replica, as scan raises them
-    edge = (baselines == 0) | (baselines >= b_total)
-    if edge.any():
-        sums = [s[edge[disks]] for disks, s in _disk_sums(cases_m, c_total, fam, blocks)]
-        _scores(np.concatenate(sums, dtype=float), baselines[edge], *totals)
-    del edge
-    maxima, tau, bounds = _replicas(fam, blocks, base_m, baselines, *totals, replications, seed)
-    observe = functools.partial(
-        _scored, cases_m, base_m, fam, blocks, baselines.ravel(), totals,
+    if fast.edges.size:
+        base = fast.values.reshape(-1)[fast.edges]  # resolved
+        hit = (base == 0) | (base >= b_total)
+        _scores(fam.cell_sums(cases_m, fast.edges[hit]), base[hit], *totals)
+    maxima, tau, bounds = _replicas(fam, blocks, base_m, fast.values, *totals, replications, seed, fast)
+    run = dict(
         regions=tuple(regions) if regions is not None else None,
         times=tuple(times) if times is not None else None,
         maxima=maxima, replications=replications, seed=seed,
     )
 
-    scored = None
+    def settled(scored: ScoredFamily) -> tuple[ScoredFamily, np.ndarray] | None:
+        """The kept counts' slacks, with every one that can rank among the ``top`` best settled; None if fewer are kept."""
+        if scored.kept.size < top:
+            return None
+        llr = _llr(scored.counts, scored.baselines, c_total, b_total)
+        _, slack = _intervals(scored.counts, scored.baselines, llr, *totals, fast.spread)
+        del llr
+        slack[fast.known(scored.kept)] = 0.0
+        if top:
+            at = scored.kept.size - top
+            floor = np.partition(scored.scores - slack, at)[at]
+            _settle(scored, slack, fast, np.flatnonzero(scored.scores + slack >= floor))
+        return scored, slack
+
+    flat = fast.values.reshape(-1)
+    found = None
     if alpha < 1 and tau > 0:
         if bounds is None:
-            bounds = _bounds(baselines, blocks, tau, *totals)
-        scored = observe(bounds)
+            bounds = _bounds(fast.values, blocks, tau, *totals, fast)
+        scored = _scored(cases_m, base_m, fam, blocks, flat, totals, bounds, **run)
         bounds = None
-        scores = scored.scores  # of the kept cylinders
-        if scores.size < top:
-            scored = None
-        elif np.count_nonzero(scores >= tau) < top:
+        found = settled(scored)
+        if found is not None and top:
+            scores = scored.scores  # of the kept cylinders, the top best settled
             cut = float(np.partition(scores, scores.size - top)[scores.size - top])
-            scored = None
-            if cut > 0:
-                scored = observe(_bounds(baselines, blocks, cut, *totals))
-    if scored is None:
-        bounds = None
-        scored = observe()
+            if cut < tau:
+                found = scored = None
+                if cut > 0:
+                    cut_bounds = _bounds(fast.values, blocks, cut, *totals, fast)
+                    found = settled(_scored(cases_m, base_m, fam, blocks, flat, totals, cut_bounds, **run))
+    if found is None:
+        scored = flat = fast = None
+        scored = _scored(cases_m, base_m, fam, blocks, fam.cell_sums(base_m), totals, **run)
+    else:
+        scored, slack = found
+        _settle_clusters(scored, slack, fast, alpha)
+    found = slack = fast = flat = None  # from here on only the kept cylinders' arrays are read
     return scored.result(alpha, top)

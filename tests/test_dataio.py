@@ -872,11 +872,45 @@ def test_a_document_without_alpha_is_not_written_at_one():
     baseline = expected_baseline(cases, data.population.values)
     fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=baseline.sum(axis=1))
     res = monte_carlo_scan(cases, baseline, fam, 99, 1)
-    assert scan_to_dict(res, alpha=0.05)["significant_total"] == 2530
+    assert scan_to_dict(res, alpha=0.05, top=100)["significant_total"] == 2530
     back = scan_from_dict(scan_to_dict(res, top=10))
     assert back.alpha is None and len(back.cylinders) == 10
     with pytest.raises(InputError, match="alpha 0.05 differs from the scan's alpha None"):
+        scan_to_dict(back, alpha=0.05, top=10)
+
+
+def test_a_cut_result_is_not_written_at_a_larger_top():
+    # a result cut to 10 of 10,800 cylinders used to be written at top None
+    # as "top": null, and at top 200 as "top": 200, with its 10 rows; it
+    # records the top it was cut at, as it records alpha, and so does a
+    # document read back
+    data = generate(SynthConfig(
+        regions=25, times=8, injected_regions=("r12", "r13"), window=(3, 5),
+        relative_risk=4.0, seed=3,
+    ))
+    cases = data.cases.values
+    baseline = expected_baseline(cases, data.population.values)
+    fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=baseline.sum(axis=1))
+    assert len(fam) == 10_800
+    res = monte_carlo_scan(cases, baseline, fam, 99, 1, top=10)
+    assert res.top == 10 and len(res.cylinders) == 10
+    for top in (None, 11, 200):
+        with pytest.raises(InputError, match=f"top {top} asks for more rows than the scan's top 10") as exc:
+            scan_to_dict(res, alpha=0.05, top=top)
+        assert exc.value.module == "dataio"
+    doc = scan_to_dict(res, alpha=0.05, top=10)
+    assert doc["top"] == 10 and len(doc["cylinders"]) == 10
+    cut = scan_to_dict(res, alpha=0.05, top=5)
+    assert cut["top"] == 5 and cut["cylinders"] == doc["cylinders"][:5]
+    back = scan_from_dict(doc)
+    assert back.top == 10
+    assert dumps_stable(scan_to_dict(back, alpha=0.05, top=10)) == dumps_stable(doc)
+    with pytest.raises(InputError, match="top None asks for more rows"):
         scan_to_dict(back, alpha=0.05)
+    # a result at top None, and a document written at it, hold every row
+    full = monte_carlo_p(scan(cases, baseline, fam), 99, 1).result(alpha=0.05, top=None)
+    assert full.top is None and len(scan_to_dict(full, alpha=0.05)["cylinders"]) == 10_800
+    assert scan_from_dict(scan_to_dict(full, alpha=0.05, top=3)).top == 3
 
 
 def test_scan_result_roundtrip_without_labels():

@@ -268,12 +268,15 @@ def test_a_scan_command_that_cannot_score_exits_2(tmp_path, population, cases, m
 def test_the_flow_keeps_about_12_bytes_per_cylinder(monkeypatch):
     # while the replicas run, and into the observed pass, the flow holds one
     # float64 baseline and one int32 threshold per cylinder (two with
-    # elevated-only scoring off), 12.4-13.1 and 16.4-16.9 bytes here; the
-    # full path held the counts, baselines, scores and ranking too. Its peak
-    # is the baselines' cell sums with a 4096-value budget, 18.5 bytes,
-    # and with the default one, which holds this family in one block, the
-    # bounds of that block, 50.2-50.7 bytes; the full path peaked at 50.1
-    # and 74.3 (numpy 2.4). The bounds leave about 10% over those
+    # elevated-only scoring off), 12.6-12.9 and 16.6-16.9 bytes here; the
+    # full path held the counts, baselines, scores and ranking too. The
+    # baselines are fast ones, summed once from prefix sums, and every float
+    # pass over the family goes in slices, so its peak is a block's disk
+    # sums on top of that: with the default budget, which holds this family
+    # in one block, 25.8 and 27.3 bytes, and with a 4096-value budget 15.3
+    # and 19.0 bytes (numpy 2.4), where summing every baseline in cell order
+    # and the bounds of a whole block peaked at 50.2-50.7 and 18.5 bytes.
+    # The bounds leave about 10% over the new peaks
     import tracemalloc
 
     from test_stscan import grid_instance
@@ -291,15 +294,146 @@ def test_the_flow_keeps_about_12_bytes_per_cylinder(monkeypatch):
         return scored(*args, **run)
 
     monkeypatch.setattr(stscan, "_scored", record)
-    for block, peak_bound in ((1 << 20, 56), (4096, 20.5)):
+    peak_bounds = {(1 << 20, True): 28.5, (1 << 20, False): 30, (4096, True): 17, (4096, False): 20.5}
+    for (block, elevated_only), peak_bound in peak_bounds.items():
         monkeypatch.setattr(stscan, "_BLOCK", block)
-        for elevated_only, held_bound in ((True, 14), (False, 18.5)):
-            held.clear()
-            tracemalloc.start()
-            try:
-                monte_carlo_scan(cases, baseline, fam, 9, SEED, elevated_only)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert held and max(held) < held_bound * len(fam)
-            assert peak < peak_bound * len(fam)
+        held_bound = 14 if elevated_only else 18.5
+        held.clear()
+        tracemalloc.start()
+        try:
+            monte_carlo_scan(cases, baseline, fam, 9, SEED, elevated_only)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held and max(held) < held_bound * len(fam)
+        assert peak < peak_bound * len(fam)
+
+
+# ---------------------------------------------------------------------------
+# certified decisions: the flow sums a cylinder's baseline in cell order
+# only where the bound on its fast baseline cannot settle a decision
+
+
+def twins():
+    """Regions in pairs 0.01 apart, so that each pair's two-region disks are one region set.
+
+    The two disks add their cells in different member orders, so their
+    fractional baselines (a population near 1000.5) may differ in the last
+    bit, and their scores tie or nearly tie.
+    """
+    rng = np.random.default_rng(17)
+    centers = rng.random((8, 2)) * 10
+    coords = np.repeat(centers, 2, axis=0) + np.tile([[0.0, 0.0], [0.01, 0.0]], (8, 1))
+    population = 1000.5 + rng.integers(0, 3, size=(16, 6)) + rng.random((16, 6)) / 7
+    cases = rng.poisson(population / 100).astype(float)
+    cases[4:6, 2:4] += 6  # a hot pair
+    baseline = expected_baseline(cases, population)
+    return cases, baseline, enumerate_cylinders(times=6, coords=coords)
+
+
+def same_region_sets(fam):
+    """Pairs of disks with one region set around different centers."""
+    sets = {}
+    for d, (c, k) in enumerate(zip(fam.centers.tolist(), fam.sizes.tolist())):
+        sets.setdefault(frozenset(fam.orders[c, :k].tolist()), []).append(d)
+    return [d for d in sets.values() if len(d) > 1]
+
+
+@pytest.mark.parametrize("bufsize", [None, 16])
+@pytest.mark.parametrize("elevated_only", [True, False])
+def test_twin_disks_and_a_fractional_population_keep_the_documents(
+    elevated_only, bufsize, passes, monkeypatch
+):
+    # every top from 0 to past the family cuts somewhere among twins, and
+    # the twins tie at the top, in the significant set, among the clusters
+    # and at replica maxima; the flow's maxima must be the reference
+    # chain's, bit for bit, and its documents the reference chain's bytes
+    cases, baseline, fam = twins()
+    assert len(same_region_sets(fam)) >= 8
+    maxima = []
+    replicas = stscan._replicas
+    monkeypatch.setattr(stscan, "_replicas", lambda *args: maxima.append(replicas(*args)) or maxima[-1])
+    old = np.setbufsize(bufsize) if bufsize else None
+    try:
+        full = monte_carlo_p(scan(cases, baseline, fam, elevated_only), REPLICATIONS, SEED)
+        rows = full.result(top=None).cylinders
+        assert any(a.score == b.score and a.members != b.members for a, b in zip(rows, rows[1:]))
+        for top in (*range(0, 41), 100, len(fam) + 1):
+            passes.clear()
+            flow = flow_document(cases, baseline, fam, elevated_only, 0.05, top)
+            assert flow == reference_document(full, 0.05, top), top
+            assert maxima[-1][0].tobytes() == full.maxima.tobytes()
+    finally:
+        if old is not None:
+            np.setbufsize(old)
+
+
+def test_significance_at_and_beside_a_replica_maximum(monkeypatch):
+    # replica maxima equal to observed scores, and one ulp either side of
+    # them, so that the significance threshold falls on a score, between
+    # two twins, and beside them
+    cases, baseline, fam = twins()
+    full = scan(cases, baseline, fam)
+    scores = np.unique(full.scores)[::-1]
+    assert scores[0] > 5
+    picks = scores[[0, 1, 2, 5, 9]]
+    maxima = np.sort(np.concatenate([
+        picks, np.nextafter(picks, np.inf), np.nextafter(picks, -np.inf), np.full(4, 50.0),
+    ]))
+    tau = 0.75 * maxima[0]
+    monkeypatch.setattr(stscan, "_replicas", lambda *args: (maxima.copy(), tau, None))
+    priced = monte_carlo_p(full, maxima.size, SEED)
+    for alpha in np.unique((np.arange(1, maxima.size + 1)) / (maxima.size + 1)):
+        alpha = float(alpha)
+        if alpha >= 1:
+            continue
+        for top in (0, 3, 20):
+            flow = flow_document(cases, baseline, fam, True, alpha, top, maxima.size)
+            assert flow == reference_document(priced, alpha, top), (alpha, top)
+
+
+def zero_and_whole():
+    """No baseline at step 1, and region 0's singleton over every step holding all of it."""
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    baseline = np.array([[4.0, 0.0, 4.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    cases = np.array([[5.0, 0.0, 3.0], [0.0] * 3, [0.0] * 3, [0.0] * 3])
+    return cases, baseline, enumerate_cylinders(times=3, coords=coords)
+
+
+@pytest.mark.parametrize("elevated_only", [True, False])
+def test_zero_baselines_and_full_coverage_keep_the_documents(elevated_only):
+    # every cylinder without region 0, or over step 1 alone, has no
+    # baseline, and each one with region 0 over all three steps has all of
+    # it; only their definition sums can score them
+    cases, baseline, fam = zero_and_whole()
+    edges = stscan._FastBaselines(fam, baseline, fam.blocks(), baseline.sum()).edges
+    assert edges.size > len(fam) // 2
+    for alpha, top in itertools.product((0.05, 0.5, 1.0), (0, 1, 5, len(fam) + 1)):
+        assert (flow_document(cases, baseline, fam, elevated_only, alpha, top, 19)
+                == full_document(cases, baseline, fam, elevated_only, alpha, top, 19))
+
+
+def test_the_flow_sums_few_cylinders_in_cell_order(monkeypatch):
+    # with alpha below 1 and top below the family size, the flow never sums
+    # every cylinder in cell order, only a small subset
+    cases, baseline, fam, _ = synth("injected")
+    calls = []
+    cell_sums = CylinderFamily.cell_sums
+
+    def record(self, matrix, cylinders=None):
+        calls.append(None if cylinders is None else np.asarray(cylinders).size)
+        return cell_sums(self, matrix, cylinders)
+
+    monkeypatch.setattr(CylinderFamily, "cell_sums", record)
+    for top in (1, 100):
+        calls.clear()
+        flow = flow_document(cases, baseline, fam, True, 0.05, top)
+        assert calls and None not in calls
+        assert sum(calls) < 0.05 * len(fam)
+        monkeypatch.setattr(CylinderFamily, "cell_sums", cell_sums)
+        assert flow == full_document(cases, baseline, fam, True, 0.05, top)
+        monkeypatch.setattr(CylinderFamily, "cell_sums", record)
+    # the fallbacks sum every cylinder, in one call
+    calls.clear()
+    flow_document(cases, baseline, fam, True, 1.0, 100)
+    assert calls.count(None) == 1

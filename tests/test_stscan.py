@@ -398,6 +398,94 @@ def test_scan_sums_follow_cell_order(bufsize):
         assert cyl.score == pytest.approx(expected, rel=1e-12, abs=1e-12 * res.c_total)
 
 
+@pytest.mark.parametrize("bufsize", [None, 16])
+@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
+def test_cell_sums_at_index_subsets_equal_the_whole_family_call(instance, bufsize, monkeypatch):
+    # random subsets, unsorted and of every size, sum each cylinder as the
+    # whole-family call does, bit for bit; so do runs cut to one cylinder
+    cands, _, pop = instance()
+    rng = np.random.default_rng(5)
+    baseline = pop / 7.3 + rng.random(pop.shape)
+    old = np.setbufsize(bufsize) if bufsize else None
+    try:
+        whole = cands.cell_sums(baseline)
+        for size in (0, 1, 7, 100, len(cands)):
+            at = rng.permutation(len(cands))[:size]
+            assert cands.cell_sums(baseline, at).tobytes() == whole[at].tobytes()
+        monkeypatch.setattr(stscan, "_BLOCK", 1)
+        at = rng.permutation(len(cands))[:50]
+        assert cands.cell_sums(baseline, at).tobytes() == whole[at].tobytes()
+        assert cands.cell_sums(baseline).tobytes() == whole.tobytes()
+    finally:
+        if old is not None:
+            np.setbufsize(old)
+
+
+@pytest.mark.parametrize("bufsize", [None, 16])
+@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
+def test_fast_baselines_stay_within_their_bound(instance, bufsize):
+    # cells spanning 1e-8 to 1e8, with the large ones where they cancel the
+    # most digits of the small windows, and zero cells; the prefix sums
+    # differ from the cell-order sums, and never by more than the bound
+    cands, _, pop = instance()
+    rng = np.random.default_rng(3)
+    cells = 10.0 ** rng.uniform(-8, 8, size=pop.shape)
+    cells[rng.random(pop.shape) < 0.1] = 0.0
+    cells[:, 0] *= 1e4
+    at = rng.permutation(len(cands))[:20]
+    old = np.setbufsize(bufsize) if bufsize else None
+    try:
+        fast = stscan._FastBaselines(cands, cells, cands.blocks(), cells.sum())
+        exact = cands.cell_sums(cells)
+        err = np.repeat(fast.err, cands.t0.size)
+        diff = np.abs(fast.values.ravel() - exact)
+        assert np.count_nonzero(diff) > len(cands) // 10
+        assert np.all(diff <= err)
+        # and the rounded bracket holds every definition sum
+        base = fast.values.ravel()
+        assert np.all((base - err <= exact) & (exact <= base + err))
+        # a resolved cylinder holds its definition sum, and keeps its bound
+        assert fast.resolve(at).tobytes() == exact[at].tobytes()
+    finally:
+        if old is not None:
+            np.setbufsize(old)
+    assert fast.known(at).all() and fast.values.ravel()[at].tobytes() == exact[at].tobytes()
+
+
+@pytest.mark.parametrize("elevated_only", [True, False])
+@pytest.mark.parametrize("population", ["whole", "fractional"])
+def test_replica_maxima_on_fast_baselines_equal_the_definition(population, elevated_only, monkeypatch):
+    # a replica's maximum from fast baselines, pruned or not, in one block
+    # or one center per block, equals its maximum on cell-order sums, bit for
+    # bit, also where twin disks tie at the top
+    cands, cases, pop = centroid_disks()
+    if population == "fractional":
+        pop = pop + 0.5 + np.random.default_rng(2).random(pop.shape) / 3
+    baseline = expected_baseline(cases, pop)
+    c_total, b_total = float(cases.sum()), float(baseline.sum())
+    totals = (c_total, b_total, elevated_only)
+    probs = (baseline / b_total).ravel()
+    definition = cands.cell_sums(baseline).reshape(-1, cands.t0.size)
+    for block in (1 << 20, 1):
+        monkeypatch.setattr(stscan, "_BLOCK", block)
+        blocks = cands.blocks()
+        fast = stscan._FastBaselines(cands, baseline, blocks, b_total)
+        assert not np.array_equal(fast.values, definition) or population == "whole"
+        for i in range(12):
+            draw = np.random.default_rng(i).multinomial(int(c_total), probs).reshape(cases.shape)
+            full = stscan._replica_max(draw, cands, blocks, definition, *totals)
+            got = stscan._replica_max(draw, cands, blocks, fast.values, *totals, None, fast)
+            assert got == full
+            tau = 0.75 * full
+            bounds = stscan._bounds(fast.values, blocks, tau, *totals, fast)
+            pruned = stscan._replica_max(draw, cands, blocks, fast.values, *totals, bounds, fast)
+            assert pruned == full
+            # the fast bounds keep every count the definition's keep
+            exact = stscan._bounds(definition, blocks, tau, *totals)
+            for (lo, hi), (xlo, xhi) in zip(bounds, exact):
+                assert np.all(hi <= xhi) and (lo is None or np.all(lo >= xlo))
+
+
 @pytest.mark.parametrize("scale", [1000, 0.37])
 @pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("bufsize", [None, 16])
@@ -711,10 +799,11 @@ def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
     # a replica sums one block of centers at a time from integer time
     # prefixes and keeps only its maximum score, and the result keeps only
     # the sorted maxima. The default budget holds this whole family in one
-    # block, whose scoring peaks at 4.91 per-cylinder float arrays; a
-    # 4096-value budget peaks at 0.235 of one (numpy 2.4). The bounds leave
-    # about 10% over those, and sit below the 6.14 and 0.29 that float64
-    # sums of every region over every window took
+    # block, whose counts, scored in slices, peak at 1.43 per-cylinder float
+    # arrays; a 4096-value budget peaks at 0.233 of one (numpy 2.4). The
+    # bounds leave about 10% over those; scoring a whole block at once
+    # peaked at 4.91 arrays, and float64 sums of every region over every
+    # window at 6.14 and 0.29
     import tracemalloc
 
     coords, cases, pop = grid_instance(41, n=40, times=12)
@@ -722,7 +811,7 @@ def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
     cands = enumerate_cylinders(times=12, coords=coords)
     assert len(cands) == 124_800
     res = scan(cases, baseline, cands)
-    for block, bound in ((1 << 20, 5.4), (4096, 0.26)):
+    for block, bound in ((1 << 20, 1.6), (4096, 0.26)):
         monkeypatch.setattr(stscan, "_BLOCK", block)
         tracemalloc.start()
         try:
