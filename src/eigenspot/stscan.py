@@ -95,7 +95,7 @@ class CylinderFamily:
 
     # the benchmark's tracer counts the cylinders with len() and their member
     # references over unscored rows in index order, until it counts them from
-    # the arrays (ROADMAP item 6)
+    # the arrays (ROADMAP item 5)
     def __len__(self) -> int:
         return self.sizes.size * self.t0.size
 
@@ -790,9 +790,10 @@ def _check_covers(fam: CylinderFamily, matrix: np.ndarray) -> None:
 
 
 def _checked(
-    cases: np.ndarray, baseline: np.ndarray, candidates: CylinderFamily
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The case matrix, a read-only copy of the baseline and both totals, checked for a scan."""
+    cases: np.ndarray, baseline: np.ndarray, candidates: CylinderFamily,
+    regions: Sequence[str] | None, times: Sequence[str] | None,
+) -> tuple[np.ndarray, np.ndarray, float, float, dict]:
+    """The case matrix, a read-only copy of the baseline, both totals and the label tuples, checked for a scan."""
     cases_m = np.asarray(cases, dtype=float)
     base_m = np.array(baseline, dtype=float)
     base_m.setflags(write=False)
@@ -800,6 +801,11 @@ def _checked(
         raise InputError(
             "cases and baseline must be equal-shape space-by-time matrices", module="stscan"
         )
+    labels = {}  # the result's regions and times: one label per row and per column, or None
+    for (name, given), size in zip((("regions", regions), ("times", times)), cases_m.shape):
+        labels[name] = None if given is None else tuple(given)
+        if given is not None and len(labels[name]) != size:
+            raise InputError(f"{name} must be {size} labels, got {len(labels[name])}", module="stscan")
     if not (isinstance(candidates, CylinderFamily) and candidates.sizes.size and candidates.t0.size):
         raise InputError("candidates must be a non-empty CylinderFamily", module="stscan")
     _check_covers(candidates, cases_m)
@@ -815,7 +821,7 @@ def _checked(
         raise InputError(
             "case cells must be whole numbers with a total below 2**53", module="stscan"
         )
-    return cases_m, base_m, c_total, b_total
+    return cases_m, base_m, c_total, b_total, labels
 
 
 def scan(
@@ -837,12 +843,11 @@ def scan(
     center index, then the earlier window, so the ordering is total and the
     output deterministic.
     """
-    cases_m, base_m, c_total, b_total = _checked(cases, baseline, candidates)
+    cases_m, base_m, c_total, b_total, labels = _checked(cases, baseline, candidates, regions, times)
     fam = candidates
     return _scored(
         cases_m, base_m, fam, fam.blocks(), fam.cell_sums(base_m), (c_total, b_total, elevated_only),
-        regions=tuple(regions) if regions is not None else None,
-        times=tuple(times) if times is not None else None,
+        **labels,
     )
 
 
@@ -888,23 +893,8 @@ def monte_carlo_p(scored: ScoredFamily, replications: int, seed: int) -> ScoredF
     return dataclasses.replace(scored, maxima=maxima, replications=replications, seed=seed)
 
 
-def _overlapping(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Which of the intervals [low, high] meet another one."""
-    order = np.argsort(low, kind="stable")
-    low, high = low[order], high[order]
-    meets = np.zeros(order.size, bool)
-    meets[1:] = low[1:] <= np.maximum.accumulate(high)[:-1]  # an earlier one reaches it
-    meets[:-1] |= high[:-1] >= low[1:]  # it reaches the next one
-    out = np.empty_like(meets)
-    out[order] = meets
-    return out
-
-
-def _settle(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselines, at: np.ndarray) -> bool:
-    """Give the kept cylinders at positions ``at`` their definition baselines and scores, and no slack.
-
-    True when any of them had a slack.
-    """
+def _settle(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselines, at: np.ndarray) -> None:
+    """Give the kept cylinders at positions ``at`` their definition baselines and scores, and no slack."""
     at = at[slack[at] > 0]
     if at.size:
         base = fast.resolve(scored.kept[at])
@@ -913,7 +903,6 @@ def _settle(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselines, at: n
             scored.counts[at], base, scored.c_total, scored.b_total, scored.elevated_only
         )
         slack[at] = 0.0
-    return bool(at.size)
 
 
 def _settle_clusters(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselines, alpha: float) -> None:
@@ -923,13 +912,13 @@ def _settle_clusters(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselin
     ``alpha`` at both ends of its interval, or at neither, has that
     significance on the definition too; the rest are settled. ``result``
     prices p as :func:`_p_values` does; here significance is read from one
-    line, the maximum above which a score is priced at ``alpha`` or less. The clusters
-    are the disjoint choice among each significant disk's best cylinder, in
-    rank order. A disk's best is its best on the definition once every one
-    of its cylinders that reaches the lower end of its best is settled, if
-    there are two; the order of the disks' best is the definition's once
-    every one whose interval meets another's is settled. The clusters
-    chosen are then settled, which moves no one.
+    line, the maximum above which a score is priced at ``alpha`` or less.
+    Then, per significant disk, every significant cylinder whose upper end
+    reaches the greatest lower end among them is settled. The disk's best
+    on the definition scores at least that lower end, so it is settled, as
+    is every cylinder tied with it, and every one left unsettled ranks
+    strictly below it: the disks' best, their order and the clusters chosen
+    among them are the definition's, with exact rows.
     """
     fam, kept, scores, maxima = scored.family, scored.kept, scored.scores, scored.maxima
     # p <= alpha exactly when more than the first j maxima lie below the
@@ -939,21 +928,10 @@ def _settle_clusters(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselin
     line = math.inf if not j.size else -math.inf if not j[0] else maxima[j[0] - 1]
     _settle(scored, slack, fast, np.flatnonzero((scores - slack > line) != (scores + slack > line)))
     sig = np.flatnonzero(scores > line)
-    order = sig[_ranking(fam, scores[sig], kept[sig])]  # best first
-    by_disk = order[np.argsort(kept[order] // fam.t0.size, kind="stable")]
-    disk = kept[by_disk] // fam.t0.size
-    head = np.diff(disk, prepend=-1) != 0
-    group = np.cumsum(head) - 1
-    reach = scores[by_disk] + slack[by_disk] >= (scores - slack)[by_disk[head]][group]
-    if _settle(scored, slack, fast, by_disk[reach & (np.bincount(group, reach)[group] > 1)]):
-        order = sig[_ranking(fam, scores[sig], kept[sig])]
-    firsts = order[_first_per_disk(kept[order], fam.t0.size)]
-    if _settle(scored, slack, fast, firsts[_overlapping(scores[firsts] - slack[firsts], scores[firsts] + slack[firsts])]):
-        order = sig[_ranking(fam, scores[sig], kept[sig])]
-        firsts = order[_first_per_disk(kept[order], fam.t0.size)]
-    disk = kept[firsts] // fam.t0.size
-    regions = (fam.orders[c, :k].tolist() for c, k in zip(fam.centers[disk].tolist(), fam.sizes[disk].tolist()))
-    _settle(scored, slack, fast, firsts[_disjoint(regions)])
+    disk = kept[sig] // fam.t0.size
+    low = np.full(fam.sizes.size, -math.inf)  # per disk, the greatest lower end of its significant cylinders
+    np.maximum.at(low, disk, scores[sig] - slack[sig])
+    _settle(scored, slack, fast, sig[scores[sig] + slack[sig] >= low[disk]])
 
 
 def monte_carlo_scan(
@@ -964,7 +942,7 @@ def monte_carlo_scan(
     seed: int,
     elevated_only: bool = True,
     alpha: float = 0.05,
-    top: int = 100,
+    top: int | None = 100,
     regions: Sequence[str] | None = None,
     times: Sequence[str] | None = None,
 ) -> ScanResult:
@@ -994,12 +972,13 @@ def monte_carlo_scan(
     the significance of a cylinder or the choice of clusters reads is
     settled (:func:`_settle_clusters`), so every row, the ranking and each
     count are the definition's. Every cylinder is summed, scored and
-    ranked, as :func:`scan` does, at ``alpha`` = 1, at a floor or a cut of 0
-    or below, and when the first pass keeps fewer than ``top`` cylinders.
+    ranked, as :func:`scan` does, at ``alpha`` = 1, at ``top`` None, at a
+    floor or a cut of 0 or below, and when the first pass keeps fewer than
+    ``top`` cylinders.
     """
     from .dataio import check_scan_options  # loaded by any caller that writes the document
 
-    cases_m, base_m, c_total, b_total = _checked(cases, baseline, candidates)
+    cases_m, base_m, c_total, b_total, labels = _checked(cases, baseline, candidates, regions, times)
     check_replications(replications, seed)
     check_scan_options(alpha, top)
     fam = candidates
@@ -1014,11 +993,7 @@ def monte_carlo_scan(
         hit = (base == 0) | (base >= b_total)
         _scores(fam.cell_sums(cases_m, fast.edges[hit]), base[hit], *totals)
     maxima, tau, bounds = _replicas(fam, blocks, base_m, fast.values, *totals, replications, seed, fast)
-    run = dict(
-        regions=tuple(regions) if regions is not None else None,
-        times=tuple(times) if times is not None else None,
-        maxima=maxima, replications=replications, seed=seed,
-    )
+    run = dict(labels, maxima=maxima, replications=replications, seed=seed)
 
     def settled(scored: ScoredFamily) -> tuple[ScoredFamily, np.ndarray] | None:
         """The kept counts' slacks, with every one that can rank among the ``top`` best settled; None if fewer are kept."""
@@ -1036,7 +1011,7 @@ def monte_carlo_scan(
 
     flat = fast.values.reshape(-1)
     found = None
-    if alpha < 1 and tau > 0:
+    if alpha < 1 and tau > 0 and top is not None:
         if bounds is None:
             bounds = _bounds(fast.values, blocks, tau, *totals, fast)
         scored = _scored(cases_m, base_m, fam, blocks, flat, totals, bounds, **run)

@@ -84,19 +84,20 @@ def synth(kind):
 @pytest.mark.parametrize("geometry", ["centroids", "adjacency"])
 @pytest.mark.parametrize("kind", ["null", "injected"])
 def test_the_flow_writes_the_full_paths_document(kind, geometry, elevated_only, passes):
-    # --top 0, 1, 100 and past the family, at alpha 0.05 and 1 (every
-    # cylinder significant, so the flow scores all of them); on these grids
-    # the flow takes one pass, two passes and the fallback to every cylinder
+    # --top 0, 1, 100, past the family and None (every row), at alpha 0.05
+    # and 1 (every cylinder significant, so the flow scores all of them); on
+    # these grids the flow takes one pass, two passes and the fallback to
+    # every cylinder
     cases, baseline, centroids, rings = synth(kind)
     fam = centroids if geometry == "centroids" else rings
     full = monte_carlo_p(scan(cases, baseline, fam, elevated_only), REPLICATIONS, SEED)
-    for alpha, top in itertools.product((0.05, 1.0), (0, 1, 100, len(fam) + 1)):
+    for alpha, top in itertools.product((0.05, 1.0), (0, 1, 100, len(fam) + 1, None)):
         passes.clear()  # of the flow alone, not of scan
         flow = monte_carlo_scan(cases, baseline, fam, REPLICATIONS, SEED, elevated_only, alpha, top)
         assert document(flow, alpha, top) == reference_document(full, alpha, top), (
             alpha, top, sizes(passes)
         )
-        if alpha == 1.0 or top > len(fam):
+        if alpha == 1.0 or top is None or top > len(fam):
             assert passes[-1] is None  # every cylinder
         else:
             assert None not in sizes(passes) and 0 < max(sizes(passes)) < len(fam)
@@ -222,6 +223,24 @@ def test_the_flow_raises_the_errors_of_the_full_path(monkeypatch):
             monte_carlo_scan(m, m, one, *options)
 
 
+@pytest.mark.parametrize("labels", ["regions", "times"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too-short", "too-long"])
+@pytest.mark.parametrize("entry", ["scan", "monte_carlo_scan"])
+def test_labels_of_the_wrong_length_are_refused(entry, extra, labels):
+    # a list one short once failed inside scan_to_dict, and one too long was
+    # written as given; both are refused with the other argument checks
+    cases, baseline, fam, _ = synth("null")
+    size = cases.shape[labels == "times"] + extra
+    given = {labels: [f"x{i}" for i in range(size)]}
+    with pytest.raises(InputError) as err:
+        if entry == "scan":
+            scan(cases, baseline, fam, **given)
+        else:
+            monte_carlo_scan(cases, baseline, fam, 9, SEED, **given)
+    assert err.value.module == "stscan"
+    assert str(err.value) == f"{labels} must be {size - extra} labels, got {size}"
+
+
 def write_grid(path, population, cases):
     """Regions A and B over t0 and t1, with centroids and a schema."""
     for name, counts in (("population", population), ("cases", cases)):
@@ -314,12 +333,13 @@ def test_the_flow_keeps_about_12_bytes_per_cylinder(monkeypatch):
 # only where the bound on its fast baseline cannot settle a decision
 
 
-def twins():
+def twins(two_hot_pairs=False):
     """Regions in pairs 0.01 apart, so that each pair's two-region disks are one region set.
 
     The two disks add their cells in different member orders, so their
     fractional baselines (a population near 1000.5) may differ in the last
-    bit, and their scores tie or nearly tie.
+    bit, and their scores tie or nearly tie. With ``two_hot_pairs`` a
+    second pair is hot, and disks are capped at a fifth of the baseline.
     """
     rng = np.random.default_rng(17)
     centers = rng.random((8, 2)) * 10
@@ -327,8 +347,11 @@ def twins():
     population = 1000.5 + rng.integers(0, 3, size=(16, 6)) + rng.random((16, 6)) / 7
     cases = rng.poisson(population / 100).astype(float)
     cases[4:6, 2:4] += 6  # a hot pair
+    if two_hot_pairs:
+        cases[12:14, 0:2] += 6
     baseline = expected_baseline(cases, population)
-    return cases, baseline, enumerate_cylinders(times=6, coords=coords)
+    cap = {"max_fraction": 0.2, "region_baseline": baseline.sum(axis=1)} if two_hot_pairs else {}
+    return cases, baseline, enumerate_cylinders(times=6, coords=coords, **cap)
 
 
 def same_region_sets(fam):
@@ -366,6 +389,48 @@ def test_twin_disks_and_a_fractional_population_keep_the_documents(
     finally:
         if old is not None:
             np.setbufsize(old)
+
+
+class MovedFastBaselines(stscan._FastBaselines):
+    """Fast baselines each moved by half its disk's ``err``, up or down at random.
+
+    ``err`` is at least twice the bound on a fast baseline's distance from
+    its definition sum, so a moved value stays within ``err`` of it: every
+    decision the flow takes must still be the definition's, while any it
+    reads off an unsettled value is likely to come out otherwise.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        rng = np.random.default_rng(1)
+        shift = self.err[:, None] / 2 * rng.choice([-1.0, 1.0], self.values.shape)
+        shift.reshape(-1)[self.resolved] = 0.0  # definition sums stay as they are
+        self.values += shift
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["summed", "moved"])
+@pytest.mark.parametrize("elevated_only", [True, False])
+def test_several_significant_twin_disks_keep_the_clusters(elevated_only, moved, monkeypatch):
+    # two hot pairs and capped disks: at alpha 0.5 with elevated-only
+    # scoring, 18 cylinders are significant, 16 of them twins, and of the
+    # three clusters two are disks whose twins are significant too, one
+    # tied with its twin to the bit and one apart from it in the last bits.
+    # With the fast baselines moved within their bound, a flow that left a
+    # significant disk's best unsettled writes other rows here
+    cases, baseline, fam = twins(two_hot_pairs=True)
+    full = monte_carlo_p(scan(cases, baseline, fam, elevated_only), REPLICATIONS, SEED)
+    if elevated_only:
+        res = full.result(0.5, None)
+        centers = {}  # per significant region set, the centers of its disks
+        for c in res.cylinders[: res.significant_total]:
+            centers.setdefault(frozenset(c.members), set()).add(c.center)
+        assert res.significant_total == 18 and len(res.clusters) == 3
+        assert sum(len(centers[frozenset(c.members)]) == 2 for c in res.clusters) == 2
+    if moved:
+        monkeypatch.setattr(stscan, "_FastBaselines", MovedFastBaselines)
+    for alpha, top in itertools.product((0.05, 0.5), (0, 1, 10)):
+        flow = flow_document(cases, baseline, fam, elevated_only, alpha, top)
+        assert flow == reference_document(full, alpha, top), (alpha, top)
 
 
 def test_significance_at_and_beside_a_replica_maximum(monkeypatch):
