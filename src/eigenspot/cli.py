@@ -132,7 +132,7 @@ def scan_cmd(opts: argparse.Namespace) -> None:
     # the baseline is scaled to the case total, so no cases leave no baseline
     if cases_m.sum() == 0:
         raise InputError(f"cases file {opts.cases!r} holds no cases", module="cli")
-    baseline_m = stscan.expected_baseline(cases_m, _space_time_matrix(population_t))
+    population_m = _space_time_matrix(population_t)
 
     coords = neighbors = None
     if opts.centroids is not None:
@@ -145,11 +145,11 @@ def scan_cmd(opts: argparse.Namespace) -> None:
         coords=coords,
         neighbors=neighbors,
         max_fraction=opts.max_fraction,
-        region_baseline=baseline_m.sum(axis=1),
+        region_baseline=population_m.sum(axis=1),
     )
     result = stscan.monte_carlo_scan(
         cases_m,
-        baseline_m,
+        population_m,
         candidates,
         replications=opts.replications,
         seed=opts.seed,

@@ -16,14 +16,15 @@ multinomial draw proportional to the baseline, the replica statistic is
 the maximum cylinder score, and the p-value of a cylinder is
 (1 + #{replica maxima >= score}) / (replications + 1).
 
-A cylinder's baseline is defined as the sum of its cells in the order
-``matrix[members][:, t0:t1+1].sum()`` adds them (:meth:`CylinderFamily.cell_sums`).
+A cylinder's baseline is its population sum P times C_tot / P_tot, the
+count expected at one rate everywhere (Kulldorff, "A spatial scan
+statistic", Comm. Stat. 1997). P comes from the time-prefix kernel that
+sums the case counts (:func:`_disk_sums`): exact integers for a
+whole-number population with a total below 2**53, so a region-time set has
+one baseline in any member order, and float64 sums for a fractional one.
 :func:`scan` and :func:`monte_carlo_p`, the reference chain, score every
-cylinder on that definition. :func:`monte_carlo_scan`, the command's flow,
-writes the same document from fast baselines, each within a proven bound
-of its definition (:mod:`eigenspot.sums`), and sums cells in the
-definition's order only for the cylinders whose decisions the bound cannot
-settle.
+cylinder; :func:`monte_carlo_scan`, the command's flow, writes the same
+document from the cylinders that can reach it.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .sums import _SLICE, _FastBaselines, _disk_sums, _intervals
-from .sums import cell_sums as _cell_sums
 
 if TYPE_CHECKING:
     from .eigenmatch import NeighborMatrix
@@ -46,6 +46,9 @@ if TYPE_CHECKING:
 # values one block of disk sums may hold, its gathered time prefixes or its
 # window counts, whichever is more; bounds the replica loop's working set
 _BLOCK = 1 << 20
+
+# values one slice of a float pass over cylinders holds: each pass's temporaries stay this size
+_SLICE = 1 << 13
 
 # integers below this, and sums of them that stay below it, are exact in float64
 _EXACT = 2.0**53
@@ -102,22 +105,6 @@ class CylinderFamily:
     def __iter__(self) -> Iterator[ScanCylinder]:
         return _rows(self, np.arange(len(self)))
 
-    def cell_sums(self, matrix: np.ndarray, cylinders: np.ndarray | None = None) -> np.ndarray:
-        """Per-cylinder sums that add cells as ``matrix[members][:, t0:t1+1].sum()`` does.
-
-        The sums of every cylinder in index order, or of the cylinder
-        indices ``cylinders``, in their order. Each cylinder's k × w cells
-        are copied out contiguous, in the order a per-cylinder sum reads
-        them, and added as :func:`_cell_order_sums` adds them; a sum reads
-        its own cells alone, so it does not depend on which others are
-        summed with it. The whole family goes by disk size, in runs of disks
-        whose member rows (disks × k × T) and window blocks of any one width
-        hold at most ``_BLOCK`` values (or one disk). The indices go by
-        (disk size, window width), gathered straight from ``matrix`` in runs
-        of at most ``_BLOCK`` cells (or one cylinder).
-        """
-        return _cell_sums(self, matrix, cylinders, _BLOCK)
-
     def blocks(self) -> list[tuple[slice, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
         """Runs of whole centers, each holding at most ``_BLOCK`` values (or one center).
 
@@ -156,6 +143,57 @@ def _rows(fam: CylinderFamily, cylinders: np.ndarray, *columns: Iterable) -> Ite
         yield ScanCylinder(c, tuple(fam.orders[c, :k].tolist()), span, *values)
 
 
+def _disk_sums(
+    matrix: np.ndarray, total: float | None, fam: CylinderFamily, blocks: list
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Per block of :meth:`CylinderFamily.blocks`: its disks and their sums over every window.
+
+    ``matrix`` holds whole numbers that add up to ``total``. Each region's
+    time prefix sums (regions × (T + 1), zero first column) are integers,
+    int32 when ``total`` is below 2**31 and int64 otherwise, so no sum a
+    disk reads can overflow. A block gathers them along its order rows
+    (steps × centers × (T + 1)), adds each step into the next, reads disk
+    ``d``'s prefix row at step ``sizes[d] - 1`` and forms each window
+    ``(t0, t1)`` as ``prefix[t1 + 1] - prefix[t0]``, disks × windows in the
+    family's order, in the prefixes' type. Integer sums are exact, so each
+    sum equals a sum in any other order. Steps past a row's last disk
+    repeat its center and may wrap; no disk reads them. With ``total``
+    None the matrix may hold any non-negative floats, a fractional
+    population, and the prefixes are float64.
+    """
+    whole = np.float64 if total is None else np.int32 if total < 2**31 else np.int64
+    prefix = np.zeros((matrix.shape[0], matrix.shape[1] + 1), whole)
+    np.cumsum(matrix, axis=1, dtype=whole, out=prefix[:, 1:])
+    for disks, rows, at in blocks:
+        nested = prefix.take(rows, axis=0)
+        for j in range(1, len(nested)):
+            np.add(nested[j - 1], nested[j], out=nested[j])
+        # window-major, so that each window is one subtraction of whole rows
+        ends = nested[at].T.copy()
+        del nested
+        counts = ends[fam.t1 + 1]
+        counts -= ends[fam.t0]
+        yield disks, counts.T  # a view; ravel() copies it disk-major
+
+
+def _baselines(population: np.ndarray, c_total: float, fam: CylinderFamily, blocks: list) -> np.ndarray:
+    """Every cylinder's baseline (disks × windows): its population sum times C_tot / P_tot.
+
+    The sums come from :func:`_disk_sums`, in integers when every cell is
+    a whole number and the total is below 2**53, and in float64 otherwise.
+    The scale is the one :func:`expected_baseline` applies to each cell.
+    """
+    p_total = float(population.sum())
+    whole = p_total < _EXACT and np.array_equal(population, np.trunc(population))
+    scale = c_total / p_total
+    out = np.empty((fam.sizes.size, fam.t0.size))
+    for disks, sums in _disk_sums(population, p_total if whole else None, fam, blocks):
+        # not np.multiply(..., out=): freeing this float64 block raises glibc's
+        # mmap and trim thresholds above the replicas' int32 blocks, which then
+        # come from the heap; without it the 400 x 24 flow took 6.8 times the
+        # page faults and about 40% more time
+        out[disks] = sums * scale
+    return out
 
 
 def _p_values(maxima: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -234,9 +272,10 @@ class ScoredFamily:
 
     The arrays run over every cylinder in index order (``kept`` None, as
     :func:`scan` gives them) or over the ``kept`` cylinder indices,
-    ascending. ``matrix`` is a read-only copy of the scanned baseline, which
-    :func:`monte_carlo_p` draws replicas from; ``maxima`` are their sorted
-    maxima, which price each p-value, and None before any replica.
+    ascending. ``matrix`` is the scanned population's expected baseline
+    (:func:`expected_baseline`), read-only, which :func:`monte_carlo_p`
+    draws replicas from; ``maxima`` are their sorted maxima, which price
+    each p-value, and None before any replica.
     """
 
     family: CylinderFamily
@@ -411,6 +450,11 @@ def _disks_from_adjacency(nb: NeighborMatrix) -> tuple[np.ndarray, list[list[int
     return order, disk_sizes
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_max_fraction(max_fraction: float) -> None:
     """Reject a disk cap outside (0, 0.5], as :func:`enumerate_cylinders` does."""
     if not 0 < max_fraction <= 0.5:
@@ -433,10 +477,12 @@ def enumerate_cylinders(
     baseline is supplied, disks holding more than ``max_fraction`` of the
     total baseline are dropped (nesting makes the cut monotone); the
     singleton center disk always survives so every region stays scannable,
-    and without a baseline no disk is dropped.
+    and without a baseline no disk is dropped. ``times`` must be an integer
+    of at least one and the baseline finite and non-negative with a
+    positive sum, or :class:`InputError` is raised.
     """
-    if times < 1:
-        raise InputError("need at least one time step", module="stscan")
+    if not _is_int(times) or times < 1:
+        raise InputError(f"need a whole number of time steps, at least one, got {times!r}", module="stscan")
     check_max_fraction(max_fraction)
     if coords is None and neighbors is None:
         raise InputError(
@@ -456,9 +502,10 @@ def enumerate_cylinders(
     cap = None
     if region_baseline is not None:
         rb = np.asarray(region_baseline, dtype=float)
-        if rb.shape != (n,) or np.any(rb < 0) or rb.sum() <= 0:
+        # NaN fails the comparison and an infinite value makes the sum infinite
+        if rb.shape != (n,) or not (np.all(rb >= 0) and 0 < rb.sum() < math.inf):
             raise InputError(
-                f"region baseline must be {n} non-negative values with a positive sum",
+                f"region baseline must be {n} finite non-negative values with a positive sum",
                 module="stscan",
             )
         cap = max_fraction * float(rb.sum())
@@ -564,7 +611,6 @@ def _bounds(
     c_total: float,
     b_total: float,
     elevated_only: bool,
-    fast: _FastBaselines | None = None,
 ) -> list[tuple[np.ndarray | None, np.ndarray]]:
     """Per block, the roots of :func:`_count_bounds` at ``tau`` as whole-count thresholds.
 
@@ -572,23 +618,8 @@ def _bounds(
     C <= floor(lo); -1 and N + 1 stand for anything past an end. ``lo`` is
     None with elevated-only scoring, where only the upper bound applies.
     The roots are formed in slices of ``_SLICE`` cylinders.
-
-    With ``fast``, whose values ``baselines`` are, the roots are taken at
-    ``tau`` less Δ = N ``fast.spread`` + 1e-12 (|tau| + N + 2 B_tot), at
-    least the slack (:func:`_intervals`) of any count scoring below ``tau``,
-    as a score is at least -B_tot. A count strictly between them scores
-    below tau - Δ on F, so below ``tau`` on D. With elevated-only scoring a
-    count at or below the lower root sits below parity on F; if it is above
-    parity on D, it lies between the two parities, where the convex score
-    is at most its value at one of them: at D's, N ln(N / B_tot), which is
-    at most the parabola's vertex, below tau - Δ where there are roots; at
-    F's, within Δ of that same value on F. Either way it scores below
-    ``tau``, so the thresholds keep every count whose definition score
-    reaches ``tau``.
     """
     whole = np.int32 if c_total + 1 < 2**31 else np.int64
-    if fast is not None:
-        tau = tau - fast.spread * c_total - 1e-12 * (abs(tau) + c_total + 2 * b_total)
     out = []
     for disks, _, _ in blocks:
         flat = baselines[disks].reshape(-1)
@@ -604,20 +635,6 @@ def _bounds(
     return out
 
 
-def _top(
-    counts: np.ndarray, baselines: np.ndarray, c_total: float, b_total: float, elevated_only: bool,
-    best: float,
-) -> float:
-    """The greater of ``best`` and the best score of ``counts`` over ``baselines``."""
-    if elevated_only:
-        # the rest score 0, and only the maximum is kept
-        hot = np.flatnonzero(counts * b_total > baselines * c_total)
-        if hot.size < counts.size:
-            best = max(best, 0.0)
-        counts, baselines = counts[hot], baselines[hot]
-    return _llr(counts, baselines, c_total, b_total).max(initial=best)
-
-
 def _replica_max(
     draw: np.ndarray,
     fam: CylinderFamily,
@@ -627,7 +644,6 @@ def _replica_max(
     b_total: float,
     elevated_only: bool,
     bounds: list | None = None,
-    fast: _FastBaselines | None = None,
 ) -> float:
     """One replica's maximum score, block by block; with ``bounds``, over the counts they keep.
 
@@ -635,51 +651,21 @@ def _replica_max(
     (disks × windows). ``bounds`` holds one ``(lo, hi)`` per block from
     :func:`_bounds`; a count is kept when ``C >= hi`` or ``C <= lo``. The
     kept counts are scored in slices of ``_SLICE``.
-
-    With ``fast``, whose values ``baselines`` are, each kept count's
-    definition score lies within its slack of its score (:func:`_intervals`).
-    The greatest lower end is at most the definition maximum, so only a
-    count whose upper end reaches it can score that maximum. Those are
-    scored again on their definition baselines, and the maximum is the
-    greatest of those scores and of the exact ones (slack 0): the
-    definition maximum over the kept counts.
     """
-    totals = (c_total, b_total, elevated_only)
-    per_disk = fam.t0.size
-    best = floor = -math.inf  # the best exact score; with fast, the best lower end too
-    near: list = []  # with fast: (cylinders, counts, upper ends) that can reach the floor
+    best = -math.inf
     for b, (disks, counts) in enumerate(_disk_sums(draw, c_total, fam, blocks)):
         c, base = counts.ravel(), baselines[disks].ravel()
         keep = None if bounds is None else _kept(c, *bounds[b])
         for s in range(0, c.size if keep is None else keep.size, _SLICE):
             at = slice(s, s + _SLICE) if keep is None else keep[s : s + _SLICE]
-            if fast is None:
-                best = _top(c[at], base[at], *totals, best)
-                continue
-            if keep is None:
-                at = np.arange(s, min(s + _SLICE, c.size))
             cc, bb = c[at], base[at]
             if elevated_only:
-                # far below parity on F, so on D too: an exact 0
-                live = np.flatnonzero(cc * b_total >= bb * c_total * (1 - 2 * fast.spread))
-                if live.size < cc.size:
+                # the rest score 0, and only the maximum is kept
+                hot = np.flatnonzero(cc * b_total > bb * c_total)
+                if hot.size < cc.size:
                     best = max(best, 0.0)
-                at, cc, bb = at[live], cc[live], bb[live]
-            scores, slack = _intervals(cc, bb, _llr(cc, bb, c_total, b_total), *totals, fast.spread)
-            exact = slack == 0
-            best = scores[exact].max(initial=best)
-            floor = np.fmax.reduce(scores - slack, initial=floor)
-            up = scores + slack
-            reach = np.flatnonzero(~exact & ~(up < floor))  # NaN (an edge's) reaches it
-            near.append((disks.start * per_disk + at[reach], cc[reach], up[reach]))
-        if len(near) > 1:  # at most one block's worth is held
-            cylinders, cc, up = (np.concatenate(x) for x in zip(*near))
-            reach = ~(up < floor)
-            near = [(cylinders[reach], cc[reach], up[reach])]
-    if near:
-        cylinders, cc, up = near[0]
-        reach = ~(up < floor)
-        best = _top(cc[reach], fast.resolve(cylinders[reach]), *totals, best)
+                cc, bb = cc[hot], bb[hot]
+            best = _llr(cc, bb, c_total, b_total).max(initial=best)
     return best
 
 
@@ -693,15 +679,12 @@ def _replicas(
     elevated_only: bool,
     replications: int,
     seed: int,
-    fast: _FastBaselines | None = None,
 ) -> tuple[np.ndarray, float, list | None]:
     """The replica loop of :func:`monte_carlo_p`: sorted maxima, the last floor and its bounds.
 
     The bounds are None when no replica needed them after the floor last
     fell. A floor only falls, to ``_FLOOR`` times a maximum below it, so when
-    the last floor is above 0 every maximum is at or above it. With
-    ``fast`` the baselines are its fast ones, and the maxima, floors and
-    bounds are still the definition's (:func:`_replica_max`, :func:`_bounds`).
+    the last floor is above 0 every maximum is at or above it.
     """
     probs = (base_m / b_total).ravel()
     try:
@@ -716,10 +699,10 @@ def _replicas(
         best = math.nan
         if tau > 0:
             if bounds is None:
-                bounds = _bounds(baselines, blocks, tau, *totals, fast)
-            best = _replica_max(draw, fam, blocks, baselines, *totals, bounds, fast)
+                bounds = _bounds(baselines, blocks, tau, *totals)
+            best = _replica_max(draw, fam, blocks, baselines, *totals, bounds)
         if not best >= tau:
-            best = _replica_max(draw, fam, blocks, baselines, *totals, None, fast)
+            best = _replica_max(draw, fam, blocks, baselines, *totals)
             if not best >= tau:
                 tau, bounds = _FLOOR * best, None
         if not math.isfinite(best):
@@ -790,16 +773,15 @@ def _check_covers(fam: CylinderFamily, matrix: np.ndarray) -> None:
 
 
 def _checked(
-    cases: np.ndarray, baseline: np.ndarray, candidates: CylinderFamily,
+    cases: np.ndarray, population: np.ndarray, candidates: CylinderFamily,
     regions: Sequence[str] | None, times: Sequence[str] | None,
-) -> tuple[np.ndarray, np.ndarray, float, float, dict]:
-    """The case matrix, a read-only copy of the baseline, both totals and the label tuples, checked for a scan."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, dict]:
+    """The case and population matrices, the read-only expected baseline, the case and baseline totals and the label tuples, checked for a scan."""
     cases_m = np.asarray(cases, dtype=float)
-    base_m = np.array(baseline, dtype=float)
-    base_m.setflags(write=False)
-    if cases_m.shape != base_m.shape or cases_m.ndim != 2:
+    pop_m = np.asarray(population, dtype=float)
+    if cases_m.shape != pop_m.shape or cases_m.ndim != 2:
         raise InputError(
-            "cases and baseline must be equal-shape space-by-time matrices", module="stscan"
+            "cases and population must be equal-shape space-by-time matrices", module="stscan"
         )
     labels = {}  # the result's regions and times: one label per row and per column, or None
     for (name, given), size in zip((("regions", regions), ("times", times)), cases_m.shape):
@@ -810,23 +792,26 @@ def _checked(
         raise InputError("candidates must be a non-empty CylinderFamily", module="stscan")
     _check_covers(candidates, cases_m)
     c_total = float(cases_m.sum())
-    b_total = float(base_m.sum())
+    p_total = float(pop_m.sum())
     # NaN fails the comparison and an infinite cell makes its total infinite
-    finite = math.isfinite(c_total + b_total)
-    if not (finite and b_total > 0 and np.all(cases_m >= 0) and np.all(base_m >= 0)):
+    finite = math.isfinite(c_total + p_total)
+    if not (finite and c_total > 0 and p_total > 0 and np.all(cases_m >= 0) and np.all(pop_m >= 0)):
         raise InputError(
-            "cells must be finite and non-negative with a positive baseline total", module="stscan"
+            "cells must be finite and non-negative, with positive case and population totals",
+            module="stscan",
         )
     if not (c_total < _EXACT and np.array_equal(cases_m, np.trunc(cases_m))):
         raise InputError(
             "case cells must be whole numbers with a total below 2**53", module="stscan"
         )
-    return cases_m, base_m, c_total, b_total, labels
+    base_m = expected_baseline(cases_m, pop_m)
+    base_m.setflags(write=False)
+    return cases_m, pop_m, base_m, c_total, float(base_m.sum()), labels
 
 
 def scan(
     cases: np.ndarray,
-    baseline: np.ndarray,
+    population: np.ndarray,
     candidates: CylinderFamily,
     elevated_only: bool = True,
     regions: Sequence[str] | None = None,
@@ -836,23 +821,27 @@ def scan(
 
     Case cells must be whole numbers with a total below 2**53, the counts
     the Poisson statistic is defined on; their disk sums are then exact.
-    The counts, baselines and scores come back as arrays over every
-    cylinder in index order, with a read-only copy of the baseline, which
-    :func:`monte_carlo_p` draws replicas from. :meth:`ScoredFamily.result`
-    ranks them: ties sort the smaller member set first, then the lower
-    center index, then the earlier window, so the ordering is total and the
-    output deterministic.
+    Population cells may be any non-negative numbers. A cylinder's baseline
+    is its population sum times C_tot / P_tot (:func:`_baselines`), and the
+    total baseline that of :func:`expected_baseline`'s matrix. The counts,
+    baselines and scores come back as arrays over every cylinder in index
+    order, with that matrix, read-only, which :func:`monte_carlo_p` draws
+    replicas from. :meth:`ScoredFamily.result` ranks them: ties sort the
+    smaller member set first, then the lower center index, then the
+    earlier window, so the ordering is total and the output deterministic.
     """
-    cases_m, base_m, c_total, b_total, labels = _checked(cases, baseline, candidates, regions, times)
+    cases_m, pop_m, base_m, c_total, b_total, labels = _checked(cases, population, candidates, regions, times)
     fam = candidates
-    return _scored(
-        cases_m, base_m, fam, fam.blocks(), fam.cell_sums(base_m), (c_total, b_total, elevated_only),
-        **labels,
-    )
+    blocks = fam.blocks()
+    baselines = _baselines(pop_m, c_total, fam, blocks).reshape(-1)
+    return _scored(cases_m, base_m, fam, blocks, baselines, (c_total, b_total, elevated_only), **labels)
 
 
 def check_replications(replications: int, seed: int) -> None:
-    """Reject fewer than one replication or a negative seed, as :func:`monte_carlo_p` does."""
+    """Reject a replication count or a seed that is not an integer, fewer than one replication or a negative seed, as :func:`monte_carlo_p` does."""
+    for name, value in (("replications", replications), ("seed", seed)):
+        if not _is_int(value):
+            raise InputError(f"{name} must be an integer, got {value!r}", module="stscan")
     if replications < 1:
         raise InputError("need at least one replication", module="stscan")
     if seed < 0:
@@ -863,15 +852,15 @@ def monte_carlo_p(scored: ScoredFamily, replications: int, seed: int) -> ScoredF
     """Add the sorted replica ``maxima`` to what :func:`scan` returns, which price each p-value.
 
     Replica case matrices are multinomial redistributions of the observed
-    total over all cells with probabilities proportional to the baseline
-    the family was scanned against, so a replica puts no case where that
-    baseline is zero. Replica ``i`` draws from ``SeedSequence(seed,
-    spawn_key=(i,))``, the stream ``SeedSequence(seed).spawn(replications)[i]``
-    gives, made in its turn: the outcome does not depend on evaluation
-    order, and no stream is held past its replica. A replica sums one block
-    of centers at a time (:meth:`CylinderFamily.blocks`) from its integer
-    time prefixes, which is exact (:func:`_disk_sums`), and keeps only its
-    maximum score.
+    total over all cells with probabilities proportional to the expected
+    baseline the family was scanned against, so a replica puts no case
+    where the population is zero. Replica ``i`` draws from
+    ``SeedSequence(seed, spawn_key=(i,))``, the stream
+    ``SeedSequence(seed).spawn(replications)[i]`` gives, made in its turn:
+    the outcome does not depend on evaluation order, and no stream is held
+    past its replica. A replica sums one block of centers at a time
+    (:meth:`CylinderFamily.blocks`) from its integer time prefixes, which is
+    exact (:func:`_disk_sums`), and keeps only its maximum score.
 
     The first replica is scored in full and sets a floor of ``_FLOOR`` times
     its maximum. Later replicas score only the counts that can reach the
@@ -893,50 +882,32 @@ def monte_carlo_p(scored: ScoredFamily, replications: int, seed: int) -> ScoredF
     return dataclasses.replace(scored, maxima=maxima, replications=replications, seed=seed)
 
 
-def _settle(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselines, at: np.ndarray) -> None:
-    """Give the kept cylinders at positions ``at`` their definition baselines and scores, and no slack."""
-    at = at[slack[at] > 0]
-    if at.size:
-        base = fast.resolve(scored.kept[at])
-        scored.baselines[at] = base
-        scored.scores[at] = _scores(
-            scored.counts[at], base, scored.c_total, scored.b_total, scored.elevated_only
-        )
-        slack[at] = 0.0
+def _score_edges(
+    cases_m: np.ndarray, fam: CylinderFamily, blocks: list, baselines: np.ndarray,
+    totals: tuple[float, float, bool],
+) -> None:
+    """Score the observed counts of the cylinders with no baseline or all of it, if there are any.
 
-
-def _settle_clusters(scored: ScoredFamily, slack: np.ndarray, fast: _FastBaselines, alpha: float) -> None:
-    """Settle whatever ``significant_total`` and the clusters at ``alpha`` read.
-
-    p never rises with the score, so a cylinder whose p is at most
-    ``alpha`` at both ends of its interval, or at neither, has that
-    significance on the definition too; the rest are settled. ``result``
-    prices p as :func:`_p_values` does; here significance is read from one
-    line, the maximum above which a score is priced at ``alpha`` or less.
-    Then, per significant disk, every significant cylinder whose upper end
-    reaches the greatest lower end among them is settled. The disk's best
-    on the definition scores at least that lower end, so it is settled, as
-    is every cylinder tied with it, and every one left unsettled ranks
-    strictly below it: the disks' best, their order and the clusters chosen
-    among them are the definition's, with exact rows.
+    Only those can be refused a score (:func:`_scores`), so this raises
+    whatever error scoring every cylinder would raise. ``baselines`` are
+    every cylinder's (disks × windows) and ``totals`` are ``(c_total,
+    b_total, elevated_only)``.
     """
-    fam, kept, scores, maxima = scored.family, scored.kept, scored.scores, scored.maxima
-    # p <= alpha exactly when more than the first j maxima lie below the
-    # score, for the least such j: when the score is above maxima[j - 1]
-    r = maxima.size + 1
-    j = np.flatnonzero((r - np.arange(r)) / r <= alpha)
-    line = math.inf if not j.size else -math.inf if not j[0] else maxima[j[0] - 1]
-    _settle(scored, slack, fast, np.flatnonzero((scores - slack > line) != (scores + slack > line)))
-    sig = np.flatnonzero(scores > line)
-    disk = kept[sig] // fam.t0.size
-    low = np.full(fam.sizes.size, -math.inf)  # per disk, the greatest lower end of its significant cylinders
-    np.maximum.at(low, disk, scores[sig] - slack[sig])
-    _settle(scored, slack, fast, sig[scores[sig] + slack[sig] >= low[disk]])
+    b_total = totals[1]
+    if not (baselines.min() == 0 or baselines.max() >= b_total):
+        return
+    counts, base = [], []
+    for disks, sums in _disk_sums(cases_m, totals[0], fam, blocks):
+        block = baselines[disks].ravel()
+        edge = np.flatnonzero((block == 0) | (block >= b_total))
+        counts.append(sums.ravel()[edge])
+        base.append(block[edge])
+    _scores(np.concatenate(counts, dtype=float), np.concatenate(base), *totals)
 
 
 def monte_carlo_scan(
     cases: np.ndarray,
-    baseline: np.ndarray,
+    population: np.ndarray,
     candidates: CylinderFamily,
     replications: int,
     seed: int,
@@ -946,7 +917,7 @@ def monte_carlo_scan(
     regions: Sequence[str] | None = None,
     times: Sequence[str] | None = None,
 ) -> ScanResult:
-    """:func:`scan` and :func:`monte_carlo_p` in one flow, summing and scoring only what a document needs.
+    """:func:`scan` and :func:`monte_carlo_p` in one flow, scoring only what a document needs.
 
     The result is ``monte_carlo_p(scan(...), replications, seed).result(alpha,
     top)``, the same rows, ``significant_total`` and clusters, built by the
@@ -954,82 +925,51 @@ def monte_carlo_scan(
     arguments are checked as those functions check them, and the same errors
     are raised, the observed scan's before any replica.
 
-    The baselines are fast ones (:class:`_FastBaselines`), each within a
-    proven bound of its definition sum, and a cylinder gets its definition
-    sum (:meth:`CylinderFamily.cell_sums` at its index) only where that
-    bound cannot settle a decision. First the cylinders with no baseline or
-    all of it, the only kind that can be refused a score. The replicas run
-    next, on the baselines alone, and give the definition's maxima
-    (:func:`_replica_max`). When their last floor τ is above 0, every
-    maximum is at or above it, so a cylinder with p <= ``alpha`` < 1 scores
-    above τ. One pass over the observed counts then keeps only those that
-    τ's bounds keep, which include every count whose definition score is τ
-    or more, and scores them on the fast baselines. Every kept cylinder
-    that can rank among the ``top`` best is settled on its definition; if
-    fewer than ``top`` of them score τ or more, a second pass keeps the
-    counts that can reach the ``top``-th best score of the first: the best
-    ``top`` of any subset score no more than the family's. Then whatever
-    the significance of a cylinder or the choice of clusters reads is
-    settled (:func:`_settle_clusters`), so every row, the ranking and each
-    count are the definition's. Every cylinder is summed, scored and
+    The replicas run first, on the baselines alone. When their last floor τ
+    is above 0, every maximum is at or above it, so a cylinder with
+    p <= ``alpha`` < 1 scores above τ. One pass over the observed counts then
+    keeps only those that τ's bounds keep, which include every count that
+    scores τ or more, and only those are scored and ranked. If fewer than
+    ``top`` of them score τ or more, a second pass keeps the counts that can
+    reach the ``top``-th best score of the first: the best ``top`` of any
+    subset score no more than the family's. Every cylinder is scored and
     ranked, as :func:`scan` does, at ``alpha`` = 1, at ``top`` None, at a
     floor or a cut of 0 or below, and when the first pass keeps fewer than
     ``top`` cylinders.
     """
     from .dataio import check_scan_options  # loaded by any caller that writes the document
 
-    cases_m, base_m, c_total, b_total, labels = _checked(cases, baseline, candidates, regions, times)
+    cases_m, pop_m, base_m, c_total, b_total, labels = _checked(cases, population, candidates, regions, times)
     check_replications(replications, seed)
     check_scan_options(alpha, top)
     fam = candidates
     blocks = fam.blocks()
-    fast = _FastBaselines(fam, base_m, blocks, b_total)
+    baselines = _baselines(pop_m, c_total, fam, blocks)
     totals = (c_total, b_total, elevated_only)
-    # score the cylinders that can be refused a score first, on their
-    # definition sums, so that the observed scan's errors come before any
-    # replica, as scan raises them
-    if fast.edges.size:
-        base = fast.values.reshape(-1)[fast.edges]  # resolved
-        hit = (base == 0) | (base >= b_total)
-        _scores(fam.cell_sums(cases_m, fast.edges[hit]), base[hit], *totals)
-    maxima, tau, bounds = _replicas(fam, blocks, base_m, fast.values, *totals, replications, seed, fast)
+    # so that the observed scan's errors come before any replica, as scan raises them
+    _score_edges(cases_m, fam, blocks, baselines, totals)
+    maxima, tau, bounds = _replicas(fam, blocks, base_m, baselines, *totals, replications, seed)
     run = dict(labels, maxima=maxima, replications=replications, seed=seed)
+    flat = baselines.reshape(-1)
 
-    def settled(scored: ScoredFamily) -> tuple[ScoredFamily, np.ndarray] | None:
-        """The kept counts' slacks, with every one that can rank among the ``top`` best settled; None if fewer are kept."""
-        if scored.kept.size < top:
-            return None
-        llr = _llr(scored.counts, scored.baselines, c_total, b_total)
-        _, slack = _intervals(scored.counts, scored.baselines, llr, *totals, fast.spread)
-        del llr
-        slack[fast.known(scored.kept)] = 0.0
-        if top:
-            at = scored.kept.size - top
-            floor = np.partition(scored.scores - slack, at)[at]
-            _settle(scored, slack, fast, np.flatnonzero(scored.scores + slack >= floor))
-        return scored, slack
-
-    flat = fast.values.reshape(-1)
-    found = None
+    scored = None
     if alpha < 1 and tau > 0 and top is not None:
         if bounds is None:
-            bounds = _bounds(fast.values, blocks, tau, *totals, fast)
+            bounds = _bounds(baselines, blocks, tau, *totals)
         scored = _scored(cases_m, base_m, fam, blocks, flat, totals, bounds, **run)
         bounds = None
-        found = settled(scored)
-        if found is not None and top:
-            scores = scored.scores  # of the kept cylinders, the top best settled
-            cut = float(np.partition(scores, scores.size - top)[scores.size - top])
+        size = scored.scores.size  # of the kept cylinders
+        if size < top:
+            scored = None
+        elif top:
+            cut = float(np.partition(scored.scores, size - top)[size - top])
             if cut < tau:
-                found = scored = None
+                scored = None
                 if cut > 0:
-                    cut_bounds = _bounds(fast.values, blocks, cut, *totals, fast)
-                    found = settled(_scored(cases_m, base_m, fam, blocks, flat, totals, cut_bounds, **run))
-    if found is None:
-        scored = flat = fast = None
-        scored = _scored(cases_m, base_m, fam, blocks, fam.cell_sums(base_m), totals, **run)
-    else:
-        scored, slack = found
-        _settle_clusters(scored, slack, fast, alpha)
-    found = slack = fast = flat = None  # from here on only the kept cylinders' arrays are read
+                    scored = _scored(
+                        cases_m, base_m, fam, blocks, flat, totals,
+                        _bounds(baselines, blocks, cut, *totals), **run,
+                    )
+    if scored is None:
+        scored = _scored(cases_m, base_m, fam, blocks, flat, totals, **run)
     return scored.result(alpha, top)

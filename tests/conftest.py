@@ -25,6 +25,24 @@ def ring_adjacency(n):
     return NeighborMatrix(adj)
 
 
+def cylinder_sums(fam, matrix):
+    """Every cylinder's sum of ``matrix``, in cylinder index order, apart from the library's kernel.
+
+    Per disk size the member rows are added, and each window is a
+    difference of that sum's time prefix sums. For whole numbers whose
+    total is below 2**53 every step is exact, so each sum equals a sum in
+    any other order.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    out = np.empty((fam.sizes.size, fam.t0.size))
+    for k in np.unique(fam.sizes).tolist():
+        disks = np.flatnonzero(fam.sizes == k)
+        rows = matrix[fam.orders[fam.centers[disks], :k]].sum(axis=1)  # disks × T
+        prefix = np.concatenate([np.zeros((disks.size, 1)), rows.cumsum(axis=1)], axis=1)
+        out[disks] = prefix[:, fam.t1 + 1] - prefix[:, fam.t0]
+    return out.ravel()
+
+
 def columns_of(parsed):
     """A ParsedRecords' columns decoded back to their values, in row order."""
     return {c: tuple(parsed.categories[c][i] for i in codes) for c, codes in parsed.codes.items()}

@@ -652,7 +652,7 @@ COMMON = {"eigenspot", "eigenspot.cli", "eigenspot.dataio", "eigenspot.eigenmatc
     [
         (lambda data, out: detect_args(data, ["--out", str(out)]), COMMON),
         (lambda data, out: scan_args(data, ["--replications", "9", "--out", str(out)]),
-         COMMON | {"eigenspot.stscan", "eigenspot.sums"}),
+         COMMON | {"eigenspot.stscan"}),
         (lambda data, out: [
             "scan",
             "--cases", str(data / "cases.csv"),
@@ -661,7 +661,7 @@ COMMON = {"eigenspot", "eigenspot.cli", "eigenspot.dataio", "eigenspot.eigenmatc
             "--adjacency", str(data / "adjacency.csv"),
             "--replications", "9",
             "--out", str(out),
-        ], COMMON | {"eigenspot.stscan", "eigenspot.sums"}),
+        ], COMMON | {"eigenspot.stscan"}),
         (lambda data, out: ["--help"], COMMON),
     ],
     ids=["detect", "scan-centroids", "scan-adjacency", "help"],

@@ -36,7 +36,7 @@ from eigenspot.dataio import (
     tensor_to_dict,
 )
 from eigenspot import SynthConfig, enumerate_cylinders, generate, monte_carlo_p, scan
-from eigenspot.stscan import expected_baseline, monte_carlo_scan
+from eigenspot.stscan import monte_carlo_scan
 from conftest import columns_of, make_tensor, records_from_columns, ring_adjacency
 
 SCHEMA_2D = RecordSchema(
@@ -821,7 +821,7 @@ def test_scan_document_reads_back_with_its_recorded_clusters():
     cases[1, :2] += 60.0
     cases[6, 2:] += 40.0
     fam = enumerate_cylinders(times=4, coords=coords)
-    scored = monte_carlo_p(scan(cases, expected_baseline(cases, pop), fam), 99, seed=3)
+    scored = monte_carlo_p(scan(cases, pop, fam), 99, seed=3)
     res = scored.result(alpha=0.05, top=None)
     clusters = [(c.members, c.window) for c in res.significant_clusters(0.05)]
     assert len(clusters) >= 2
@@ -849,7 +849,7 @@ def test_cut_scan_document_writes_back_its_recorded_total():
     cases = np.full((8, 4), 20.0)
     cases[1, :2] += 60.0
     fam = enumerate_cylinders(times=4, coords=coords)
-    scored = monte_carlo_p(scan(cases, expected_baseline(cases, pop), fam), 99, seed=3)
+    scored = monte_carlo_p(scan(cases, pop, fam), 99, seed=3)
     res = scored.result(top=None)
     for top in (1, 0, None):
         doc = scan_to_dict(res, alpha=0.05, top=top)
@@ -868,10 +868,9 @@ def test_a_document_without_alpha_is_not_written_at_one():
         regions=25, times=8, injected_regions=("r12", "r13"), window=(3, 5),
         relative_risk=4.0, seed=3,
     ))
-    cases = data.cases.values
-    baseline = expected_baseline(cases, data.population.values)
-    fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=baseline.sum(axis=1))
-    res = monte_carlo_scan(cases, baseline, fam, 99, 1)
+    cases, population = data.cases.values, data.population.values
+    fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=population.sum(axis=1))
+    res = monte_carlo_scan(cases, population, fam, 99, 1)
     assert scan_to_dict(res, alpha=0.05, top=100)["significant_total"] == 2530
     back = scan_from_dict(scan_to_dict(res, top=10))
     assert back.alpha is None and len(back.cylinders) == 10
@@ -888,11 +887,10 @@ def test_a_cut_result_is_not_written_at_a_larger_top():
         regions=25, times=8, injected_regions=("r12", "r13"), window=(3, 5),
         relative_risk=4.0, seed=3,
     ))
-    cases = data.cases.values
-    baseline = expected_baseline(cases, data.population.values)
-    fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=baseline.sum(axis=1))
+    cases, population = data.cases.values, data.population.values
+    fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=population.sum(axis=1))
     assert len(fam) == 10_800
-    res = monte_carlo_scan(cases, baseline, fam, 99, 1, top=10)
+    res = monte_carlo_scan(cases, population, fam, 99, 1, top=10)
     assert res.top == 10 and len(res.cylinders) == 10
     for top in (None, 11, 200):
         with pytest.raises(InputError, match=f"top {top} asks for more rows than the scan's top 10") as exc:
@@ -908,7 +906,7 @@ def test_a_cut_result_is_not_written_at_a_larger_top():
     with pytest.raises(InputError, match="top None asks for more rows"):
         scan_to_dict(back, alpha=0.05)
     # a result at top None, and a document written at it, hold every row
-    full = monte_carlo_p(scan(cases, baseline, fam), 99, 1).result(alpha=0.05, top=None)
+    full = monte_carlo_p(scan(cases, population, fam), 99, 1).result(alpha=0.05, top=None)
     assert full.top is None and len(scan_to_dict(full, alpha=0.05)["cylinders"]) == 10_800
     assert scan_from_dict(scan_to_dict(full, alpha=0.05, top=3)).top == 3
 

@@ -19,7 +19,7 @@ import pytest
 from eigenspot import InputError, SynthConfig, enumerate_cylinders, generate, monte_carlo_p, scan
 from eigenspot import stscan
 from eigenspot.dataio import dumps_stable, scan_to_dict
-from eigenspot.stscan import CylinderFamily, expected_baseline, monte_carlo_scan
+from eigenspot.stscan import CylinderFamily, monte_carlo_scan
 
 REPLICATIONS = 39
 SEED = 3
@@ -34,13 +34,13 @@ def reference_document(scored, alpha, top):
     return document(scored.result(alpha, top), alpha, top)
 
 
-def full_document(cases, baseline, fam, elevated_only, alpha, top, replications=REPLICATIONS):
-    scored = monte_carlo_p(scan(cases, baseline, fam, elevated_only), replications, SEED)
+def full_document(cases, population, fam, elevated_only, alpha, top, replications=REPLICATIONS):
+    scored = monte_carlo_p(scan(cases, population, fam, elevated_only), replications, SEED)
     return reference_document(scored, alpha, top)
 
 
-def flow_document(cases, baseline, fam, elevated_only, alpha, top, replications=REPLICATIONS):
-    res = monte_carlo_scan(cases, baseline, fam, replications, SEED, elevated_only, alpha, top)
+def flow_document(cases, population, fam, elevated_only, alpha, top, replications=REPLICATIONS):
+    res = monte_carlo_scan(cases, population, fam, replications, SEED, elevated_only, alpha, top)
     return document(res, alpha, top)
 
 
@@ -64,17 +64,16 @@ def sizes(passes):
 
 
 def synth(kind):
-    """(cases, baseline, centroid family, ring family) of a 25-region, 8-step grid."""
+    """(cases, population, centroid family, ring family) of a 25-region, 8-step grid."""
     inject = {"injected": (("r06", "r07", "r11", "r12"), (2, 4), 3.0), "null": ((), (0, 0), 1.0)}
     regions, window, risk = inject[kind]
     data = generate(SynthConfig(
         regions=25, times=8, injected_regions=regions, window=window, relative_risk=risk, seed=1,
     ))
     cases, population = data.cases.values, data.population.values
-    baseline = expected_baseline(cases, population)
-    cap = {"region_baseline": baseline.sum(axis=1)}
+    cap = {"region_baseline": population.sum(axis=1)}
     return (
-        cases, baseline,
+        cases, population,
         enumerate_cylinders(times=8, coords=data.coords, **cap),
         enumerate_cylinders(times=8, neighbors=data.neighbors, **cap),
     )
@@ -88,12 +87,12 @@ def test_the_flow_writes_the_full_paths_document(kind, geometry, elevated_only, 
     # and 1 (every cylinder significant, so the flow scores all of them); on
     # these grids the flow takes one pass, two passes and the fallback to
     # every cylinder
-    cases, baseline, centroids, rings = synth(kind)
+    cases, population, centroids, rings = synth(kind)
     fam = centroids if geometry == "centroids" else rings
-    full = monte_carlo_p(scan(cases, baseline, fam, elevated_only), REPLICATIONS, SEED)
+    full = monte_carlo_p(scan(cases, population, fam, elevated_only), REPLICATIONS, SEED)
     for alpha, top in itertools.product((0.05, 1.0), (0, 1, 100, len(fam) + 1, None)):
         passes.clear()  # of the flow alone, not of scan
-        flow = monte_carlo_scan(cases, baseline, fam, REPLICATIONS, SEED, elevated_only, alpha, top)
+        flow = monte_carlo_scan(cases, population, fam, REPLICATIONS, SEED, elevated_only, alpha, top)
         assert document(flow, alpha, top) == reference_document(full, alpha, top), (
             alpha, top, sizes(passes)
         )
@@ -107,8 +106,8 @@ def test_a_second_pass_runs_when_fewer_than_top_clear_the_floor(monkeypatch, pas
     # on the null grid 134 observed scores reach the replicas' last floor,
     # and 838 counts are kept, so 200 rows need a second pass, whose cut is
     # the 200th best score of those 838
-    cases, baseline, fam, _ = synth("null")
-    full = monte_carlo_p(scan(cases, baseline, fam), REPLICATIONS, SEED)
+    cases, population, fam, _ = synth("null")
+    full = monte_carlo_p(scan(cases, population, fam), REPLICATIONS, SEED)
     floors = []
     bounds = stscan._bounds
 
@@ -118,7 +117,7 @@ def test_a_second_pass_runs_when_fewer_than_top_clear_the_floor(monkeypatch, pas
 
     monkeypatch.setattr(stscan, "_bounds", record)
     passes.clear()
-    flow = flow_document(cases, baseline, fam, True, 0.05, 200)
+    flow = flow_document(cases, population, fam, True, 0.05, 200)
     assert flow == reference_document(full, 0.05, 200)
     assert sizes(passes)[0] == 838 and 838 < sizes(passes)[1] < len(fam)
     scores = full.scores
@@ -127,17 +126,17 @@ def test_a_second_pass_runs_when_fewer_than_top_clear_the_floor(monkeypatch, pas
 
 
 def tied_block():
-    """Twelve cylinders tie at the top, (c, b) = (8, 2.5), of 68 cases and 68 baseline."""
-    # times 0 and 2 and region 1 carry no baseline and no cases, as in
+    """Twelve cylinders tie at the top, (c, b) = (8, 2.5), of 68 cases and 68 population."""
+    # times 0 and 2 and region 1 carry no population and no cases, as in
     # test_scan_exact_ties_keep_documented_order; regions 4-11 add
     # cylinders above parity and below it
     coords = np.array([[0.0, 0.0], [0.5, 0.0], [10.0, 0.0], [11.0, 0.0]]
                       + [[20.0 + i, 5.0] for i in range(8)])
-    baseline = np.zeros((12, 3))
-    baseline[:, 1] = [2.5, 0.0, 7.75, 9.75] + [6.0] * 8
+    population = np.zeros((12, 3))
+    population[:, 1] = [2.5, 0.0, 7.75, 9.75] + [6.0] * 8
     cases = np.zeros((12, 3))
     cases[:, 1] = [8.0, 0.0, 6.0, 6.0, 6.0, 6.0, 7.0, 4.0, 6.0, 8.0, 5.0, 6.0]
-    return cases, baseline, enumerate_cylinders(times=3, coords=coords)
+    return cases, population, enumerate_cylinders(times=3, coords=coords)
 
 
 @pytest.mark.parametrize("layout", ["nearest", "reversed"])
@@ -145,16 +144,16 @@ def tied_block():
 def test_exact_ties_straddling_the_top_cut_keep_their_order(top, layout, passes):
     # the reversed family lists its disks and windows against tie order, so
     # that the kept cylinders' indices do not give their places in it
-    cases, baseline, fam = tied_block()
+    cases, population, fam = tied_block()
     if layout == "reversed":
         fam = CylinderFamily(
             fam.orders, fam.centers[::-1], fam.sizes[::-1], fam.t0[::-1], fam.t1[::-1]
         )
-    full = monte_carlo_p(scan(cases, baseline, fam), 19, SEED)
+    full = monte_carlo_p(scan(cases, population, fam), 19, SEED)
     scores = [c.score for c in full.result(top=13).cylinders]
     assert scores[:12] == [scores[0]] * 12 and scores[12] < scores[0]
     passes.clear()
-    flow = flow_document(cases, baseline, fam, True, 0.05, top, 19)
+    flow = flow_document(cases, population, fam, True, 0.05, top, 19)
     assert flow == reference_document(full, 0.05, top)
     assert None not in sizes(passes)
 
@@ -164,8 +163,8 @@ def test_a_score_equal_to_the_floor_is_kept(monkeypatch, passes):
     # maximum, at rank k, with a lower score at rank k + 1: the bounds must
     # keep that cylinder, so the first pass has k rows that reach the floor
     # and no second pass runs
-    cases, baseline, fam, _ = synth("null")
-    full = monte_carlo_p(scan(cases, baseline, fam), REPLICATIONS, SEED)
+    cases, population, fam, _ = synth("null")
+    full = monte_carlo_p(scan(cases, population, fam), REPLICATIONS, SEED)
     scores = np.sort(full.scores)[::-1]  # in rank order
     below = (scores[:-1] < full.maxima[0]) & (scores[1:] < scores[:-1])
     k = np.flatnonzero(below)[0] + 1
@@ -174,20 +173,22 @@ def test_a_score_equal_to_the_floor_is_kept(monkeypatch, passes):
     replicas = stscan._replicas
     monkeypatch.setattr(stscan, "_replicas", lambda *args: (replicas(*args)[0], tau, None))
     passes.clear()
-    assert flow_document(cases, baseline, fam, True, 0.05, k) == reference_document(full, 0.05, k)
+    assert flow_document(cases, population, fam, True, 0.05, k) == reference_document(full, 0.05, k)
     assert len(passes) == 1 and k <= passes[0].size < len(fam)
 
 
 @pytest.mark.parametrize("elevated_only", [True, False])
 def test_a_floor_at_or_below_0_scores_every_cylinder(elevated_only, passes):
-    # with the raw population as the baseline (a total far above the case
-    # total) every replica maximum is 0 or below
-    cases, baseline, fam, _ = synth("injected")
-    population = baseline * 50.0
+    # every case and all the population in one cell, at C_tot = P_tot: a
+    # cylinder holds that cell, with every case and all the baseline, or
+    # neither, and scores 0 either way, so every replica maximum is 0
+    _, _, fam, _ = synth("null")
+    cases = np.zeros((25, 8))
+    cases[12, 3] = 40.0
     for top in (1, 100):
-        full = full_document(cases, population, fam, elevated_only, 0.05, top)
+        full = full_document(cases, cases, fam, elevated_only, 0.05, top)
         passes.clear()
-        assert flow_document(cases, population, fam, elevated_only, 0.05, top) == full
+        assert flow_document(cases, cases, fam, elevated_only, 0.05, top) == full
         assert passes == [None]
 
 
@@ -209,16 +210,17 @@ def test_the_flow_raises_the_errors_of_the_full_path(monkeypatch):
         (np.ones((1, 2)), np.ones((2, 2)), one, True),
         (np.ones((1, 2)) * 0.5, np.ones((1, 2)), one, True),
     ]
-    for cases, baseline, fam, elevated_only in bad:
+    for cases, population, fam, elevated_only in bad:
         with pytest.raises(InputError) as full:
-            monte_carlo_p(scan(cases, baseline, fam, elevated_only), 9, SEED)
+            monte_carlo_p(scan(cases, population, fam, elevated_only), 9, SEED)
         with pytest.raises(InputError) as flow:
-            monte_carlo_scan(cases, baseline, fam, 9, SEED, elevated_only)
+            monte_carlo_scan(cases, population, fam, 9, SEED, elevated_only)
         assert (flow.value.module, str(flow.value)) == (full.value.module, str(full.value))
-    # and the options: replications, seed, alpha and top
+    # and the options: replications, seed, alpha and top; a replication
+    # count or a seed that is a bool or a float once raised numpy's TypeError
     m = np.ones((1, 2))
     for options in ((0, 1, True, 0.05, 1), (9, -1, True, 0.05, 1), (9, 1, True, 0.0, 1),
-                    (9, 1, True, 0.05, -1)):
+                    (9, 1, True, 0.05, -1), (True, 1), (9.5, 1), (9, 1.5), (9, True)):
         with pytest.raises(InputError):
             monte_carlo_scan(m, m, one, *options)
 
@@ -229,14 +231,14 @@ def test_the_flow_raises_the_errors_of_the_full_path(monkeypatch):
 def test_labels_of_the_wrong_length_are_refused(entry, extra, labels):
     # a list one short once failed inside scan_to_dict, and one too long was
     # written as given; both are refused with the other argument checks
-    cases, baseline, fam, _ = synth("null")
+    cases, population, fam, _ = synth("null")
     size = cases.shape[labels == "times"] + extra
     given = {labels: [f"x{i}" for i in range(size)]}
     with pytest.raises(InputError) as err:
         if entry == "scan":
-            scan(cases, baseline, fam, **given)
+            scan(cases, population, fam, **given)
         else:
-            monte_carlo_scan(cases, baseline, fam, 9, SEED, **given)
+            monte_carlo_scan(cases, population, fam, 9, SEED, **given)
     assert err.value.module == "stscan"
     assert str(err.value) == f"{labels} must be {size - extra} labels, got {size}"
 
@@ -287,24 +289,24 @@ def test_a_scan_command_that_cannot_score_exits_2(tmp_path, population, cases, m
 def test_the_flow_keeps_about_12_bytes_per_cylinder(monkeypatch):
     # while the replicas run, and into the observed pass, the flow holds one
     # float64 baseline and one int32 threshold per cylinder (two with
-    # elevated-only scoring off), 12.6-12.9 and 16.6-16.9 bytes here; the
+    # elevated-only scoring off), 12.4-12.6 and 16.4-16.6 bytes here; the
     # full path held the counts, baselines, scores and ranking too. The
-    # baselines are fast ones, summed once from prefix sums, and every float
-    # pass over the family goes in slices, so its peak is a block's disk
-    # sums on top of that: with the default budget, which holds this family
-    # in one block, 25.8 and 27.3 bytes, and with a 4096-value budget 15.3
-    # and 19.0 bytes (numpy 2.4), where summing every baseline in cell order
-    # and the bounds of a whole block peaked at 50.2-50.7 and 18.5 bytes.
-    # The bounds leave about 10% over the new peaks
+    # baselines are summed once from integer population prefixes, and every
+    # float pass over the family goes in slices, so its peak is a block's
+    # disk sums on top of that: with the default budget, which holds this
+    # family in one block, 23.7 and 27.1 bytes, and with a 4096-value budget
+    # 14.3 and 18.6 bytes (numpy 2.4), where summing every baseline in cell
+    # order and the bounds of a whole block peaked at 50.2-50.7 and 18.5
+    # bytes. The bounds are those set over float prefix-sum baselines, whose
+    # peaks were 25.8, 27.3, 15.3 and 19.0 bytes
     import tracemalloc
 
     from test_stscan import grid_instance
 
     coords, cases, pop = grid_instance(41, n=40, times=12)
-    baseline = expected_baseline(cases, pop)
     fam = enumerate_cylinders(times=12, coords=coords)
     assert len(fam) == 124_800
-    monte_carlo_scan(cases, baseline, fam, 1, SEED)  # first-call set-up, outside the trace
+    monte_carlo_scan(cases, pop, fam, 1, SEED)  # first-call set-up, outside the trace
     held = []
     scored = stscan._scored
 
@@ -320,7 +322,7 @@ def test_the_flow_keeps_about_12_bytes_per_cylinder(monkeypatch):
         held.clear()
         tracemalloc.start()
         try:
-            monte_carlo_scan(cases, baseline, fam, 9, SEED, elevated_only)
+            monte_carlo_scan(cases, pop, fam, 9, SEED, elevated_only)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,8 +331,8 @@ def test_the_flow_keeps_about_12_bytes_per_cylinder(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# certified decisions: the flow sums a cylinder's baseline in cell order
-# only where the bound on its fast baseline cannot settle a decision
+# ties and near-ties: twin disks over a fractional population, and cylinders
+# with no baseline or all of it
 
 
 def twins(two_hot_pairs=False):
@@ -349,9 +351,8 @@ def twins(two_hot_pairs=False):
     cases[4:6, 2:4] += 6  # a hot pair
     if two_hot_pairs:
         cases[12:14, 0:2] += 6
-    baseline = expected_baseline(cases, population)
-    cap = {"max_fraction": 0.2, "region_baseline": baseline.sum(axis=1)} if two_hot_pairs else {}
-    return cases, baseline, enumerate_cylinders(times=6, coords=coords, **cap)
+    cap = {"max_fraction": 0.2, "region_baseline": population.sum(axis=1)} if two_hot_pairs else {}
+    return cases, population, enumerate_cylinders(times=6, coords=coords, **cap)
 
 
 def same_region_sets(fam):
@@ -371,19 +372,19 @@ def test_twin_disks_and_a_fractional_population_keep_the_documents(
     # the twins tie at the top, in the significant set, among the clusters
     # and at replica maxima; the flow's maxima must be the reference
     # chain's, bit for bit, and its documents the reference chain's bytes
-    cases, baseline, fam = twins()
+    cases, population, fam = twins()
     assert len(same_region_sets(fam)) >= 8
     maxima = []
     replicas = stscan._replicas
     monkeypatch.setattr(stscan, "_replicas", lambda *args: maxima.append(replicas(*args)) or maxima[-1])
     old = np.setbufsize(bufsize) if bufsize else None
     try:
-        full = monte_carlo_p(scan(cases, baseline, fam, elevated_only), REPLICATIONS, SEED)
+        full = monte_carlo_p(scan(cases, population, fam, elevated_only), REPLICATIONS, SEED)
         rows = full.result(top=None).cylinders
         assert any(a.score == b.score and a.members != b.members for a, b in zip(rows, rows[1:]))
         for top in (*range(0, 41), 100, len(fam) + 1):
             passes.clear()
-            flow = flow_document(cases, baseline, fam, elevated_only, 0.05, top)
+            flow = flow_document(cases, population, fam, elevated_only, 0.05, top)
             assert flow == reference_document(full, 0.05, top), top
             assert maxima[-1][0].tobytes() == full.maxima.tobytes()
     finally:
@@ -391,34 +392,14 @@ def test_twin_disks_and_a_fractional_population_keep_the_documents(
             np.setbufsize(old)
 
 
-class MovedFastBaselines(stscan._FastBaselines):
-    """Fast baselines each moved by half its disk's ``err``, up or down at random.
-
-    ``err`` is at least twice the bound on a fast baseline's distance from
-    its definition sum, so a moved value stays within ``err`` of it: every
-    decision the flow takes must still be the definition's, while any it
-    reads off an unsettled value is likely to come out otherwise.
-    """
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        rng = np.random.default_rng(1)
-        shift = self.err[:, None] / 2 * rng.choice([-1.0, 1.0], self.values.shape)
-        shift.reshape(-1)[self.resolved] = 0.0  # definition sums stay as they are
-        self.values += shift
-
-
-@pytest.mark.parametrize("moved", [False, True], ids=["summed", "moved"])
 @pytest.mark.parametrize("elevated_only", [True, False])
-def test_several_significant_twin_disks_keep_the_clusters(elevated_only, moved, monkeypatch):
+def test_several_significant_twin_disks_keep_the_clusters(elevated_only):
     # two hot pairs and capped disks: at alpha 0.5 with elevated-only
     # scoring, 18 cylinders are significant, 16 of them twins, and of the
     # three clusters two are disks whose twins are significant too, one
-    # tied with its twin to the bit and one apart from it in the last bits.
-    # With the fast baselines moved within their bound, a flow that left a
-    # significant disk's best unsettled writes other rows here
-    cases, baseline, fam = twins(two_hot_pairs=True)
-    full = monte_carlo_p(scan(cases, baseline, fam, elevated_only), REPLICATIONS, SEED)
+    # tied with its twin to the bit and one apart from it in the last bits
+    cases, population, fam = twins(two_hot_pairs=True)
+    full = monte_carlo_p(scan(cases, population, fam, elevated_only), REPLICATIONS, SEED)
     if elevated_only:
         res = full.result(0.5, None)
         centers = {}  # per significant region set, the centers of its disks
@@ -426,10 +407,8 @@ def test_several_significant_twin_disks_keep_the_clusters(elevated_only, moved, 
             centers.setdefault(frozenset(c.members), set()).add(c.center)
         assert res.significant_total == 18 and len(res.clusters) == 3
         assert sum(len(centers[frozenset(c.members)]) == 2 for c in res.clusters) == 2
-    if moved:
-        monkeypatch.setattr(stscan, "_FastBaselines", MovedFastBaselines)
     for alpha, top in itertools.product((0.05, 0.5), (0, 1, 10)):
-        flow = flow_document(cases, baseline, fam, elevated_only, alpha, top)
+        flow = flow_document(cases, population, fam, elevated_only, alpha, top)
         assert flow == reference_document(full, alpha, top), (alpha, top)
 
 
@@ -437,8 +416,8 @@ def test_significance_at_and_beside_a_replica_maximum(monkeypatch):
     # replica maxima equal to observed scores, and one ulp either side of
     # them, so that the significance threshold falls on a score, between
     # two twins, and beside them
-    cases, baseline, fam = twins()
-    full = scan(cases, baseline, fam)
+    cases, population, fam = twins()
+    full = scan(cases, population, fam)
     scores = np.unique(full.scores)[::-1]
     assert scores[0] > 5
     picks = scores[[0, 1, 2, 5, 9]]
@@ -453,52 +432,28 @@ def test_significance_at_and_beside_a_replica_maximum(monkeypatch):
         if alpha >= 1:
             continue
         for top in (0, 3, 20):
-            flow = flow_document(cases, baseline, fam, True, alpha, top, maxima.size)
+            flow = flow_document(cases, population, fam, True, alpha, top, maxima.size)
             assert flow == reference_document(priced, alpha, top), (alpha, top)
 
 
 def zero_and_whole():
-    """No baseline at step 1, and region 0's singleton over every step holding all of it."""
+    """No population at step 1, and region 0's singleton over every step holding all of it."""
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    baseline = np.array([[4.0, 0.0, 4.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    population = np.array([[4.0, 0.0, 4.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     cases = np.array([[5.0, 0.0, 3.0], [0.0] * 3, [0.0] * 3, [0.0] * 3])
-    return cases, baseline, enumerate_cylinders(times=3, coords=coords)
+    return cases, population, enumerate_cylinders(times=3, coords=coords)
 
 
 @pytest.mark.parametrize("elevated_only", [True, False])
 def test_zero_baselines_and_full_coverage_keep_the_documents(elevated_only):
     # every cylinder without region 0, or over step 1 alone, has no
     # baseline, and each one with region 0 over all three steps has all of
-    # it; only their definition sums can score them
-    cases, baseline, fam = zero_and_whole()
-    edges = stscan._FastBaselines(fam, baseline, fam.blocks(), baseline.sum()).edges
-    assert edges.size > len(fam) // 2
+    # it; the flow scores them before any replica, and they are ranked as
+    # scan ranks them
+    cases, population, fam = zero_and_whole()
+    res = scan(cases, population, fam)
+    edges = (res.baselines == 0) | (res.baselines >= res.b_total)
+    assert np.count_nonzero(edges) > len(fam) // 2
     for alpha, top in itertools.product((0.05, 0.5, 1.0), (0, 1, 5, len(fam) + 1)):
-        assert (flow_document(cases, baseline, fam, elevated_only, alpha, top, 19)
-                == full_document(cases, baseline, fam, elevated_only, alpha, top, 19))
-
-
-def test_the_flow_sums_few_cylinders_in_cell_order(monkeypatch):
-    # with alpha below 1 and top below the family size, the flow never sums
-    # every cylinder in cell order, only a small subset
-    cases, baseline, fam, _ = synth("injected")
-    calls = []
-    cell_sums = CylinderFamily.cell_sums
-
-    def record(self, matrix, cylinders=None):
-        calls.append(None if cylinders is None else np.asarray(cylinders).size)
-        return cell_sums(self, matrix, cylinders)
-
-    monkeypatch.setattr(CylinderFamily, "cell_sums", record)
-    for top in (1, 100):
-        calls.clear()
-        flow = flow_document(cases, baseline, fam, True, 0.05, top)
-        assert calls and None not in calls
-        assert sum(calls) < 0.05 * len(fam)
-        monkeypatch.setattr(CylinderFamily, "cell_sums", cell_sums)
-        assert flow == full_document(cases, baseline, fam, True, 0.05, top)
-        monkeypatch.setattr(CylinderFamily, "cell_sums", record)
-    # the fallbacks sum every cylinder, in one call
-    calls.clear()
-    flow_document(cases, baseline, fam, True, 1.0, 100)
-    assert calls.count(None) == 1
+        assert (flow_document(cases, population, fam, elevated_only, alpha, top, 19)
+                == full_document(cases, population, fam, elevated_only, alpha, top, 19))

@@ -5,7 +5,8 @@ of about a million centroid cylinders each (a null grid, an injected block
 whose significant set runs to tens of thousands, and a uniform grid where
 every cylinder ties) go through :func:`scan`, :func:`monte_carlo_p` and the
 ranked result, and are held to the definitions: sampled and emitted
-cylinders against their cell sums and the scalar :func:`score`, the whole
+cylinders against their cell sums (a baseline is its whole-number
+population times C_tot / P_tot) and the scalar :func:`score`, the whole
 ranking against a reference sort, the significant count against a full
 count, and replica maxima against replicas rescored in full.
 """
@@ -15,8 +16,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cylinder_sums
 from eigenspot import SynthConfig, enumerate_cylinders, generate, monte_carlo_p, scan, stscan
-from eigenspot.stscan import expected_baseline, score
+from eigenspot.stscan import score
 
 ALPHA = 0.05
 REPLICATIONS = 99
@@ -59,17 +61,17 @@ def reference_llr(counts, baselines, c_total, b_total):
 @pytest.fixture(scope="module", params=["null", "injected", "uniform"])
 def scanned(request):
     cases, population, coords = synth(request.param)
-    baseline = expected_baseline(cases, population)
     fam = enumerate_cylinders(
-        cases.shape[1], coords=coords, max_fraction=0.5, region_baseline=baseline.sum(axis=1)
+        cases.shape[1], coords=coords, max_fraction=0.5, region_baseline=population.sum(axis=1)
     )
-    scored = monte_carlo_p(scan(cases, baseline, fam), REPLICATIONS, SEED)
-    return request.param, cases, baseline, scored
+    scored = monte_carlo_p(scan(cases, population, fam), REPLICATIONS, SEED)
+    return request.param, cases, population, scored
 
 
 def test_sampled_and_emitted_cylinders_equal_their_cell_sums(scanned):
-    kind, cases, baseline, scored = scanned
+    kind, cases, population, scored = scanned
     fam = scored.family
+    scale = scored.c_total / population.sum()
     rng = np.random.default_rng(20261020)
     # every significant row, the first 100 rows and 3,000 cylinders at random
     total = scored.result(ALPHA, top=0).significant_total
@@ -82,7 +84,7 @@ def test_sampled_and_emitted_cylinders_equal_their_cell_sums(scanned):
         members = list(cyl.members)
         t0, t1 = cyl.window
         c = cases[members][:, t0 : t1 + 1].sum()
-        b = baseline[members][:, t0 : t1 + 1].sum()
+        b = population[members][:, t0 : t1 + 1].sum() * scale
         assert (cyl.count, cyl.baseline) == (c, b), (kind, cyl)
         expected = score(c, b, scored.c_total, scored.b_total)
         assert math.isclose(cyl.score, expected, rel_tol=1e-9), (kind, cyl, expected)
@@ -117,14 +119,14 @@ def test_the_significant_count_is_a_full_count(scanned):
 
 
 def test_replica_maxima_equal_replicas_rescored_in_full(scanned):
-    _, cases, baseline, scored = scanned
+    _, cases, _, scored = scanned
     fam = scored.family
     three = monte_carlo_p(scored, 3, SEED).maxima
-    probs = (baseline / scored.b_total).ravel()
+    probs = (scored.matrix / scored.b_total).ravel()
     maxima = []
     for i in range(3):
         rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(i,)))
         draw = rng.multinomial(int(scored.c_total), probs).reshape(cases.shape).astype(float)
-        counts = fam.cell_sums(draw)
+        counts = cylinder_sums(fam, draw)
         maxima.append(reference_llr(counts, scored.baselines, scored.c_total, scored.b_total).max())
     np.testing.assert_allclose(three, sorted(maxima), rtol=1e-12, atol=0)

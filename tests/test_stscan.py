@@ -20,7 +20,7 @@ from eigenspot import (
     score,
     write_json,
 )
-from conftest import ring_adjacency
+from conftest import cylinder_sums, ring_adjacency
 from eigenspot import stscan
 from eigenspot.dataio import scan_to_dict
 from eigenspot.stscan import _count_bounds, _llr, _scores, expected_baseline
@@ -245,6 +245,18 @@ def test_enumeration_validation():
         enumerate_cylinders(times=0, coords=np.zeros((1, 2)))
     with pytest.raises(InputError):
         enumerate_cylinders(times=2, coords=np.zeros((2, 2)), max_fraction=0.7)
+    # a baseline that is not finite once switched the cap off: [nan, 1, 1]
+    # at a cap of 0.5 kept 9 disks, where finite values keep 3
+    three = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    assert enumerate_cylinders(times=1, coords=three, region_baseline=np.ones(3)).sizes.size == 3
+    for rb in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
+        with pytest.raises(InputError, match="finite"):
+            enumerate_cylinders(times=1, coords=three, region_baseline=np.array(rb))
+    # a time count that is not an integer once built windows over its ceiling
+    for times in (2.5, 2.0, True, "3", None):
+        with pytest.raises(InputError, match="whole number of time steps"):
+            enumerate_cylinders(times=times, coords=three)
+    assert len(enumerate_cylinders(times=np.int64(2), coords=three)) == 9 * 3
 
 
 def test_cylinder_validation():
@@ -323,11 +335,11 @@ def test_scan_equal_matrices_all_zero_scores():
 
 def test_scan_single_doubled_cell_wins():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    baseline = np.full((3, 4), 10.0)
-    cases = baseline.copy()
+    pop = np.full((3, 4), 10.0)
+    cases = pop.copy()
     cases[1, 2] *= 2
     cands = enumerate_cylinders(times=4, coords=coords)
-    res = scan(cases, baseline, cands).result(top=None)
+    res = scan(cases, pop, cands).result(top=None)
     # exhaustive oracle over all scored candidates
     best = max(
         res.cylinders,
@@ -340,18 +352,19 @@ def test_scan_single_doubled_cell_wins():
 
 
 def test_scan_brute_force_equivalence_smoke():
+    # a baseline is the cylinder's population, a whole number and so exact
+    # in any order, times C_tot / P_tot
     coords, cases, pop = grid_instance(5)
-    baseline = expected_baseline(cases, pop)
-    rb = baseline.sum(axis=1)
-    cands = enumerate_cylinders(times=4, coords=coords, region_baseline=rb)
-    top = scan(cases, baseline, cands).result(top=1).cylinders[0]
+    cands = enumerate_cylinders(times=4, coords=coords, region_baseline=pop.sum(axis=1))
+    top = scan(cases, pop, cands).result(top=1).cylinders[0]
 
-    ct, bt = float(cases.sum()), float(baseline.sum())
+    ct, scale = float(cases.sum()), float(cases.sum()) / float(pop.sum())
+    bt = float(expected_baseline(cases, pop).sum())
     best_key, best = None, None
     for cyl in cands:
         t0, t1 = cyl.window
         c = float(cases[list(cyl.members)][:, t0 : t1 + 1].sum())
-        b = float(baseline[list(cyl.members)][:, t0 : t1 + 1].sum())
+        b = float(pop[list(cyl.members)][:, t0 : t1 + 1].sum()) * scale
         if c * bt > b * ct:
             s = (c * math.log(c / b) if c else 0.0) + (
                 (ct - c) * math.log((ct - c) / (bt - b)) if ct - c > 0 else 0.0
@@ -366,124 +379,69 @@ def test_scan_brute_force_equivalence_smoke():
     assert top.score == best[2]
 
 
-@pytest.mark.parametrize("bufsize", [None, 16])
-def test_scan_sums_follow_cell_order(bufsize):
-    # non-integer baselines, blocks of up to 24 x 9 cells (past numpy's
-    # 128-cell pairwise blocking) and windows of 8 or more steps; a small
-    # buffer makes numpy split the narrower blocks into runs of rows
+@pytest.mark.parametrize("population", ["whole", "fractional"])
+def test_scan_rows_hold_their_population_sums_times_the_scale(population):
+    # blocks of up to 24 x 9 cells and windows of 8 or more steps. A
+    # whole-number population is summed exactly, so each row's baseline is
+    # its direct sum times C_tot / P_tot, bit for bit; a fractional one is
+    # summed in float64 time prefixes, which cancel up to the disk's total
     rng = np.random.default_rng(41)
     coords = rng.random((24, 2))
     cases = rng.poisson(6.0, size=(24, 9)).astype(float)
-    baseline = expected_baseline(cases, rng.integers(50, 150, size=(24, 9)))
+    pop = rng.integers(50, 150, size=(24, 9)).astype(float)
+    if population == "fractional":
+        pop += rng.random(pop.shape)
     cands = enumerate_cylinders(times=9, coords=coords)
-    old = np.setbufsize(bufsize) if bufsize else None
-    try:
-        res = scan(cases, baseline, cands, elevated_only=False).result(top=None)
-        direct = [
-            (
-                float(cases[list(c.members)][:, c.window[0] : c.window[1] + 1].sum()),
-                float(baseline[list(c.members)][:, c.window[0] : c.window[1] + 1].sum()),
-            )
-            for c in res.cylinders
-        ]
-    finally:
-        if old is not None:
-            np.setbufsize(old)
-    assert max(len(c.members) * (c.window[1] - c.window[0] + 1) for c in cands) > 128
-    assert [(c.count, c.baseline) for c in res.cylinders] == direct
-    # a score is the difference of two terms of up to about c_total, so a
-    # last-digit difference between np.log and math.log shows at that scale
+    res = scan(cases, pop, cands, elevated_only=False).result(top=None)
+    scale = float(cases.sum()) / float(pop.sum())
+    assert res.b_total == float(expected_baseline(cases, pop).sum())
     for cyl in res.cylinders:
+        cells = np.ix_(list(cyl.members), range(cyl.window[0], cyl.window[1] + 1))
+        direct = float(pop[cells].sum()) * scale
+        assert cyl.count == cases[cells].sum()
+        if population == "whole":
+            assert cyl.baseline == direct
+        else:
+            assert cyl.baseline == pytest.approx(direct, rel=1e-11)
+        # a score is the difference of two terms of up to about c_total, so a
+        # last-digit difference between np.log and math.log shows at that scale
         expected = score(cyl.count, cyl.baseline, res.c_total, res.b_total, elevated_only=False)
         assert cyl.score == pytest.approx(expected, rel=1e-12, abs=1e-12 * res.c_total)
 
 
-@pytest.mark.parametrize("bufsize", [None, 16])
-@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
-def test_cell_sums_at_index_subsets_equal_the_whole_family_call(instance, bufsize, monkeypatch):
-    # random subsets, unsorted and of every size, sum each cylinder as the
-    # whole-family call does, bit for bit; so do runs cut to one cylinder
-    cands, _, pop = instance()
-    rng = np.random.default_rng(5)
-    baseline = pop / 7.3 + rng.random(pop.shape)
-    old = np.setbufsize(bufsize) if bufsize else None
-    try:
-        whole = cands.cell_sums(baseline)
-        for size in (0, 1, 7, 100, len(cands)):
-            at = rng.permutation(len(cands))[:size]
-            assert cands.cell_sums(baseline, at).tobytes() == whole[at].tobytes()
-        monkeypatch.setattr(stscan, "_BLOCK", 1)
-        at = rng.permutation(len(cands))[:50]
-        assert cands.cell_sums(baseline, at).tobytes() == whole[at].tobytes()
-        assert cands.cell_sums(baseline).tobytes() == whole.tobytes()
-    finally:
-        if old is not None:
-            np.setbufsize(old)
-
-
-@pytest.mark.parametrize("bufsize", [None, 16])
-@pytest.mark.parametrize("instance", [centroid_disks, two_component_rings])
-def test_fast_baselines_stay_within_their_bound(instance, bufsize):
-    # cells spanning 1e-8 to 1e8, with the large ones where they cancel the
-    # most digits of the small windows, and zero cells; the prefix sums
-    # differ from the cell-order sums, and never by more than the bound
-    cands, _, pop = instance()
-    rng = np.random.default_rng(3)
-    cells = 10.0 ** rng.uniform(-8, 8, size=pop.shape)
-    cells[rng.random(pop.shape) < 0.1] = 0.0
-    cells[:, 0] *= 1e4
-    at = rng.permutation(len(cands))[:20]
-    old = np.setbufsize(bufsize) if bufsize else None
-    try:
-        fast = stscan._FastBaselines(cands, cells, cands.blocks(), cells.sum())
-        exact = cands.cell_sums(cells)
-        err = np.repeat(fast.err, cands.t0.size)
-        diff = np.abs(fast.values.ravel() - exact)
-        assert np.count_nonzero(diff) > len(cands) // 10
-        assert np.all(diff <= err)
-        # and the rounded bracket holds every definition sum
-        base = fast.values.ravel()
-        assert np.all((base - err <= exact) & (exact <= base + err))
-        # a resolved cylinder holds its definition sum, and keeps its bound
-        assert fast.resolve(at).tobytes() == exact[at].tobytes()
-    finally:
-        if old is not None:
-            np.setbufsize(old)
-    assert fast.known(at).all() and fast.values.ravel()[at].tobytes() == exact[at].tobytes()
-
-
-@pytest.mark.parametrize("elevated_only", [True, False])
-@pytest.mark.parametrize("population", ["whole", "fractional"])
-def test_replica_maxima_on_fast_baselines_equal_the_definition(population, elevated_only, monkeypatch):
-    # a replica's maximum from fast baselines, pruned or not, in one block
-    # or one center per block, equals its maximum on cell-order sums, bit for
-    # bit, also where twin disks tie at the top
-    cands, cases, pop = centroid_disks()
-    if population == "fractional":
-        pop = pop + 0.5 + np.random.default_rng(2).random(pop.shape) / 3
-    baseline = expected_baseline(cases, pop)
-    c_total, b_total = float(cases.sum()), float(baseline.sum())
-    totals = (c_total, b_total, elevated_only)
-    probs = (baseline / b_total).ravel()
-    definition = cands.cell_sums(baseline).reshape(-1, cands.t0.size)
-    for block in (1 << 20, 1):
-        monkeypatch.setattr(stscan, "_BLOCK", block)
-        blocks = cands.blocks()
-        fast = stscan._FastBaselines(cands, baseline, blocks, b_total)
-        assert not np.array_equal(fast.values, definition) or population == "whole"
-        for i in range(12):
-            draw = np.random.default_rng(i).multinomial(int(c_total), probs).reshape(cases.shape)
-            full = stscan._replica_max(draw, cands, blocks, definition, *totals)
-            got = stscan._replica_max(draw, cands, blocks, fast.values, *totals, None, fast)
-            assert got == full
-            tau = 0.75 * full
-            bounds = stscan._bounds(fast.values, blocks, tau, *totals, fast)
-            pruned = stscan._replica_max(draw, cands, blocks, fast.values, *totals, bounds, fast)
-            assert pruned == full
-            # the fast bounds keep every count the definition's keep
-            exact = stscan._bounds(definition, blocks, tau, *totals)
-            for (lo, hi), (xlo, xhi) in zip(bounds, exact):
-                assert np.all(hi <= xhi) and (lo is None or np.all(lo >= xlo))
+def test_twin_disks_over_a_whole_population_tie_bit_for_bit():
+    # regions in pairs 0.01 apart, so each pair's two-region disks hold one
+    # region set in two member orders. Over a whole-number population each
+    # twin's baseline is one exact integer sum times the scale, so twins
+    # share their baselines and scores bit for bit, where cell-order float
+    # sums of the expected baseline part some of them in the last bits
+    rng = np.random.default_rng(17)
+    centers = rng.random((8, 2)) * 10
+    coords = np.repeat(centers, 2, axis=0) + np.tile([[0.0, 0.0], [0.01, 0.0]], (8, 1))
+    pop = 1000.0 + rng.integers(0, 300, size=(16, 6))
+    cases = rng.poisson(pop / 100).astype(float)
+    fam = enumerate_cylinders(times=6, coords=coords)
+    res = scan(cases, pop, fam, elevated_only=False)
+    baselines, scores = (a.reshape(-1, fam.t0.size) for a in (res.baselines, res.scores))
+    sets = {}
+    for d, (c, k) in enumerate(zip(fam.centers.tolist(), fam.sizes.tolist())):
+        sets.setdefault(frozenset(fam.orders[c, :k].tolist()), []).append(d)
+    twins = [disks for disks in sets.values() if len(disks) > 1]
+    assert len(twins) >= 8
+    expected = expected_baseline(cases, pop)
+    parted = 0
+    for first, *rest in twins:
+        members = fam.orders[fam.centers[first], : fam.sizes[first]]
+        for d in rest:
+            other = fam.orders[fam.centers[d], : fam.sizes[d]]
+            assert not np.array_equal(members, other)
+            assert baselines[d].tobytes() == baselines[first].tobytes()
+            assert scores[d].tobytes() == scores[first].tobytes()
+            parted += any(
+                expected[members, t0 : t1 + 1].sum() != expected[other, t0 : t1 + 1].sum()
+                for t0, t1 in zip(fam.t0.tolist(), fam.t1.tolist())
+            )
+    assert parted
 
 
 @pytest.mark.parametrize("scale", [1000, 0.37])
@@ -494,9 +452,10 @@ def test_replica_maxima_on_fast_baselines_equal_the_definition(population, eleva
 )
 def test_observed_counts_equal_cell_sums_bit_for_bit(instance, bufsize, block, scale, monkeypatch):
     # case counts take the blocked running sums along each order row; they
-    # are exact, so they equal the cell-order sums whatever numpy's buffer,
-    # and a budget below one center's row puts every center in its own block;
-    # large counts, and small ones (scaled by 0.37 and rounded) with many zeros
+    # are exact, so they equal sums taken apart from the kernel whatever
+    # numpy's buffer, and a budget below one center's row puts every center
+    # in its own block; large counts, and small ones (scaled by 0.37 and
+    # rounded) with many zeros
     cands, cases, pop = instance()
     cases = np.round(cases * scale)
     if block:
@@ -504,8 +463,8 @@ def test_observed_counts_equal_cell_sums_bit_for_bit(instance, bufsize, block, s
         assert len(cands.blocks()) == np.unique(cands.centers).size
     old = np.setbufsize(bufsize) if bufsize else None
     try:
-        counts = scan(cases, expected_baseline(cases, pop), cands).counts
-        expected = cands.cell_sums(cases)
+        counts = scan(cases, pop, cands).counts
+        expected = cylinder_sums(cands, cases)
     finally:
         if old is not None:
             np.setbufsize(old)
@@ -513,15 +472,16 @@ def test_observed_counts_equal_cell_sums_bit_for_bit(instance, bufsize, block, s
 
 
 def test_scan_exact_ties_keep_documented_order():
-    # times 0 and 2 and region 1 carry no baseline and no cases, so adding
-    # them to region 0's hot cell leaves (c, b) = (8, 2.5) exactly; ties go
-    # to fewer members, then the lower center, then the earlier window
+    # times 0 and 2 and region 1 carry no population and no cases, so
+    # adding them to region 0's hot cell leaves (c, b) = (8, 2.5) exactly, as
+    # C_tot = P_tot; ties go to fewer members, then the lower center, then
+    # the earlier window
     coords = np.array([[0.0, 0.0], [0.5, 0.0], [10.0, 0.0], [11.0, 0.0]])
-    baseline = np.zeros((4, 3))
-    baseline[:, 1] = [2.5, 0.0, 7.75, 9.75]
+    pop = np.zeros((4, 3))
+    pop[:, 1] = [2.5, 0.0, 7.75, 9.75]
     cases = np.zeros((4, 3))
     cases[:, 1] = [8.0, 0.0, 6.0, 6.0]
-    res = scan(cases, baseline, enumerate_cylinders(times=3, coords=coords)).result(top=None)
+    res = scan(cases, pop, enumerate_cylinders(times=3, coords=coords)).result(top=None)
     tied, top = res.cylinders[:12], res.cylinders[0]
     assert all((c.count, c.baseline, c.score) == (8.0, 2.5, top.score) for c in tied)
     assert res.cylinders[12].score < top.score
@@ -556,7 +516,7 @@ def test_scan_tie_ordering_is_total(layout, elevated_only):
         cands = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0], [3.0, 0.0]]))
     else:
         cands, cases = repeated_cells(layout)
-    res = scan(cases, expected_baseline(cases, np.ones(cases.shape)), cands, elevated_only)
+    res = scan(cases, np.ones(cases.shape), cands, elevated_only)
     rows = list(res.result(top=None).cylinders)
     assert len({c.score for c in rows}) <= len(rows) // 4  # ties are the rule here
     ranked = sorted(rows, key=lambda c: (-c.score, len(c.members), c.center, c.window))
@@ -578,9 +538,12 @@ def test_scan_validation():
     for bad_cases in ([[-1.0, 3.0]], [[np.nan, 3.0]], [[np.inf, 3.0]]):
         with pytest.raises(InputError):
             scan(np.array(bad_cases), np.ones((1, 2)), cands)
-    for bad_baseline in ([[-1.0, 3.0]], [[np.nan, 3.0]]):
+    for bad_population in ([[-1.0, 3.0]], [[np.nan, 3.0]], [[np.inf, 3.0]]):
         with pytest.raises(InputError, match="non-negative"):
-            scan(np.ones((1, 2)), np.array(bad_baseline), cands)
+            scan(np.ones((1, 2)), np.array(bad_population), cands)
+    # no case leaves no baseline
+    with pytest.raises(InputError, match="positive case and population totals"):
+        scan(np.zeros((1, 2)), np.ones((1, 2)), cands)
     for elevated_only in (True, False):
         with pytest.raises(InputError, match="zero baseline"):
             scan(np.ones((1, 2)), np.array([[0.0, 2.0]]), cands, elevated_only=elevated_only)
@@ -609,10 +572,10 @@ def test_scan_requires_whole_number_cases():
     rng = np.random.default_rng(41)
     coords = rng.random((24, 2))
     cases = rng.poisson(6.0, size=(24, 9)).astype(float)
-    baseline = expected_baseline(cases, rng.integers(50, 150, size=(24, 9)))
+    pop = rng.integers(50, 150, size=(24, 9))
     cands = enumerate_cylinders(times=9, coords=coords)
     with pytest.raises(InputError, match="whole numbers"):
-        scan(cases * 0.37, baseline, cands, elevated_only=False)
+        scan(cases * 0.37, pop, cands, elevated_only=False)
     # from 2**53 on, integer cases and their sums are no longer exact
     one = enumerate_cylinders(times=2, coords=np.array([[0.0, 0.0]]))
     for huge in (2.0**53 - 1.0, 2.0**53, 2.0**60):
@@ -641,20 +604,19 @@ def test_monte_carlo_null_top_score_gives_p_one():
 
 def test_monte_carlo_extreme_observation_gets_smallest_p():
     coords = np.array([[float(i), 0.0] for i in range(5)])
-    baseline = np.full((5, 3), 10.0)
+    pop = np.full((5, 3), 10.0)
     cases = np.zeros((5, 3))
     cases[0, 0] = 150.0  # all mass in one cell; replicas spread it out
     cands = enumerate_cylinders(times=3, coords=coords)
-    res = scan(cases, baseline, cands)
+    res = scan(cases, pop, cands)
     out = monte_carlo_p(res, replications=19, seed=3).result(top=1)
     assert out.cylinders[0].p_value == pytest.approx(1 / 20)
 
 
 def test_monte_carlo_p_bounds_and_determinism():
     coords, cases, pop = grid_instance(11, n=6, times=3)
-    baseline = expected_baseline(cases, pop)
     cands = enumerate_cylinders(times=3, coords=coords)
-    res = scan(cases, baseline, cands)
+    res = scan(cases, pop, cands)
     a = monte_carlo_p(res, replications=49, seed=7).result(top=None)
     b = monte_carlo_p(res, replications=49, seed=7).result(top=None)
     for ca, cb in zip(a.cylinders, b.cylinders):
@@ -706,32 +668,28 @@ def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
     # replica counts come from window prefix sums and running sums along each
     # center's order row, one block of centers at a time, and only the
     # maximum score is kept; every replica maximum must equal the top score
-    # of the whole family rescored from the replica's cell-order sums, for
-    # one block, for the 4096-value budget, and for one center per block;
-    # replicas after the first score only the counts that can reach a floor
-    # of a share of the smallest maximum so far, the default or another, and
-    # a share of 1.0 sends every replica that sets a new low back through a
-    # full rescore, which lowers the floor and recomputes the bounds
+    # of the whole family rescored from sums of the replica's cells taken
+    # apart from that kernel, for one block, for the 4096-value budget, and
+    # for one center per block; replicas after the first score only the
+    # counts that can reach a floor of a share of the smallest maximum so
+    # far, the default or another, and a share of 1.0 sends every replica
+    # that sets a new low back through a full rescore, which lowers the
+    # floor and recomputes the bounds. The population is whole, or
+    # fractional and summed in float64
     cands, cases, pop = instance()
     floors = []
     monkeypatch.setattr(
         stscan, "_count_bounds", lambda b, c, t, tau: floors.append(tau) or _count_bounds(b, c, t, tau)
     )
-    # with the raw population as the baseline (a total far above the case
-    # total) elevated cylinders score below 0, so a replica's maximum of 0
-    # comes from the cylinders that are not elevated
-    for baseline, elevated_only in itertools.product(
-        (expected_baseline(cases, pop), pop), (True, False)
-    ):
-        probs = (baseline / baseline.sum()).ravel()
-        baselines = cands.cell_sums(baseline)
+    for population, elevated_only in itertools.product((pop, pop + 0.375), (True, False)):
+        res = scan(cases, population, cands, elevated_only=elevated_only)
+        probs = (res.matrix / res.b_total).ravel()
         draws = [
             np.random.default_rng(ss).multinomial(int(cases.sum()), probs).reshape(cases.shape)
             for ss in np.random.SeedSequence(4).spawn(19)
         ]
-        res = scan(cases, baseline, cands, elevated_only=elevated_only)
         maxima = [
-            _scores(cands.cell_sums(draw.astype(float)), baselines, res.c_total, res.b_total,
+            _scores(cylinder_sums(cands, draw), res.baselines, res.c_total, res.b_total,
                     elevated_only).max()
             for draw in draws
         ]
@@ -744,10 +702,7 @@ def test_monte_carlo_replicas_match_a_full_rescan(instance, monkeypatch):
             floors.clear()
             out = monte_carlo_p(res, replications=19, seed=4).result(top=None)
             assert [c.p_value for c in out.cylinders] == expected
-            if baseline is pop:
-                assert not floors  # every maximum is 0 or below, so nothing is pruned
-            else:
-                assert len(set(floors)) >= (2 if floor == 1.0 else 1)
+            assert len(set(floors)) >= (2 if floor == 1.0 else 1)
 
 
 @pytest.mark.parametrize("block", [1 << 20, 1])
@@ -765,7 +720,7 @@ def test_replica_keep_rules_include_their_thresholds(elevated_only, block, monke
     draw = np.random.default_rng(9).multinomial(int(c_total), probs).reshape(cases.shape)
     blocks = fam.blocks()
     assert (len(blocks) > 1) == (block == 1)
-    baselines = fam.cell_sums(baseline).reshape(-1, fam.t0.size)
+    baselines = stscan._baselines(pop, c_total, fam, blocks)
     totals = (c_total, b_total, elevated_only)
     counts = [sums.ravel() for _, sums in stscan._disk_sums(draw, c_total, fam, blocks)]
     if elevated_only:
@@ -788,7 +743,7 @@ def test_monte_carlo_scores_few_cylinders_after_the_first_replica(
     # as the family grows, to 4-7% on 14,400 cylinders
     coords, cases, pop = grid_instance(seed, n=regions, times=times)
     cands = enumerate_cylinders(times=times, coords=coords)
-    res = scan(cases, expected_baseline(cases, pop), cands)
+    res = scan(cases, pop, cands)
     scored = []
     monkeypatch.setattr(stscan, "_llr", lambda c, *args: scored.append(c.size) or _llr(c, *args))
     monte_carlo_p(res, replications=49, seed=3)
@@ -807,10 +762,9 @@ def test_monte_carlo_working_set_stays_near_the_family_size(monkeypatch):
     import tracemalloc
 
     coords, cases, pop = grid_instance(41, n=40, times=12)
-    baseline = expected_baseline(cases, pop)
     cands = enumerate_cylinders(times=12, coords=coords)
     assert len(cands) == 124_800
-    res = scan(cases, baseline, cands)
+    res = scan(cases, pop, cands)
     for block, bound in ((1 << 20, 1.6), (4096, 0.26)):
         monkeypatch.setattr(stscan, "_BLOCK", block)
         tracemalloc.start()
@@ -854,6 +808,11 @@ def test_monte_carlo_validation(tmp_path, monkeypatch):
         monte_carlo_p(res, replications=0, seed=1)
     with pytest.raises(InputError, match="seed"):
         monte_carlo_p(res, replications=9, seed=-1)
+    # a bool, a float or a string once reached numpy and raised its TypeError
+    for replications, seed in ((True, 1), (9.5, 1), ("9", 1), (9, 1.5), (9, False), (9, None)):
+        with pytest.raises(InputError, match="must be an integer"):
+            monte_carlo_p(res, replications=replications, seed=seed)
+    assert monte_carlo_p(res, replications=np.int64(3), seed=np.uint32(1)).replications == 3
     # the replicas need every cylinder scored by scan, not ranked rows or a
     # part of the family
     for partial in (res.result(top=None), dataclasses.replace(res, kept=np.array([0]))):
@@ -873,16 +832,16 @@ def test_monte_carlo_validation(tmp_path, monkeypatch):
 
 def test_monte_carlo_draws_from_the_scanned_baseline():
     cands, cases, pop = centroid_disks()
-    baseline = expected_baseline(cases, pop)
-    res = scan(cases, baseline, cands)
-    assert not res.matrix.flags.writeable and not np.shares_memory(res.matrix, baseline)
+    res = scan(cases, pop, cands)
+    assert not res.matrix.flags.writeable and not np.shares_memory(res.matrix, pop)
+    assert res.matrix.tobytes() == expected_baseline(cases, pop).tobytes()
 
     def p_values():
         out = monte_carlo_p(res, replications=19, seed=6).result(top=None)
         return [c.p_value for c in out.cylinders]
 
     expected = p_values()
-    baseline[0] *= 40.0  # the caller's array changes; the scanned copy does not
+    pop[0] *= 40.0  # the caller's array changes; the scanned matrix does not
     assert p_values() == expected
     # region 0 and time 0 carry no baseline, so no replica puts a case there
     half = np.array([[0.0, 0.0], [0.0, 2.0]])
@@ -896,7 +855,6 @@ def test_monte_carlo_draws_from_the_scanned_baseline():
 def test_family_rows_slices_and_significant_prefix():
     coords, cases, pop = grid_instance(31, n=8, times=4, rate=0.3)
     cases[2, :] += 40.0
-    baseline = expected_baseline(cases, pop)
     cands = enumerate_cylinders(times=4, coords=coords)
     # cylinder i is disk i // W over window i % W, W = 10 windows here
     rows = list(cands)
@@ -904,7 +862,7 @@ def test_family_rows_slices_and_significant_prefix():
     assert [c.window for c in rows[:10]] == [(t0, t1) for t0 in range(4) for t1 in range(t0, 4)]
     assert rows[10].center == 0 and len(rows[10].members) == 2 and rows[10].window == (0, 0)
 
-    scored = monte_carlo_p(scan(cases, baseline, cands), replications=99, seed=5)
+    scored = monte_carlo_p(scan(cases, pop, cands), replications=99, seed=5)
     # scanning leaves the candidate family as it was: geometry only
     assert scored.family is cands and not hasattr(cands, "scores")
     res = scored.result(top=None)
@@ -933,9 +891,8 @@ def test_the_family_counts_what_the_benchmark_tracer_reads(instance):
 def test_significant_clusters_are_disjoint():
     coords, cases, pop = grid_instance(31, n=8, times=4, rate=0.3)
     cases[2, :] += 40.0  # force a hot region
-    baseline = expected_baseline(cases, pop)
     cands = enumerate_cylinders(times=4, coords=coords)
-    res = monte_carlo_p(scan(cases, baseline, cands), replications=99, seed=5).result(0.05, None)
+    res = monte_carlo_p(scan(cases, pop, cands), replications=99, seed=5).result(0.05, None)
     clusters = res.significant_clusters(0.05)
     seen = set()
     for cyl in clusters:
