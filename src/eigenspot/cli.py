@@ -124,7 +124,7 @@ def scan_cmd(opts: argparse.Namespace) -> None:
         raise InputError("supply --centroids or --adjacency, not both", module="cli")
     stscan.check_max_fraction(opts.max_fraction)
     stscan.check_replications(opts.replications, opts.seed)
-    dataio.check_scan_options(opts.alpha, opts.top)
+    stscan.check_scan_options(opts.alpha, opts.top)
     cases_t, population_t, space_cats = _ingest(opts)
     time_cats = cases_t.modes[cases_t.time_axis].categories
 
@@ -159,7 +159,7 @@ def scan_cmd(opts: argparse.Namespace) -> None:
         regions=space_cats,
         times=time_cats,
     )
-    dataio.write_json(dataio.scan_to_dict(result, alpha=opts.alpha, top=opts.top), opts.out)
+    dataio.write_json(dataio.scan_to_dict(result), opts.out)
 
 
 def synth(opts: argparse.Namespace) -> None:

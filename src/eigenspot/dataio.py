@@ -885,49 +885,30 @@ def report_from_dict(doc: Mapping[str, Any]) -> HotspotReport:
     )
 
 
-def _cylinder_to_dict(
-    cyl: ScanCylinder,
-    regions: tuple[str, ...] | None,
-    times: tuple[str, ...] | None,
-) -> dict[str, Any]:
-    center: Any = regions[cyl.center] if regions else cyl.center
-    members: list[Any] = [regions[m] for m in cyl.members] if regions else list(cyl.members)
-    window: list[Any] = [times[t] for t in cyl.window] if times else list(cyl.window)
-    return {
-        "center": center,
-        "members": members,
-        "window": window,
-        "c": cyl.count,
-        "b": cyl.baseline,
-        "score": cyl.score,
-        "p_value": cyl.p_value,
-    }
+def _cylinder_dicts(result: ScanResult, cylinders: tuple[ScanCylinder, ...]) -> list[dict[str, Any]]:
+    """Document rows of ``cylinders``, named by the result's region and time labels if it has them."""
+    regions, times = result.regions, result.times
+    return [
+        {
+            "center": regions[c.center] if regions else c.center,
+            "members": [regions[m] for m in c.members] if regions else list(c.members),
+            "window": [times[t] for t in c.window] if times else list(c.window),
+            "c": c.count,
+            "b": c.baseline,
+            "score": c.score,
+            "p_value": c.p_value,
+        }
+        for c in cylinders
+    ]
 
 
-def check_scan_options(alpha: float | None, top: int | None) -> None:
-    """Reject a negative ``top`` or an ``alpha`` outside (0, 1], as :func:`scan_to_dict` does."""
-    if top is not None and top < 0:
-        raise InputError(f"top must be non-negative, got {top}", module="dataio")
-    if alpha is not None and not 0 < alpha <= 1:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}", module="dataio")
+def scan_to_dict(result: ScanResult) -> dict[str, Any]:
+    """Scan result as a document, as it was computed or read back.
 
-
-def scan_to_dict(
-    result: ScanResult,
-    alpha: float | None = None,
-    top: int | None = None,
-) -> dict[str, Any]:
-    """Scan result as a document; ``top`` truncates the ranked list.
-
-    A result cut at a ``top`` holds no further rows, so writing it at None
-    or at a larger ``top`` raises :class:`InputError`.
+    The document holds the result's rows and the ``top`` it was cut at; a
+    result that recorded an ``alpha`` adds it, its ``significant_total``
+    and its clusters. :meth:`ScoredFamily.result` cuts a smaller document.
     """
-    check_scan_options(alpha, top)
-    if result.top is not None and (top is None or top > result.top):
-        raise InputError(
-            f"top {top} asks for more rows than the scan's top {result.top}", module="dataio"
-        )
-    cyls = result.cylinders if top is None else result.cylinders[:top]
     doc: dict[str, Any] = {
         "schema": SCAN_SCHEMA,
         "c_total": result.c_total,
@@ -937,23 +918,13 @@ def scan_to_dict(
         "seed": result.seed,
         "regions": list(result.regions) if result.regions else None,
         "times": list(result.times) if result.times else None,
-        "top": top,
-        "cylinders": [
-            _cylinder_to_dict(c, result.regions, result.times) for c in cyls
-        ],
+        "top": result.top,
+        "cylinders": _cylinder_dicts(result, result.cylinders),
     }
-    if alpha is not None:
-        # a result holds only a document's rows: the count and clusters it recorded are at its alpha
-        if alpha != result.alpha:
-            raise InputError(
-                f"alpha {alpha} differs from the scan's alpha {result.alpha}", module="dataio"
-            )
-        doc["alpha"] = alpha
+    if result.alpha is not None:
+        doc["alpha"] = result.alpha
         doc["significant_total"] = result.significant_total
-        doc["significant"] = [
-            _cylinder_to_dict(c, result.regions, result.times)
-            for c in result.significant_clusters(alpha)
-        ]
+        doc["significant"] = _cylinder_dicts(result, result.clusters)
     return doc
 
 
@@ -961,8 +932,10 @@ def scan_to_dict(
 def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
     """Read a scan document back, with the ``top`` it was cut at, and the
     ``significant`` clusters and ``significant_total`` it recorded at its
-    ``alpha`` if it has one."""
-    from .stscan import ScanCylinder, ScanResult
+    ``alpha`` if it has one. The ``top`` and ``alpha`` are checked as the
+    scan checks them, and ``replications``, ``seed`` (or null) and
+    ``significant_total`` must be non-negative integers."""
+    from .stscan import ScanCylinder, ScanResult, check_scan_options
 
     if doc.get("schema") != SCAN_SCHEMA:
         raise InputError(
@@ -989,20 +962,28 @@ def scan_from_dict(doc: Mapping[str, Any]) -> ScanResult:
             for c in doc[key]
         )
 
+    cylinders = rows("cylinders")
     recorded = "alpha" in doc
+    # a document without an alpha has only its top to check; 1 stands in for the alpha
+    check_scan_options(doc["alpha"] if recorded else 1, doc["top"])
+    for key in ("replications", "seed", "significant_total") if recorded else ("replications", "seed"):
+        value = doc[key]
+        # a JSON integer, and not a bool; a scan without replicas records a null seed
+        if not ((type(value) is int and value >= 0) or (key == "seed" and value is None)):
+            raise InputError(f"{key} must be a non-negative integer, got {value!r}", module="dataio")
     return ScanResult(
-        cylinders=rows("cylinders"),
+        cylinders=cylinders,
         c_total=float(doc["c_total"]),
         b_total=float(doc["b_total"]),
         elevated_only=bool(doc["elevated_only"]),
-        replications=int(doc["replications"]),
+        replications=doc["replications"],
         seed=doc["seed"],
         regions=regions,
         times=times,
         alpha=float(doc["alpha"]) if recorded else None,
         clusters=rows("significant") if recorded else (),
-        significant_total=int(doc["significant_total"]) if recorded else None,
-        top=None if doc["top"] is None else int(doc["top"]),
+        significant_total=doc["significant_total"] if recorded else None,
+        top=doc["top"],
     )
 
 

@@ -302,8 +302,6 @@ class ScoredFamily:
         with p <= ``alpha``, none without maxima, and the clusters are chosen
         from them.
         """
-        from .dataio import check_scan_options  # loaded by any caller that writes the document
-
         check_scan_options(alpha, top)
         fam, kept, scores, maxima = self.family, self.kept, self.scores, self.maxima
         rank = _ranking(fam, scores, kept)
@@ -392,16 +390,21 @@ def expected_baseline(cases: np.ndarray, population: np.ndarray) -> np.ndarray:
     to population, so its grand total equals the case total. With such a
     baseline the log score is non-negative and zero exactly at parity,
     which is what the ranking relies on; feeding raw population counts in
-    instead would shift every score by an arbitrary amount.
+    instead would shift every score by an arbitrary amount. Totals that
+    are not finite, or past float64, and a population total of 0 raise
+    :class:`InputError`.
     """
     cases_m = np.asarray(cases, dtype=float)
     pop_m = np.asarray(population, dtype=float)
     if cases_m.shape != pop_m.shape:
         raise InputError("cases and population must have equal shapes", module="stscan")
-    pop_total = float(pop_m.sum())
-    if pop_total <= 0:
-        raise InputError("total population must be positive", module="stscan")
-    return pop_m * (float(cases_m.sum()) / pop_total)
+    with np.errstate(over="ignore"):  # a sum past float64 is infinite, and refused
+        pop_total, c_total = float(pop_m.sum()), float(cases_m.sum())
+    if not (0 < pop_total < math.inf and math.isfinite(c_total)):
+        raise InputError(
+            "case and population totals must be finite, the population's positive", module="stscan"
+        )
+    return pop_m * (c_total / pop_total)
 
 
 def _orders_from_coords(coords: np.ndarray) -> np.ndarray:
@@ -455,6 +458,18 @@ def _is_int(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_scan_options(alpha: float, top: int | None) -> None:
+    """Reject a ``top`` that is not None or an integer of at least 0, and an ``alpha`` that is not a real number in (0, 1], as :meth:`ScoredFamily.result` does."""
+    if top is not None and not _is_int(top):
+        raise InputError(f"top must be an integer or None, got {top!r}", module="stscan")
+    if top is not None and top < 0:
+        raise InputError(f"top must be non-negative, got {top}", module="stscan")
+    if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
+        raise InputError(f"alpha must be a real number, got {alpha!r}", module="stscan")
+    if not 0 < alpha <= 1:
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}", module="stscan")
+
+
 def check_max_fraction(max_fraction: float) -> None:
     """Reject a disk cap outside (0, 0.5], as :func:`enumerate_cylinders` does."""
     if not 0 < max_fraction <= 0.5:
@@ -502,13 +517,15 @@ def enumerate_cylinders(
     cap = None
     if region_baseline is not None:
         rb = np.asarray(region_baseline, dtype=float)
+        with np.errstate(over="ignore"):  # a sum past float64 is infinite, and refused
+            total = float(rb.sum())
         # NaN fails the comparison and an infinite value makes the sum infinite
-        if rb.shape != (n,) or not (np.all(rb >= 0) and 0 < rb.sum() < math.inf):
+        if rb.shape != (n,) or not (np.all(rb >= 0) and 0 < total < math.inf):
             raise InputError(
                 f"region baseline must be {n} finite non-negative values with a positive sum",
                 module="stscan",
             )
-        cap = max_fraction * float(rb.sum())
+        cap = max_fraction * total
 
     centers, sizes = [], []
     for c, (order, ks) in enumerate(zip(orders, disk_sizes)):
@@ -791,9 +808,9 @@ def _checked(
     if not (isinstance(candidates, CylinderFamily) and candidates.sizes.size and candidates.t0.size):
         raise InputError("candidates must be a non-empty CylinderFamily", module="stscan")
     _check_covers(candidates, cases_m)
-    c_total = float(cases_m.sum())
-    p_total = float(pop_m.sum())
-    # NaN fails the comparison and an infinite cell makes its total infinite
+    with np.errstate(over="ignore"):
+        c_total, p_total = float(cases_m.sum()), float(pop_m.sum())
+    # NaN fails the comparison, and an infinite cell or a sum past float64 makes its total infinite
     finite = math.isfinite(c_total + p_total)
     if not (finite and c_total > 0 and p_total > 0 and np.all(cases_m >= 0) and np.all(pop_m >= 0)):
         raise InputError(
@@ -937,8 +954,6 @@ def monte_carlo_scan(
     floor or a cut of 0 or below, and when the first pass keeps fewer than
     ``top`` cylinders.
     """
-    from .dataio import check_scan_options  # loaded by any caller that writes the document
-
     cases_m, pop_m, base_m, c_total, b_total, labels = _checked(cases, population, candidates, regions, times)
     check_replications(replications, seed)
     check_scan_options(alpha, top)

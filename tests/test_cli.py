@@ -14,7 +14,7 @@ import pytest
 
 import eigenspot
 from eigenspot import cli
-from eigenspot.dataio import read_report
+from eigenspot.dataio import dumps_stable, read_report, scan_from_dict, scan_to_dict
 from eigenspot.errors import InputError
 from eigenspot.evalsynth import scan_detected
 
@@ -524,8 +524,8 @@ def test_negative_seed_exits_2_and_writes_nothing(synth_dir, tmp_path, command):
 @pytest.mark.parametrize(
     "command, extra, module, message",
     [
-        ("scan", ["--top", "-1"], "dataio", "top must be non-negative, got -1"),
-        ("scan", ["--alpha", "2"], "dataio", "alpha must lie in (0, 1], got 2.0"),
+        ("scan", ["--top", "-1"], "stscan", "top must be non-negative, got -1"),
+        ("scan", ["--alpha", "2"], "stscan", "alpha must lie in (0, 1], got 2.0"),
         ("scan", ["--replications", "0"], "stscan", "need at least one replication"),
         ("scan", ["--seed", "-1"], "stscan", "seed must be non-negative, got -1"),
         ("scan", ["--max-fraction", "0.7"], "stscan", "max_fraction must lie in (0, 0.5]"),
@@ -607,6 +607,19 @@ def test_scan_deterministic_and_finds_block(synth_dir, tmp_path):
     top = doc["cylinders"][0]
     assert set(top["members"]) & {"r05", "r06"}
     assert top["p_value"] <= 0.05
+
+
+@pytest.mark.parametrize("top", ["0", "1", "100"])
+def test_a_scan_document_read_back_is_written_in_its_own_bytes(synth_dir, tmp_path, top):
+    # a result is written as it was recorded, so a document read back needs
+    # no alpha or top of its own to be written again
+    out = tmp_path / "s.json"
+    res = run_cli(scan_args(synth_dir, ["--top", top, "--replications", "19", "--out", str(out)]))
+    assert res.returncode == 0, res.stderr
+    text = out.read_text()
+    doc = json.loads(text)
+    assert doc["top"] == int(top) and len(doc["cylinders"]) == int(top) and doc["significant_total"] > 0
+    assert dumps_stable(scan_to_dict(scan_from_dict(doc))) == text
 
 
 def test_scan_with_the_time_mode_first_writes_the_same_document(synth_dir, tmp_path):
@@ -708,7 +721,7 @@ def test_scan_rejects_negative_top_and_alpha_outside_unit_interval(synth_dir, tm
     res = run_cli(scan_args(synth_dir, [*flag, "--replications", "1", "--out", str(tmp_path / "s.json")]))
     assert res.returncode == 2
     err = json.loads(res.stderr)["error"]
-    assert (err["type"], err["module"]) == ("InputError", "dataio")
+    assert (err["type"], err["module"]) == ("InputError", "stscan")
     assert not (tmp_path / "s.json").exists()
 
 

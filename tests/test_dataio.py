@@ -801,9 +801,10 @@ def test_scan_result_roundtrip_with_labels(tmp_path, rng):
         regions=("A", "B", "C", "D"),
         times=("t0", "t1", "t2"),
     )
-    res = monte_carlo_p(res, replications=9, seed=2).result(alpha=0.05, top=None)
+    scored = monte_carlo_p(res, replications=9, seed=2)
+    res = scored.result(alpha=0.05, top=None)
     path = tmp_path / "scan.json"
-    write_json(scan_to_dict(res, alpha=0.05, top=10), path)
+    write_json(scan_to_dict(scored.result(alpha=0.05, top=10)), path)
     back = read_report(path)
     assert back.c_total == res.c_total
     assert len(back.cylinders) == 10
@@ -825,7 +826,7 @@ def test_scan_document_reads_back_with_its_recorded_clusters():
     res = scored.result(alpha=0.05, top=None)
     clusters = [(c.members, c.window) for c in res.significant_clusters(0.05)]
     assert len(clusters) >= 2
-    back = scan_from_dict(scan_to_dict(res, alpha=0.05, top=1))
+    back = scan_from_dict(scan_to_dict(scored.result(alpha=0.05, top=1)))
     assert len(back.cylinders) == 1 and back.alpha == 0.05
     assert [(c.members, c.window) for c in back.significant_clusters(0.05)] == clusters
     for alpha in (0.01, 0.5):
@@ -833,8 +834,9 @@ def test_scan_document_reads_back_with_its_recorded_clusters():
             back.significant_clusters(alpha)
         assert exc.value.module == "stscan"
     # without an alpha the document records no clusters; they come from its rows, at any alpha
-    back = scan_from_dict(scan_to_dict(res))
-    assert (back.alpha, back.clusters) == (None, ())
+    doc = without_alpha(scan_to_dict(res))
+    back = scan_from_dict(doc)
+    assert (back.alpha, back.clusters) == (None, ()) and scan_to_dict(back) == doc
     for alpha in (0.01, 0.05):
         got = [(c.members, c.window) for c in back.significant_clusters(alpha)]
         at = scored.result(alpha=alpha, top=None)
@@ -850,65 +852,64 @@ def test_cut_scan_document_writes_back_its_recorded_total():
     cases[1, :2] += 60.0
     fam = enumerate_cylinders(times=4, coords=coords)
     scored = monte_carlo_p(scan(cases, pop, fam), 99, seed=3)
-    res = scored.result(top=None)
     for top in (1, 0, None):
-        doc = scan_to_dict(res, alpha=0.05, top=top)
+        doc = scan_to_dict(scored.result(alpha=0.05, top=top))
         assert doc["significant_total"] > 1
-        again = scan_to_dict(scan_from_dict(doc), alpha=doc["alpha"], top=doc["top"])
-        assert dumps_stable(again) == dumps_stable(doc)
-    with pytest.raises(InputError, match="differs from the scan's alpha"):
-        scan_to_dict(scan_from_dict(doc), alpha=0.5)
+        assert dumps_stable(scan_to_dict(scan_from_dict(doc))) == dumps_stable(doc)
 
 
-def test_a_document_without_alpha_is_not_written_at_one():
-    # cut to 10 rows and written without alpha, the document records no count
-    # of significant cylinders; written again at an alpha it used to report
-    # the count of its own rows, 10, where the scan found 2530
+def injected_grid():
+    """(cases, population, family) of a 25-region, 8-step grid with a hot pair; 10,800 cylinders."""
     data = generate(SynthConfig(
         regions=25, times=8, injected_regions=("r12", "r13"), window=(3, 5),
         relative_risk=4.0, seed=3,
     ))
     cases, population = data.cases.values, data.population.values
     fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=population.sum(axis=1))
-    res = monte_carlo_scan(cases, population, fam, 99, 1)
-    assert scan_to_dict(res, alpha=0.05, top=100)["significant_total"] == 2530
-    back = scan_from_dict(scan_to_dict(res, top=10))
-    assert back.alpha is None and len(back.cylinders) == 10
-    with pytest.raises(InputError, match="alpha 0.05 differs from the scan's alpha None"):
-        scan_to_dict(back, alpha=0.05, top=10)
+    return cases, population, fam
 
 
-def test_a_cut_result_is_not_written_at_a_larger_top():
-    # a result cut to 10 of 10,800 cylinders used to be written at top None
-    # as "top": null, and at top 200 as "top": 200, with its 10 rows; it
-    # records the top it was cut at, as it records alpha, and so does a
-    # document read back
-    data = generate(SynthConfig(
-        regions=25, times=8, injected_regions=("r12", "r13"), window=(3, 5),
-        relative_risk=4.0, seed=3,
-    ))
-    cases, population = data.cases.values, data.population.values
-    fam = enumerate_cylinders(times=8, coords=data.coords, region_baseline=population.sum(axis=1))
+def without_alpha(doc):
+    """A scan document as written without an alpha: no count of significant cylinders, no clusters."""
+    return {k: v for k, v in doc.items() if k not in ("alpha", "significant_total", "significant")}
+
+
+def test_a_document_without_alpha_is_written_back_without_one():
+    # cut to 10 rows without an alpha, the document records no count of
+    # significant cylinders; an earlier writer, given an alpha, reported the
+    # count of its own rows, 10, where the scan found 2530. A result is
+    # written as it was read: without an alpha, and in the same bytes
+    cases, population, fam = injected_grid()
+    res = monte_carlo_scan(cases, population, fam, 99, 1, top=10)
+    assert res.significant_total == 2530
+    doc = without_alpha(scan_to_dict(res))
+    back = scan_from_dict(doc)
+    assert back.alpha is None and back.significant_total is None and len(back.cylinders) == 10
+    assert dumps_stable(scan_to_dict(back)) == dumps_stable(doc)
+
+
+def test_a_result_is_written_at_the_top_it_was_cut_at():
+    # a result records the top it was cut at, as it records alpha, and so
+    # does a document read back; an earlier writer took a top of its own, and
+    # wrote a result cut to 10 rows at top None as "top": null
+    cases, population, fam = injected_grid()
     assert len(fam) == 10_800
     res = monte_carlo_scan(cases, population, fam, 99, 1, top=10)
-    assert res.top == 10 and len(res.cylinders) == 10
-    for top in (None, 11, 200):
-        with pytest.raises(InputError, match=f"top {top} asks for more rows than the scan's top 10") as exc:
-            scan_to_dict(res, alpha=0.05, top=top)
-        assert exc.value.module == "dataio"
-    doc = scan_to_dict(res, alpha=0.05, top=10)
-    assert doc["top"] == 10 and len(doc["cylinders"]) == 10
-    cut = scan_to_dict(res, alpha=0.05, top=5)
-    assert cut["top"] == 5 and cut["cylinders"] == doc["cylinders"][:5]
+    doc = scan_to_dict(res)
+    assert res.top == doc["top"] == 10 and len(doc["cylinders"]) == 10
     back = scan_from_dict(doc)
-    assert back.top == 10
-    assert dumps_stable(scan_to_dict(back, alpha=0.05, top=10)) == dumps_stable(doc)
-    with pytest.raises(InputError, match="top None asks for more rows"):
-        scan_to_dict(back, alpha=0.05)
-    # a result at top None, and a document written at it, hold every row
-    full = monte_carlo_p(scan(cases, population, fam), 99, 1).result(alpha=0.05, top=None)
-    assert full.top is None and len(scan_to_dict(full, alpha=0.05)["cylinders"]) == 10_800
-    assert scan_from_dict(scan_to_dict(full, alpha=0.05, top=3)).top == 3
+    assert back.top == 10 and dumps_stable(scan_to_dict(back)) == dumps_stable(doc)
+    # a smaller document is cut by the result itself, from the same ranking
+    scored = monte_carlo_p(scan(cases, population, fam), 99, 1)
+    cut = scan_to_dict(scored.result(alpha=0.05, top=5))
+    assert cut["top"] == 5 and cut["cylinders"] == doc["cylinders"][:5]
+    # a result at top None, and a document written from it, hold every row
+    full = scored.result(alpha=0.05, top=None)
+    text = dumps_stable(scan_to_dict(full))
+    doc = json.loads(text)
+    assert full.top is doc["top"] is None and len(doc["cylinders"]) == 10_800
+    back = scan_from_dict(doc)
+    assert back.top is None and dumps_stable(scan_to_dict(back)) == text
 
 
 def test_scan_result_roundtrip_without_labels():
@@ -924,14 +925,33 @@ def test_scan_result_roundtrip_without_labels():
 
 
 def test_scan_document_rejects_negative_top_and_alpha_outside_unit_interval():
+    # read back, then written as read, these fields once came back as given
+    # (or as int() made them: a top of 2.5 as 2, true as 1)
     one = enumerate_cylinders(times=2, coords=np.zeros((1, 2)))
-    res = scan(np.ones((1, 2)), np.ones((1, 2)), one).result(alpha=1.0, top=None)
-    assert scan_to_dict(res, alpha=1.0, top=0)["cylinders"] == []
-    with pytest.raises(InputError, match="top"):
-        scan_to_dict(res, top=-1)
-    for alpha in (0.0, -0.5, 1.5, math.nan):
-        with pytest.raises(InputError, match="alpha"):
-            scan_to_dict(res, alpha=alpha)
+    doc = scan_to_dict(monte_carlo_p(scan(np.ones((1, 2)), np.ones((1, 2)), one), 9, 1).result(top=None))
+    assert scan_from_dict(doc).top is None and scan_from_dict(dict(doc, top=0)).top == 0
+    bad = [
+        ("top", -1, "top must be non-negative"), ("top", 2.5, "top must be an integer"),
+        ("top", True, "top must be an integer"),
+        ("alpha", 0.0, "alpha must lie in"), ("alpha", 2, "alpha must lie in"),
+        ("alpha", math.nan, "alpha must lie in"), ("alpha", True, "alpha must be a real number"),
+        ("replications", -3, "replications must be"), ("replications", 9.7, "replications must be"),
+        ("replications", True, "replications must be"), ("seed", "x", "seed must be"),
+        ("seed", -1, "seed must be"), ("significant_total", 1.5, "significant_total must be"),
+        ("significant_total", -1, "significant_total must be"),
+    ]
+    for key, value, message in bad:
+        with pytest.raises(InputError, match=message):
+            scan_from_dict(dict(doc, **{key: value}))
+    # a document without an alpha checks its top, and records no total to check
+    stripped = without_alpha(doc)
+    assert scan_from_dict(dict(stripped, significant_total=1.5)).significant_total is None
+    with pytest.raises(InputError, match="top must be non-negative"):
+        scan_from_dict(dict(stripped, top=-1))
+    # a scan without replicas records 0 of them and a null seed
+    bare = scan_to_dict(scan(np.ones((1, 2)), np.ones((1, 2)), one).result(top=None))
+    assert (bare["replications"], bare["seed"]) == (0, None)
+    assert dumps_stable(scan_to_dict(scan_from_dict(bare))) == dumps_stable(bare)
 
 
 def test_tensor_document_bytes_list_values_first_mode_fastest():

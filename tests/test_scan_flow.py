@@ -25,13 +25,13 @@ REPLICATIONS = 39
 SEED = 3
 
 
-def document(result, alpha, top):
-    return dumps_stable(scan_to_dict(result, alpha=alpha, top=top))
+def document(result):
+    return dumps_stable(scan_to_dict(result))
 
 
 def reference_document(scored, alpha, top):
     """The document of the reference chain, from every cylinder scored and priced."""
-    return document(scored.result(alpha, top), alpha, top)
+    return document(scored.result(alpha, top))
 
 
 def full_document(cases, population, fam, elevated_only, alpha, top, replications=REPLICATIONS):
@@ -41,7 +41,7 @@ def full_document(cases, population, fam, elevated_only, alpha, top, replication
 
 def flow_document(cases, population, fam, elevated_only, alpha, top, replications=REPLICATIONS):
     res = monte_carlo_scan(cases, population, fam, replications, SEED, elevated_only, alpha, top)
-    return document(res, alpha, top)
+    return document(res)
 
 
 @pytest.fixture
@@ -93,7 +93,7 @@ def test_the_flow_writes_the_full_paths_document(kind, geometry, elevated_only, 
     for alpha, top in itertools.product((0.05, 1.0), (0, 1, 100, len(fam) + 1, None)):
         passes.clear()  # of the flow alone, not of scan
         flow = monte_carlo_scan(cases, population, fam, REPLICATIONS, SEED, elevated_only, alpha, top)
-        assert document(flow, alpha, top) == reference_document(full, alpha, top), (
+        assert document(flow) == reference_document(full, alpha, top), (
             alpha, top, sizes(passes)
         )
         if alpha == 1.0 or top is None or top > len(fam):

@@ -23,7 +23,7 @@ from eigenspot import (
 from conftest import cylinder_sums, ring_adjacency
 from eigenspot import stscan
 from eigenspot.dataio import scan_to_dict
-from eigenspot.stscan import _count_bounds, _llr, _scores, expected_baseline
+from eigenspot.stscan import _count_bounds, _llr, _scores, expected_baseline, monte_carlo_scan
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,15 @@ def test_expected_baseline_matches_totals():
     assert base[1, 1] / base[0, 0] == pytest.approx(5.0, rel=1e-12)
     with pytest.raises(InputError):
         expected_baseline(cases, np.zeros((2, 2)))
+
+
+def test_expected_baseline_refuses_totals_past_float64():
+    # a population total past float64 once made every cell 0, after numpy's
+    # overflow warning, and a case total past it every cell inf or NaN
+    ones, big, inf = np.ones((2, 2)), [[1e308, 1e308], [1.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]]
+    for cases, population in ((ones, big), (big, ones), (ones, inf), (inf, ones)):
+        with pytest.raises(InputError, match="totals must be finite"):
+            expected_baseline(cases, population)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +258,7 @@ def test_enumeration_validation():
     # at a cap of 0.5 kept 9 disks, where finite values keep 3
     three = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     assert enumerate_cylinders(times=1, coords=three, region_baseline=np.ones(3)).sizes.size == 3
-    for rb in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
+    for rb in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1e308, 1e308, 1.0]):
         with pytest.raises(InputError, match="finite"):
             enumerate_cylinders(times=1, coords=three, region_baseline=np.array(rb))
     # a time count that is not an integer once built windows over its ceiling
@@ -541,6 +550,13 @@ def test_scan_validation():
     for bad_population in ([[-1.0, 3.0]], [[np.nan, 3.0]], [[np.inf, 3.0]]):
         with pytest.raises(InputError, match="non-negative"):
             scan(np.ones((1, 2)), np.array(bad_population), cands)
+    # totals past float64 once raised numpy's overflow warning first
+    big = np.array([[1e308, 1e308]])
+    for cases, population in ((big, np.ones((1, 2))), (np.ones((1, 2)), big)):
+        with pytest.raises(InputError, match="finite"):
+            scan(cases, population, cands)
+        with pytest.raises(InputError, match="finite"):
+            monte_carlo_scan(cases, population, cands, 9, 1)
     # no case leaves no baseline
     with pytest.raises(InputError, match="positive case and population totals"):
         scan(np.zeros((1, 2)), np.ones((1, 2)), cands)
@@ -828,6 +844,30 @@ def test_monte_carlo_validation(tmp_path, monkeypatch):
         monkeypatch.setattr(stscan, "_llr", lambda c, *args, bad=bad: np.full(c.shape, bad))
         with pytest.raises(InputError, match="unbounded"):
             monte_carlo_p(res, replications=1, seed=1)
+
+
+def test_scan_options_of_the_wrong_type_are_refused():
+    # top=True was written as "top": true, top=2.5 raised numpy's TypeError in
+    # the flow, alpha="0.5" a bare TypeError, and alpha=True ran as 1
+    m = np.ones((1, 2))
+    one = enumerate_cylinders(times=2, coords=np.zeros((1, 2)))
+    scored = monte_carlo_p(scan(m, m, one), 9, 1)
+    bad = [
+        (0.05, True, "top must be an integer"), (0.05, 2.5, "top must be an integer"),
+        (0.05, "3", "top must be an integer"), (0.05, -1, "top must be non-negative, got -1"),
+        ("0.5", 1, "alpha must be a real number"), (True, 1, "alpha must be a real number"),
+        (None, 1, "alpha must be a real number"), (0.0, 1, r"alpha must lie in \(0, 1\], got 0.0"),
+        (1.5, 1, "alpha must lie in"), (math.nan, 1, "alpha must lie in"),
+    ]
+    for alpha, top, message in bad:
+        for run in (scored.result, lambda a, t: monte_carlo_scan(m, m, one, 9, 1, True, a, t)):
+            with pytest.raises(InputError, match=message) as err:
+                run(alpha, top)
+            assert err.value.module == "stscan"
+    # numpy integers and floats are accepted, as for replications and seeds
+    for alpha, top in ((np.float64(0.5), np.int64(1)), (np.float32(0.5), np.uint8(1))):
+        for res in (scored.result(alpha, top), monte_carlo_scan(m, m, one, 9, 1, True, alpha, top)):
+            assert (res.alpha, res.top, len(res.cylinders)) == (0.5, 1, 1)
 
 
 def test_monte_carlo_draws_from_the_scanned_baseline():
